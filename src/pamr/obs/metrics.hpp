@@ -17,7 +17,7 @@
 //           pinned by tests: 1 thread == N threads == N dist workers,
 //           bit for bit, AND across binaries — a hot-path rewrite must not
 //           move them (compare_metrics.py fails on any drift).
-//   kImpl   implementation-strategy counts (cache hits/misses/fold skips).
+//   kImpl   implementation-strategy counts (cache hits/misses).
 //           Deterministic like kUnit — the same thread/driver pinning
 //           applies — but a cache-layer rewrite legitimately changes them,
 //           so cross-binary comparisons report them informationally only.
@@ -36,9 +36,8 @@ enum class Metric : std::uint32_t {
   // -------------------------------------------- unit-scoped counters --
   kRouteCalls,            ///< Router::route / topo::route_on invocations
   kXyiMoves,              ///< accepted moves across both XYI loops
-  kXyiEvalHits,           ///< CachedEval slots reused (stamp-fresh or box-revalidated)
-  kXyiEvalMisses,         ///< CachedEval slot misses (genuine re-evaluation)
-  kXyiVerdictSkips,       ///< whole links folded in O(1) via the band-checked fold cache
+  kXyiEvalHits,           ///< CrossingIndex slots reused (stamp-fresh)
+  kXyiEvalMisses,         ///< CrossingIndex slot misses (genuine re-evaluation)
   kXyiIndexRewrites,      ///< CrossingIndex::apply_rewrite calls
   kPrRemovals,            ///< PR removals applied (both loops)
   kPrLinksRetired,        ///< LoadIndex::retire calls
@@ -104,7 +103,6 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"xyi.moves", Kind::kCounter, Scope::kUnit},
     {"xyi.memo.eval_hits", Kind::kCounter, Scope::kImpl},
     {"xyi.memo.eval_misses", Kind::kCounter, Scope::kImpl},
-    {"xyi.memo.verdict_skips", Kind::kCounter, Scope::kImpl},
     {"xyi.index.rewrites", Kind::kCounter, Scope::kUnit},
     {"pr.removals", Kind::kCounter, Scope::kUnit},
     {"pr.links.retired", Kind::kCounter, Scope::kUnit},

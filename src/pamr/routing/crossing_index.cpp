@@ -24,54 +24,10 @@ void erase_unordered(std::vector<std::uint32_t>& list, std::uint32_t value) {
 CrossingIndex::CrossingIndex(const Mesh& mesh, std::size_t num_comms)
     : mesh_(&mesh),
       members_(static_cast<std::size_t>(mesh.num_links())),
-      hot_(static_cast<std::size_t>(mesh.num_links())),
-      cold_(static_cast<std::size_t>(mesh.num_links())),
+      slots_(static_cast<std::size_t>(mesh.num_links())),
       visitors_(static_cast<std::size_t>(mesh.num_cores())),
       comm_stamp_(num_comms, 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
-      path_epoch_(num_comms, 0),
-      load_epoch_(static_cast<std::size_t>(mesh.num_links()), 0),
-      core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0),
-      fold_best_(static_cast<std::size_t>(mesh.num_links())),
-      fold_comm_(static_cast<std::size_t>(mesh.num_links()), 0),
-      fold_stamp_(static_cast<std::size_t>(mesh.num_links()), 0),
-      h_blocks_per_row_((mesh.q() + 3) / 4),
-      v_blocks_per_col_((mesh.p() + 3) / 4),
-      h_block_(static_cast<std::size_t>(mesh.p() * h_blocks_per_row_), 0),
-      v_block_(static_cast<std::size_t>(mesh.q() * v_blocks_per_col_), 0),
-      h_pair_base_(mesh.p()),
-      v_col_base_(mesh.p() + mesh.q()),
-      v_pair_base_(mesh.p() + 2 * mesh.q()),
-      lane_epoch_(static_cast<std::size_t>(2 * (mesh.p() + mesh.q())), 0),
-      band_ref_(static_cast<std::size_t>(mesh.num_links())) {
-  // Precompute each link's fold band (see fold_valid): for a horizontal
-  // link in row u, the h_row lanes u-1..u+1 and the v_pair row pairs
-  // (u-1, u) and (u, u+1), clamped to the mesh; columns mirror for
-  // vertical links.
-  for (std::int32_t l = 0; l < mesh.num_links(); ++l) {
-    const LinkInfo& info = mesh.link(static_cast<LinkId>(l));
-    BandRef& ref = band_ref_[static_cast<std::size_t>(l)];
-    const auto push = [&ref](std::int32_t idx) {
-      ref.idx[ref.n++] = static_cast<std::uint16_t>(idx);
-    };
-    if (info.horizontal()) {
-      const std::int32_t u = info.from.u;
-      for (std::int32_t r = std::max(u - 1, 0); r <= std::min(u + 1, mesh.p() - 1); ++r) {
-        push(r);  // h_row lane, base 0
-      }
-      for (std::int32_t r = std::max(u - 1, 0); r <= std::min(u, mesh.p() - 2); ++r) {
-        push(v_pair_base_ + r);
-      }
-    } else {
-      const std::int32_t v = info.from.v;
-      for (std::int32_t c = std::max(v - 1, 0); c <= std::min(v + 1, mesh.q() - 1); ++c) {
-        push(v_col_base_ + c);
-      }
-      for (std::int32_t c = std::max(v - 1, 0); c <= std::min(v, mesh.q() - 2); ++c) {
-        push(h_pair_base_ + c);
-      }
-    }
-  }
-}
+      core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0) {}
 
 void CrossingIndex::add_initial_path(std::uint32_t comm,
                                      const std::vector<Coord>& cores) {
@@ -80,59 +36,11 @@ void CrossingIndex::add_initial_path(std::uint32_t comm,
     auto& list = members_[static_cast<std::size_t>(link)];
     PAMR_ASSERT(list.empty() || list.back() < comm);  // registration order
     list.push_back(comm);
-    hot_[static_cast<std::size_t>(link)].emplace_back();
-    cold_[static_cast<std::size_t>(link)].emplace_back();
+    slots_[static_cast<std::size_t>(link)].emplace_back();
   }
   for (const Coord core : cores) {
     visitors_[static_cast<std::size_t>(mesh_->core_index(core))].push_back(comm);
   }
-}
-
-void CrossingIndex::touch_link_geometry(const LinkInfo& info) {
-  if (info.horizontal()) {
-    const auto row = static_cast<std::size_t>(info.from.u);
-    const auto col = static_cast<std::size_t>(std::min(info.from.v, info.to.v));
-    h_block_[row * static_cast<std::size_t>(h_blocks_per_row_) + (col >> 2)] = epoch_;
-    lane_epoch_[row] = epoch_;                                          // h_row
-    lane_epoch_[static_cast<std::size_t>(h_pair_base_) + col] = epoch_;  // h_pair
-  } else {
-    const auto col = static_cast<std::size_t>(info.from.v);
-    const auto row = static_cast<std::size_t>(std::min(info.from.u, info.to.u));
-    v_block_[col * static_cast<std::size_t>(v_blocks_per_col_) + (row >> 2)] = epoch_;
-    lane_epoch_[static_cast<std::size_t>(v_col_base_) + col] = epoch_;   // v_col
-    lane_epoch_[static_cast<std::size_t>(v_pair_base_) + row] = epoch_;  // v_pair
-  }
-}
-
-bool CrossingIndex::window_clean(const xyi::WindowBox& box, std::uint64_t stamp) const {
-  if (box.empty()) return true;  // the evaluation read no loads
-  // Horizontal links with both endpoints in the box: rows [u_lo, u_hi],
-  // spanning column pairs inside [v_lo, v_hi].
-  if (box.v_hi > box.v_lo) {
-    const std::size_t b_lo = static_cast<std::size_t>(box.v_lo) >> 2;
-    const std::size_t b_hi = static_cast<std::size_t>(box.v_hi - 1) >> 2;
-    for (std::size_t u = box.u_lo; u <= box.u_hi; ++u) {
-      const std::uint64_t* row =
-          h_block_.data() + u * static_cast<std::size_t>(h_blocks_per_row_);
-      for (std::size_t b = b_lo; b <= b_hi; ++b) {
-        if (row[b] > stamp) return false;
-      }
-    }
-  }
-  // Vertical links: columns [v_lo, v_hi], spanning row pairs inside
-  // [u_lo, u_hi].
-  if (box.u_hi > box.u_lo) {
-    const std::size_t b_lo = static_cast<std::size_t>(box.u_lo) >> 2;
-    const std::size_t b_hi = static_cast<std::size_t>(box.u_hi - 1) >> 2;
-    for (std::size_t v = box.v_lo; v <= box.v_hi; ++v) {
-      const std::uint64_t* col =
-          v_block_.data() + v * static_cast<std::size_t>(v_blocks_per_col_);
-      for (std::size_t b = b_lo; b <= b_hi; ++b) {
-        if (col[b] > stamp) return false;
-      }
-    }
-  }
-  return true;
 }
 
 void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& before,
@@ -141,29 +49,22 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& 
   obs::bump(obs::Metric::kXyiIndexRewrites);
   ++epoch_;
   comm_stamp_[comm] = epoch_;
-  path_epoch_[comm] = epoch_;
   // Member + eval-slot lists stay parallel and sorted by communication:
   // shifts over short contiguous lists beat node containers here.
   const auto erase_member = [&](LinkId link, std::uint32_t value) {
     auto& list = members_[static_cast<std::size_t>(link)];
     const auto at = std::lower_bound(list.begin(), list.end(), value);
     PAMR_ASSERT(at != list.end() && *at == value);
-    const auto pos = at - list.begin();
-    hot_[static_cast<std::size_t>(link)].erase(
-        hot_[static_cast<std::size_t>(link)].begin() + pos);
-    cold_[static_cast<std::size_t>(link)].erase(
-        cold_[static_cast<std::size_t>(link)].begin() + pos);
+    auto& slots = slots_[static_cast<std::size_t>(link)];
+    slots.erase(slots.begin() + (at - list.begin()));
     list.erase(at);
   };
   const auto insert_member = [&](LinkId link, std::uint32_t value) {
     auto& list = members_[static_cast<std::size_t>(link)];
     const auto at = std::lower_bound(list.begin(), list.end(), value);
     PAMR_ASSERT(at == list.end() || *at != value);
-    const auto pos = at - list.begin();
-    hot_[static_cast<std::size_t>(link)].emplace(
-        hot_[static_cast<std::size_t>(link)].begin() + pos);
-    cold_[static_cast<std::size_t>(link)].emplace(
-        cold_[static_cast<std::size_t>(link)].begin() + pos);
+    auto& slots = slots_[static_cast<std::size_t>(link)];
+    slots.emplace(slots.begin() + (at - list.begin()));
     list.insert(at, value);
   };
   for (std::size_t k = 0; k + 1 < before.size(); ++k) {
@@ -173,12 +74,6 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& 
     if (removed == added) continue;
     erase_member(removed, comm);
     insert_member(added, comm);
-    // Unconditional geometric bump: membership and window shape changed
-    // here even if the later load accounting cancels bit-exactly (e.g. a
-    // zero-weight communication), so fold caches and box-revalidated slots
-    // in this neighbourhood must not survive on load epochs alone.
-    touch_link_geometry(mesh_->link(removed));
-    touch_link_geometry(mesh_->link(added));
   }
   for (std::size_t k = 0; k < before.size(); ++k) {
     if (before[k] == after[k]) continue;
@@ -193,8 +88,7 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& 
   for (std::size_t k = 0; k + 1 < after.size(); ++k) {
     const auto idx = static_cast<std::size_t>(mesh_->link_between(after[k], after[k + 1]));
     const std::vector<std::uint32_t>& list = members_[idx];
-    PAMR_INVARIANT("crossing-index",
-                   list.size() == hot_[idx].size() && list.size() == cold_[idx].size(),
+    PAMR_INVARIANT("crossing-index", list.size() == slots_[idx].size(),
                    "member and eval-slot lists diverged");
     PAMR_INVARIANT("crossing-index",
                    std::is_sorted(list.begin(), list.end()) &&
@@ -220,8 +114,6 @@ void CrossingIndex::note_load_change(LinkId link) {
   //   * paths one lane over whose shifted run would land on the link — the
   //     members of the two lane-parallel links.
   const LinkInfo& info = mesh_->link(link);
-  load_epoch_[static_cast<std::size_t>(link)] = epoch_;
-  touch_link_geometry(info);
   stamp_core(info.from);
   stamp_core(info.to);
   const auto lane_dirs = info.horizontal()

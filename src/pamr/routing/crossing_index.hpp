@@ -7,7 +7,7 @@
 // scratch every round: a scan of every communication's full path per hot
 // link, re-done from the top of the link order after every move.
 //
-// CrossingIndex maintains four things under applied moves:
+// CrossingIndex maintains three things under applied moves:
 //
 //   * per-link member lists — the communications whose *current* path
 //     crosses the link, kept sorted by communication index so a walk
@@ -16,54 +16,25 @@
 //   * per-core visitor lists — the communications whose path visits the
 //     core, which is the reverse mapping needed for dirty stamping (below);
 //   * per-(link, member) evaluation slots — each member's best candidate
-//     rotation, revalidated either by the comm-level stamp or, failing
-//     that, by the geometric read-set check below;
-//   * a per-link fold cache — the whole link's best (candidate, member)
-//     pair, reusable in O(1) while the link's three-lane band is untouched.
+//     rotation and the epoch it was computed at.
 //
-// Two invalidation granularities keep the caches exact rather than
-// heuristic:
-//
-// 1. Comm-level stamps (the fast accept). Evaluating a hot link L reads,
-//    per crossing communication c: c's path (the rotation windows) and the
-//    loads of the candidate removed/added links. A candidate rotation's
-//    links are exactly (i) removed steps, which lie on c's path, (ii) the
-//    shifted run, whose links are one-lane parallels of path steps, and
-//    (iii) the moved crossing step, which has one endpoint on c's path.
-//    Inverting that: when the load of link ℓ changes, the communications
-//    whose cached evaluations could have read it are the visitors of ℓ's
-//    two endpoint cores (covers i and iii) plus the members of ℓ's two
-//    lane-parallel links (covers ii). A slot whose communication is older
-//    than every relevant stamp is therefore still exact.
-//
-// 2. Geometric read-set epochs (the second chance). The comm stamp is
-//    deliberately coarse — it dirties a communication when *any* load near
-//    its whole path changes, while a slot for link L only read loads inside
-//    its rotation window around L. Measured on an overloaded 32×32 descent,
-//    ~85% of stamp-dirtied slots recompute to the bit-identical candidate.
-//    So each slot also records the bounding box of every core its
-//    evaluation touched (WindowBox — a superset of the endpoints of every
-//    load it read), and the index keeps, per 4-link block of same-lane
-//    links, the epoch of the last load change or window rewrite that
-//    touched the block. A stamp-dirtied slot whose path is unrewritten
-//    (path_epoch ≤ slot stamp) and whose box blocks are all ≤ slot stamp
-//    would recompute from identical inputs — the cached candidate is
-//    reused and restamped, no approximation involved.
-//
-// The fold cache rides on the same geometry at link granularity: every
-// member's window around a horizontal link L in row u is a horizontal run
-// in row u shifted to row u±1, closed by perpendicular steps joining rows
-// u-1..u+1 — so the entire fold reads only horizontal-link loads in rows
-// u-1..u+1 and vertical-link loads on the row pairs (u-1,u) and (u,u+1),
-// and membership/shape changes of that window necessarily rewrite a link
-// in the same band. If no band entry advanced past the fold's stamp, every
-// member's candidate and the membership itself are unchanged, and the
-// cached (best, member) pair is the exact fold result. Columns mirror the
-// argument for vertical links.
+// A slot is reused only while it is provably exact. Evaluating a hot link
+// L reads, per crossing communication c: c's path (the rotation windows)
+// and the loads of the candidate removed/added links. A candidate
+// rotation's links are exactly (i) removed steps, which lie on c's path,
+// (ii) the shifted run, whose links are one-lane parallels of path steps,
+// and (iii) the moved crossing step, which has one endpoint on c's path.
+// Inverting that: when the load of link ℓ changes, the communications whose
+// cached evaluations could have read it are the visitors of ℓ's two
+// endpoint cores (covers i and iii) plus the members of ℓ's two
+// lane-parallel links (covers ii). Each such communication gets the
+// current epoch as its dirty stamp, as does a communication whose own path
+// is rewritten; a slot computed at or after its communication's dirty
+// stamp would recompute from identical inputs, so its cached candidate is
+// still exact.
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "pamr/mesh/coord.hpp"
@@ -74,45 +45,13 @@ namespace pamr {
 
 class CrossingIndex {
  public:
-  /// Memoized per-(link, member) evaluation, split hot/cold (SoA): the fold
-  /// scans every member's SlotHot each time a link is re-folded — tens of
-  /// millions of sequential reads per overloaded descent — while SlotCold
-  /// is touched only for the members the comm stamp dirtied. Keeping the
-  /// scanned half at 32 bytes (two per cache line) is worth the split.
-  ///
-  /// One SlotCold entry per candidate rotation (at most two, in
-  /// preferred-side-first evaluation order — the order the strict-<
-  /// tie-break of the fold depends on). Each candidate carries its own
-  /// compute stamp and read-set box, so a load change near one side of the
-  /// crossing revalidates or recomputes that side alone; the other side's
-  /// cached delta stays exact. `count` and the rotations' j/i/forward
-  /// (stored inside cand[]) are pure functions of the path shape, derived
-  /// at `spec_stamp` and valid while the path is unrewritten (path_epoch ≤
-  /// spec_stamp). Stamp 0 = never computed (epochs start at 1).
-  struct SlotHot {
-    /// combined(cold), refreshed by the caller whenever cand[] changes.
+  /// Memoized per-(link, member) evaluation: the member's best candidate
+  /// rotation (+inf when it has none) as of epoch `stamp`. Stamp 0 = never
+  /// computed (epochs start at 1).
+  struct Slot {
     xyi::Candidate best;
-    /// min over the active candidates' cstamps (the epoch of processing
-    /// when there are no candidates); the slot as a whole is fresh while
-    /// this is ≥ the member's dirty stamp.
-    std::uint64_t fresh_stamp = 0;
+    std::uint64_t stamp = 0;
   };
-  struct SlotCold {
-    xyi::Candidate cand[2];
-    std::uint64_t cstamp[2] = {0, 0};
-    xyi::WindowBox box[2];
-    std::uint64_t spec_stamp = 0;
-    std::uint8_t count = 0;
-  };
-
-  /// The slot's fold contribution: best of its cached candidates, in
-  /// evaluation order with the strict-< tie-break (+inf when it has none).
-  [[nodiscard]] static xyi::Candidate combined(const SlotCold& slot) {
-    xyi::Candidate best;
-    if (slot.count >= 1) best = slot.cand[0];
-    if (slot.count == 2 && slot.cand[1].delta < best.delta) best = slot.cand[1];
-    return best;
-  }
 
   CrossingIndex(const Mesh& mesh, std::size_t num_comms);
 
@@ -125,51 +64,17 @@ class CrossingIndex {
     return members_[static_cast<std::size_t>(link)];
   }
 
-  /// Hot halves of the evaluation slots parallel to members(link) — what
-  /// the fold scans — and their cold halves, touched only when dirty. Both
-  /// writable by the caller, which keeps hot.best/fresh_stamp in sync with
-  /// the cold state it derives from.
-  [[nodiscard]] std::vector<SlotHot>& hot_slots(LinkId link) {
-    return hot_[static_cast<std::size_t>(link)];
-  }
-  [[nodiscard]] std::vector<SlotCold>& cold_slots(LinkId link) {
-    return cold_[static_cast<std::size_t>(link)];
+  /// Evaluation slots parallel to members(link), writable by the caller,
+  /// which refreshes a stale slot and stamps it with epoch().
+  [[nodiscard]] std::vector<Slot>& slots(LinkId link) {
+    return slots_[static_cast<std::size_t>(link)];
   }
 
   /// True iff the slot (belonging to `comm`) still reflects the current
-  /// state: every candidate's stamp at or past the comm's dirty stamp
-  /// (which also implies the path is unrewritten since, as a rewrite bumps
-  /// the dirty stamp too). fresh_stamp 0 (never computed) is always stale
-  /// because comm stamps start at 1.
-  [[nodiscard]] bool slot_fresh(const SlotHot& slot, std::uint32_t comm) const {
-    return slot.fresh_stamp >= comm_stamp_[comm];
-  }
-
-  /// Epoch of the last rewrite of `comm`'s own path (0 = never).
-  [[nodiscard]] std::uint64_t path_epoch(std::uint32_t comm) const {
-    return path_epoch_[comm];
-  }
-
-  /// Epoch `comm` was last stamped dirty — per-candidate freshness is
-  /// cstamp ≥ dirty_stamp(comm).
-  [[nodiscard]] std::uint64_t dirty_stamp(std::uint32_t comm) const {
-    return comm_stamp_[comm];
-  }
-
-  /// Second-chance revalidation of one stamp-dirtied cached candidate: true
-  /// iff no load inside its recorded read-set box changed (and no window
-  /// was rewritten there) since it was computed at `stamp`. Together with
-  /// path_epoch(comm) ≤ stamp this makes the cached candidate exact — the
-  /// caller may restamp it to the current epoch. An empty box (a candidate
-  /// that read no loads) is always clean.
-  [[nodiscard]] bool window_clean(const xyi::WindowBox& box, std::uint64_t stamp) const;
-
-  /// Exact per-link load-change epochs (0 = never changed), for the third
-  /// revalidation layer: when the blocked box check reports dirt, an exact
-  /// rewalk of the slot's read set against these epochs separates real
-  /// changes from block-quantization false positives.
-  [[nodiscard]] std::span<const std::uint64_t> load_epochs() const noexcept {
-    return load_epoch_;
+  /// state: computed at or after the comm's dirty stamp. Stamp 0 (never
+  /// computed) is always stale because comm stamps start at 1.
+  [[nodiscard]] bool slot_fresh(const Slot& slot, std::uint32_t comm) const {
+    return slot.stamp >= comm_stamp_[comm];
   }
 
   /// The stamp for slots recomputed now.
@@ -183,93 +88,20 @@ class CrossingIndex {
 
   /// The stored load of `link` changed under the current move: stamps every
   /// communication whose path passes within one hop of it (the set whose
-  /// cached evaluations could have read this load — see file comment) and
-  /// advances the link's block and band epochs. Call after apply_rewrite
-  /// for each link whose value actually changed.
+  /// cached evaluations could have read this load — see file comment).
+  /// Call after apply_rewrite for each link whose value actually changed.
   void note_load_change(LinkId link);
 
-  /// True iff `link`'s cached fold (best candidate over all members) is
-  /// still exact: a fold was recorded and no load change or window rewrite
-  /// touched the link's three-lane band since (see file comment). The band
-  /// is resolved through per-link precomputed lane offsets — this runs once
-  /// per hot-prefix position per round.
-  [[nodiscard]] bool fold_valid(LinkId link) const {
-    const auto idx = static_cast<std::size_t>(link);
-    const std::uint64_t stamp = fold_stamp_[idx];
-    if (stamp == 0) return false;
-    const BandRef& ref = band_ref_[idx];
-    for (std::uint8_t k = 0; k < ref.n; ++k) {
-      if (lane_epoch_[ref.idx[k]] > stamp) return false;
-    }
-    return true;
-  }
-
-  /// Caches the fold result of `link` at the current epoch. `best_comm` is
-  /// the winning member, or any sentinel when `best` is +inf (no improving
-  /// candidate exists among no members).
-  void record_fold(LinkId link, const xyi::Candidate& best, std::uint32_t best_comm) {
-    const auto idx = static_cast<std::size_t>(link);
-    fold_best_[idx] = best;
-    fold_comm_[idx] = best_comm;
-    fold_stamp_[idx] = epoch_;
-  }
-
-  [[nodiscard]] const xyi::Candidate& fold_best(LinkId link) const {
-    return fold_best_[static_cast<std::size_t>(link)];
-  }
-  [[nodiscard]] std::uint32_t fold_comm(LinkId link) const {
-    return fold_comm_[static_cast<std::size_t>(link)];
-  }
-
  private:
-  /// A link's fold band, as offsets into lane_epoch_: the (up to three)
-  /// same-lane lanes plus the (up to two) adjacent perpendicular pairs a
-  /// fold of the link could have read. Precomputed per link so fold_valid
-  /// is a handful of flat array reads.
-  struct BandRef {
-    std::uint8_t n = 0;
-    std::uint16_t idx[5] = {0, 0, 0, 0, 0};
-  };
-
   void stamp_core(Coord core);
-  /// Stamps `info`'s block and band epochs at the current epoch — called
-  /// for every load change and for every link entering or leaving a
-  /// rewritten window (the latter unconditionally, so shape and membership
-  /// changes invalidate geometric caches even when a load change cancels
-  /// out bit-exactly).
-  void touch_link_geometry(const LinkInfo& info);
 
   const Mesh* mesh_;
   std::uint64_t epoch_ = 1;                            ///< applied-move counter
   std::vector<std::vector<std::uint32_t>> members_;    ///< link → crossing comms, sorted
-  std::vector<std::vector<SlotHot>> hot_;              ///< parallel to members_
-  std::vector<std::vector<SlotCold>> cold_;            ///< parallel to members_
+  std::vector<std::vector<Slot>> slots_;               ///< parallel to members_
   std::vector<std::vector<std::uint32_t>> visitors_;   ///< core → visiting comms
   std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
-  std::vector<std::uint64_t> path_epoch_;              ///< comm → epoch last rewritten
-  std::vector<std::uint64_t> load_epoch_;              ///< link → epoch load last changed
   std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch
-  // Per-link fold cache (see file comment).
-  std::vector<xyi::Candidate> fold_best_;
-  std::vector<std::uint32_t> fold_comm_;
-  std::vector<std::uint64_t> fold_stamp_;              ///< 0 = no fold recorded
-  // Geometric epochs. Horizontal links live in a row and span a column
-  // pair; vertical links live in a column and span a row pair. Blocks
-  // group 4 consecutive same-lane links for the per-slot box check; bands
-  // are whole lanes for the per-link fold check. All fit in L1.
-  std::int32_t h_blocks_per_row_ = 0;
-  std::int32_t v_blocks_per_col_ = 0;
-  std::vector<std::uint64_t> h_block_;  ///< [row][col/4] horizontal-link changes
-  std::vector<std::uint64_t> v_block_;  ///< [col][row/4] vertical-link changes
-  // Lane epochs, concatenated: h_row (row → last horizontal-link change in
-  // it, size p), then h_pair (col c → last horizontal-link change spanning
-  // c,c+1, size q), then v_col (size q), then v_pair (size p). One array so
-  // BandRef entries are plain offsets.
-  std::int32_t h_pair_base_ = 0;
-  std::int32_t v_col_base_ = 0;
-  std::int32_t v_pair_base_ = 0;
-  std::vector<std::uint64_t> lane_epoch_;
-  std::vector<BandRef> band_ref_;  ///< link → its fold band's lane offsets
 };
 
 }  // namespace pamr

@@ -1,7 +1,6 @@
 #include "pamr/routing/link_loads.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -41,13 +40,7 @@ LinkLoads loads_of_routing(const Mesh& mesh, const Routing& routing) {
   return loads;
 }
 
-LoadCost::LoadCost(const PowerModel& model)
-    : model_(&model),
-      capacity_(model.capacity()),
-      p_leak_(model.params().p_leak),
-      p0_(model.params().p0),
-      alpha_(model.params().alpha),
-      load_unit_(model.params().load_unit) {
+LoadCost::LoadCost(const PowerModel& model) : model_(&model) {
   if (!model.discrete()) return;
   for (const double frequency : model.table()->frequencies()) {
     level_edges_.push_back(frequency);
@@ -71,41 +64,15 @@ double LoadCost::operator()(double load) const noexcept {
   } else if (const auto power = model_->link_power(load); power.has_value()) {
     return *power;
   }
-  return overload_cost(load);
-}
-
-double LoadCost::overload_cost(double load) const noexcept {
-  // Direct-mapped, power-of-two table. Collisions simply overwrite: the
-  // memo trades a little redundant recomputation for O(1) deterministic
-  // lookups with no rehashing (an unordered_map here would also trip the
-  // determinism linter's result-path rule). 2^16 16-byte slots (1 MiB,
-  // allocated only once an instance actually sees an overload) cover the
-  // working set of an overloaded 32×32/nc=2000 descent — every (link load
-  // ± comm weight) pair alive between load changes — while staying
-  // cache-resident; a 4096-slot table thrashed at ~40% misses, and a 4 MiB
-  // one spilled L2 and made every probe a memory round trip.
-  constexpr std::size_t kSlots = std::size_t{1} << 16;
-  const std::uint64_t key = std::bit_cast<std::uint64_t>(load);
-  const std::size_t slot =
-      static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> (64 - 16));
-  if (over_slots_ == nullptr) {
-    over_slots_.reset(static_cast<OverSlot*>(std::calloc(kSlots, sizeof(OverSlot))));
-    PAMR_ASSERT(over_slots_ != nullptr);
-  } else if (over_slots_[slot].key == key) {
-    return over_slots_[slot].value;
-  }
   // Infeasible: continuous extension of the dynamic curve + linear penalty.
-  // This expression is the cache's single producer, so a hit above returns
-  // exactly the double a cold evaluation computes here.
-  const double dynamic = p0_ * std::pow(load * load_unit_, alpha_);
+  const PowerParams& params = model_->params();
+  const double capacity = model_->capacity();
+  const double dynamic = params.p0 * std::pow(load * params.load_unit, params.alpha);
   // The penalty slope dwarfs any realistic power value (§6 powers are a few
   // watts = a few thousand mW) so one Mb/s of overload always costs more
   // than any feasible rearrangement saves.
   constexpr double kOverloadPenaltyPerMbps = 1e4;
-  const double value =
-      p_leak_ + dynamic + kOverloadPenaltyPerMbps * (load - capacity_);
-  over_slots_[slot] = OverSlot{key, value};
-  return value;
+  return params.p_leak + dynamic + kOverloadPenaltyPerMbps * (load - capacity);
 }
 
 double LoadCost::total(std::span<const double> loads) const noexcept {

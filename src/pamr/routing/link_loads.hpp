@@ -12,8 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -69,9 +67,7 @@ class LinkLoads {
 /// Loads induced by a complete routing.
 [[nodiscard]] LinkLoads loads_of_routing(const Mesh& mesh, const Routing& routing);
 
-/// Heuristic link-cost oracle (see file comment). The overload memo makes
-/// a single instance stateful: construct one per route call (as every
-/// router does) rather than sharing an instance across threads.
+/// Heuristic link-cost oracle (see file comment).
 class LoadCost {
  public:
   /// For a discrete model, memoizes the exact per-level link power (the
@@ -84,14 +80,6 @@ class LoadCost {
   /// Cost of one link at `load`: the model's power when feasible, the
   /// continuous extension plus a steep overload penalty otherwise; 0 when
   /// idle.
-  ///
-  /// Overloaded loads are memoized: the penalty branch's std::pow dominates
-  /// XYI's descent on infeasible instances, and the same handful of load
-  /// values (current, ±weight) recur across candidate evaluations. The
-  /// cache is keyed on the exact bit pattern of `load` and filled through
-  /// the identical penalty expression, so a hit returns the very double a
-  /// cold call would have computed — delta() and the differential suites
-  /// see bit-identical values either way.
   [[nodiscard]] double operator()(double load) const noexcept;
 
   /// Cost difference of moving one link from `before` to `after`.
@@ -104,33 +92,9 @@ class LoadCost {
   [[nodiscard]] double total(std::span<const double> loads) const noexcept;
 
  private:
-  [[nodiscard]] double overload_cost(double load) const noexcept;
-
   const PowerModel* model_;
   std::vector<double> level_edges_;  ///< discrete: level frequencies (inclusive tops)
   std::vector<double> level_costs_;  ///< exact link_power at each level
-  // Penalty-branch constants, copied out of the model at construction so a
-  // memo miss costs one std::pow and no cross-TU accessor calls.
-  double capacity_ = 0.0;
-  double p_leak_ = 0.0;
-  double p0_ = 0.0;
-  double alpha_ = 0.0;
-  double load_unit_ = 0.0;
-  // Direct-mapped memo for the penalty branch, allocated on first overload.
-  // Key 0 marks an empty slot: a load whose bits are zero is +0.0, which
-  // returns before ever reaching the penalty branch. Key and value share a
-  // 16-byte slot so a probe touches exactly one cache line. calloc-backed
-  // rather than a zero-filled vector: an allocation this size is served as
-  // lazily-zeroed pages, so a short-lived router that brushes a transient
-  // overload touches a few pages instead of paying a 1 MiB memset up front.
-  struct OverSlot {
-    std::uint64_t key;
-    double value;
-  };
-  struct FreeDeleter {
-    void operator()(void* p) const noexcept { std::free(p); }
-  };
-  mutable std::unique_ptr<OverSlot[], FreeDeleter> over_slots_;
 };
 
 }  // namespace pamr

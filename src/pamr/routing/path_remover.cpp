@@ -33,11 +33,12 @@
 //     and membership only dies, so such a link can never yield a removal
 //     again.
 //
-// Both order removals identically — most-loaded link first with the
-// seed's stable-history tie-break (see load_index.hpp), heaviest
-// communication first with ties by original index — and keep the load
-// array bit-identical at every decision point (see apply_spread_tracked),
-// so the routings they produce are bit-identical.
+// Both clean up after a removal with the same full reachability sweep
+// (CommState::prune). Both order removals identically — most-loaded link
+// first with the seed's stable-history tie-break (see load_index.hpp),
+// heaviest communication first with ties by original index — and keep the
+// load array bit-identical at every decision point (see
+// apply_spread_tracked), so the routings they produce are bit-identical.
 #include <algorithm>
 #include <numeric>
 
@@ -55,12 +56,10 @@ namespace {
 
 /// Reusable reachability buffers for CommState::prune: cells are marked
 /// with the current epoch instead of re-allocating (and re-zeroing) two
-/// per-core vectors on every removal, as the seed did. `row` is the
-/// windowed prune's per-depth recompute buffer.
+/// per-core vectors on every removal, as the seed did.
 struct PruneScratch {
   std::vector<std::uint64_t> forward;
   std::vector<std::uint64_t> backward;
-  std::vector<char> row;
   std::uint64_t epoch = 0;
 
   explicit PruneScratch(std::size_t num_cores)
@@ -68,29 +67,12 @@ struct PruneScratch {
 };
 
 /// Per-communication path-DAG state.
-///
-/// Two prune implementations operate on it. prune() is the seed's full
-/// forward/backward reachability sweep over every depth, used by
-/// route_reference. prune_after_removal() — route_incremental's — keeps
-/// persistent per-cell marks and recomputes only the depth window a
-/// removal at cut t0 can have changed: forward marks at depths > t0 until
-/// a depth stops changing, backward marks at depths ≤ t0 likewise, then
-/// re-filters exactly the cuts whose links read a changed mark. Marks only
-/// ever drop, and a cell whose mark goes stale (its support was erased in
-/// a cut outside the recompute window) is provably shadowed by the other
-/// direction's zero on every surviving link that could read it, so the
-/// windowed filter erases exactly the links the full sweep would — the
-/// PR differential suite pins reference (full) against incremental
-/// (windowed) end to end, and the paranoid check below re-verifies every
-/// windowed prune against a fresh sweep.
 struct CommState {
   CommRect rect;
   std::vector<char> allowed;             ///< indexed by LinkId, 1 = usable
   std::vector<std::vector<LinkId>> cuts; ///< allowed links per depth t
-  std::vector<char> forward;             ///< persistent marks, by core index
-  std::vector<char> backward;            ///< (windowed prune only)
 
-  CommState(const Mesh& mesh, const Communication& comm, bool track_reachability)
+  CommState(const Mesh& mesh, const Communication& comm)
       : rect(mesh, comm.src, comm.snk),
         allowed(static_cast<std::size_t>(mesh.num_links()), 0) {
     cuts.resize(static_cast<std::size_t>(rect.length()));
@@ -99,12 +81,6 @@ struct CommState {
       for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
         allowed[static_cast<std::size_t>(link)] = 1;
       }
-    }
-    if (track_reachability) {
-      // Every cell of the full rectangle reaches and is reached — all
-      // marks start true (cells outside the rectangle are never read).
-      forward.assign(static_cast<std::size_t>(mesh.num_cores()), 1);
-      backward.assign(static_cast<std::size_t>(mesh.num_cores()), 1);
     }
   }
 
@@ -182,147 +158,6 @@ struct CommState {
     }
   }
 
-  /// Windowed prune after the caller erased a link from cut t0 (see struct
-  /// comment). Requires the persistent marks (track_reachability).
-  void prune_after_removal(const Mesh& mesh, std::int32_t t0, PruneScratch& scratch) {
-    const std::int32_t len = rect.length();
-    PAMR_DCHECK(t0 >= 0 && t0 < len);
-    PAMR_DCHECK(!forward.empty());
-    const std::int32_t du = rect.du();
-    const std::int32_t dv = rect.dv();
-    auto cell_key = [&](Coord c) {
-      return static_cast<std::size_t>(mesh.core_index(c));
-    };
-
-    // Forward marks can change only at depths > t0 (cuts before t0 are
-    // untouched); recompute depth by depth and stop at the first depth
-    // with no change — deeper marks depend only on unchanged inputs.
-    std::int32_t f_hi = t0;
-    for (std::int32_t d = t0; d < len; ++d) {
-      const std::int32_t a_lo = std::max<std::int32_t>(0, d + 1 - dv);
-      const std::int32_t a_hi = std::min(du, d + 1);
-      scratch.row.assign(static_cast<std::size_t>(a_hi - a_lo + 1), 0);
-      for (const LinkId link : cuts[static_cast<std::size_t>(d)]) {
-        const LinkInfo& info = mesh.link(link);
-        if (forward[cell_key(info.from)] != 0) {
-          std::int32_t a = 0;
-          std::int32_t b = 0;
-          const bool inside = rect.cell_offsets(info.to, a, b);
-          PAMR_DCHECK(inside);
-          scratch.row[static_cast<std::size_t>(a - a_lo)] = 1;
-        }
-      }
-      bool depth_changed = false;
-      for (std::int32_t a = a_lo; a <= a_hi; ++a) {
-        char& mark = forward[cell_key(rect.cell(a, d + 1 - a))];
-        const char next = scratch.row[static_cast<std::size_t>(a - a_lo)];
-        if (mark != next) {
-          mark = next;
-          depth_changed = true;
-        }
-      }
-      if (!depth_changed) break;
-      f_hi = d + 1;
-    }
-
-    // Backward marks can change only at depths ≤ t0; sweep toward the
-    // source with the same stopping rule.
-    std::int32_t b_lo = t0 + 1;
-    for (std::int32_t d = t0; d >= 0; --d) {
-      const std::int32_t a_lo = std::max<std::int32_t>(0, d - dv);
-      const std::int32_t a_hi = std::min(du, d);
-      scratch.row.assign(static_cast<std::size_t>(a_hi - a_lo + 1), 0);
-      for (const LinkId link : cuts[static_cast<std::size_t>(d)]) {
-        const LinkInfo& info = mesh.link(link);
-        if (backward[cell_key(info.to)] != 0) {
-          std::int32_t a = 0;
-          std::int32_t b = 0;
-          const bool inside = rect.cell_offsets(info.from, a, b);
-          PAMR_DCHECK(inside);
-          scratch.row[static_cast<std::size_t>(a - a_lo)] = 1;
-        }
-      }
-      bool depth_changed = false;
-      for (std::int32_t a = a_lo; a <= a_hi; ++a) {
-        char& mark = backward[cell_key(rect.cell(a, d - a))];
-        const char next = scratch.row[static_cast<std::size_t>(a - a_lo)];
-        if (mark != next) {
-          mark = next;
-          depth_changed = true;
-        }
-      }
-      if (!depth_changed) break;
-      b_lo = d;
-    }
-
-    // Only links that read a changed mark can change liveness: tails at
-    // depths (t0, f_hi] and heads at depths [b_lo, t0]. Cut t0 itself
-    // keeps its alive set — its tails' forward and heads' backward marks
-    // sit outside both changed ranges.
-    auto filter_cut = [&](std::int32_t d) {
-      auto& cut = cuts[static_cast<std::size_t>(d)];
-      std::erase_if(cut, [&](LinkId link) {
-        const LinkInfo& info = mesh.link(link);
-        const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
-                           forward[cell_key(info.from)] != 0 &&
-                           backward[cell_key(info.to)] != 0;
-        if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
-        return !alive;
-      });
-      PAMR_ASSERT_MSG(!cut.empty(), "prune emptied a cut — connectivity broken");
-    };
-    for (std::int32_t d = std::max<std::int32_t>(0, b_lo - 1); d < t0; ++d) {
-      filter_cut(d);
-    }
-    for (std::int32_t d = t0 + 1; d <= f_hi; ++d) filter_cut(d);
-
-#if PAMR_CHECK_LEVEL >= 2
-    check_windowed_prune(mesh, scratch);
-#endif
-  }
-
-  /// Paranoid cross-check (automatic under the paranoid level): a fresh
-  /// full reachability sweep over the current cuts must find every
-  /// surviving link alive — i.e. the full-sweep prune would erase nothing
-  /// the windowed prune kept. (Persistent marks are allowed to go stale on
-  /// cells no surviving link reads; comparing them directly would
-  /// false-positive.)
-  void check_windowed_prune(const Mesh& mesh, PruneScratch& scratch) const {
-    const std::int32_t len = rect.length();
-    const std::uint64_t epoch = ++scratch.epoch;
-    auto cell_key = [&](Coord c) {
-      return static_cast<std::size_t>(mesh.core_index(c));
-    };
-    scratch.forward[cell_key(rect.src())] = epoch;
-    for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
-        const LinkInfo& info = mesh.link(link);
-        if (scratch.forward[cell_key(info.from)] == epoch) {
-          scratch.forward[cell_key(info.to)] = epoch;
-        }
-      }
-    }
-    scratch.backward[cell_key(rect.snk())] = epoch;
-    for (std::int32_t t = len - 1; t >= 0; --t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
-        const LinkInfo& info = mesh.link(link);
-        if (scratch.backward[cell_key(info.to)] == epoch) {
-          scratch.backward[cell_key(info.from)] = epoch;
-        }
-      }
-    }
-    for (const auto& cut : cuts) {
-      for (const LinkId link : cut) {
-        const LinkInfo& info = mesh.link(link);
-        PAMR_INVARIANT_ALWAYS(
-            "pr-prune",
-            scratch.forward[cell_key(info.from)] == epoch &&
-                scratch.backward[cell_key(info.to)] == epoch,
-            "windowed prune kept a link the full sweep would erase");
-      }
-    }
-  }
-
   /// Extracts the unique remaining path once single-path.
   [[nodiscard]] Path extract_path(const Mesh& mesh) const {
     Path path;
@@ -344,11 +179,11 @@ struct CommState {
 
 /// Builds the initial per-communication spread states onto `loads`.
 std::vector<CommState> make_states(const Mesh& mesh, const CommSet& comms,
-                                   LinkLoads& loads, bool track_reachability) {
+                                   LinkLoads& loads) {
   std::vector<CommState> states;
   states.reserve(comms.size());
   for (const Communication& comm : comms) {
-    states.emplace_back(mesh, comm, track_reachability);
+    states.emplace_back(mesh, comm);
     states.back().apply_spread(comm.weight, loads);
   }
   return states;
@@ -383,8 +218,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                                                  const PowerModel& model) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
-  std::vector<CommState> states =
-      make_states(mesh, comms, loads, /*track_reachability=*/true);
+  std::vector<CommState> states = make_states(mesh, comms, loads);
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link"): member lists are filled in
@@ -452,7 +286,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     state.apply_spread_tracked(-weight, loads, log);
     state.allowed[static_cast<std::size_t>(link)] = 0;
     std::erase(state.cuts[static_cast<std::size_t>(depth)], link);
-    state.prune_after_removal(mesh, depth, scratch);
+    state.prune(mesh, scratch);
     state.apply_spread_tracked(weight, loads, log);
     changed.clear();
     for (std::size_t i = 0; i < log.links.size(); ++i) {
@@ -475,8 +309,7 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
                                                const PowerModel& model) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
-  std::vector<CommState> states =
-      make_states(mesh, comms, loads, /*track_reachability=*/false);
+  std::vector<CommState> states = make_states(mesh, comms, loads);
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link").

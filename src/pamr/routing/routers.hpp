@@ -91,8 +91,9 @@ class XYImproverRouter final : public Router {
  public:
   /// Implementation selector, mirroring PathRemoverRouter. kIncremental
   /// (default) drives the descent through a CrossingIndex (link→crossing
-  /// communications, per-core dirty stamping, no-improving-move
-  /// memoization) plus a LoadIndex (merge-maintained hot-link order);
+  /// communications, plus one cached best candidate per (link, member),
+  /// reused while the member's comm stamp is older than the slot) and a
+  /// LoadIndex (merge-maintained hot-link order);
   /// kReference is the seed's loop — a full stable_sort of every mesh link
   /// and an every-communication rescan per move — kept for differential
   /// testing. Both produce bit-identical routings, including the

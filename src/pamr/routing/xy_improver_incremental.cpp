@@ -15,31 +15,22 @@
 //   * crossings: a CrossingIndex maps each link to the communications whose
 //     current path crosses it, in ascending order — the reference's scan
 //     order — and is patched per move from the rewritten window only.
-//   * dirty-move memoization, at three granularities: a link whose fold
-//     (best candidate over every crossing member) is cached and whose
-//     three-lane band is untouched reuses the cached result in O(1) —
-//     whether it found an improving move or not; when a link's band IS
-//     dirty and it is re-folded, each member's best candidate rotation is
-//     cached per (link, member) slot; and a slot dirtied only by the
-//     coarse comm-level stamp is revalidated from its recorded read-set
-//     box (no load inside it changed ⇒ the cached candidate is what a
-//     recompute would produce) before any real re-evaluation happens. The
-//     stamp and geometry rules make all three caches exact, not heuristic
-//     — see crossing_index.hpp for the argument. The windowed
-//     allocation-free evaluation itself is xy_moves.hpp's best_candidate,
-//     pinned against the seed arithmetic by the differential suite.
+//   * dirty-move memoization: each member's best candidate rotation is
+//     cached per (link, member) slot and reused while the member's comm
+//     stamp says no load it could have read changed and its path was not
+//     rewritten. The stamp rule makes the cache exact, not heuristic — see
+//     crossing_index.hpp for the argument. The windowed allocation-free
+//     evaluation itself is xy_moves.hpp's best_candidate, pinned against
+//     the seed arithmetic by the differential suite.
 //
 // Load arithmetic follows the reference exactly: a move subtracts the
 // weight from every old-path link and adds it to every new-path link, so
 // shared links take the same -w/+w round trip (which can shift a stored
 // double by an ulp) and the next reorder sees the same bits in both modes.
 // The per-link `cost_now` table (exactly cost(load(link)), refreshed for
-// the links a move changed) and the overload memo inside LoadCost are
-// transparent for the same reason: both return the very double a cold
-// evaluation computes.
-#include <algorithm>
+// the links a move changed) is transparent for the same reason: it holds
+// the very double a cold evaluation computes.
 #include <bit>
-#include <limits>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/crossing_index.hpp"
@@ -106,157 +97,54 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   std::vector<LinkId> changed;
   std::vector<Coord> old_cores;
 
-  // Counter totals, bumped in bulk after the descent: three obs calls per
+  // Counter totals, bumped in bulk after the descent: two obs calls per
   // route instead of one per member-scan iteration (tens of millions on an
   // overloaded 32×32 instance).
   std::uint64_t n_hits = 0;
   std::uint64_t n_misses = 0;
-  std::uint64_t n_fold_skips = 0;
 
-#if PAMR_CHECK_LEVEL >= 2
-  // Recomputes one member's candidate from scratch, bypassing every cache.
-  const auto fresh_candidate = [&](LinkId link, std::uint32_t ci) {
-    const LinkInfo& info = mesh.link(link);
+  // One member's best candidate rotation across the hot link, evaluated
+  // from the current paths and loads.
+  const auto evaluate = [&](const LinkInfo& hot_info, std::uint32_t ci) {
     return xyi::best_candidate(mesh, paths[ci], path_links[ci],
-                               xyi::known_crossing_position(paths[ci], info),
-                               !info.horizontal(), comms[ci].weight, loads, cost,
+                               xyi::known_crossing_position(paths[ci], hot_info),
+                               !hot_info.horizontal(), comms[ci].weight, loads, cost,
                                cost_now);
   };
-#endif
 
   std::size_t at = 0;
   while (at < index.size() && moves < cap) {
     const LinkId hot = index.link_at(at);
     if (loads.load(hot) <= 0.0) break;  // remaining links are idle
+    const LinkInfo& hot_info = mesh.link(hot);
 
+    // Ascending-member scan with strict < — the reference's order and
+    // tie-break — reusing stamp-fresh slots and recomputing stale ones.
     xyi::Candidate best;
     std::size_t best_comm = comms.size();
-    if (crossings.fold_valid(hot)) {
-      // O(1): nothing in this link's band changed since its last fold, so
-      // the cached (best, member) pair is the exact fold result.
-      ++n_fold_skips;
-      best = crossings.fold_best(hot);
-      best_comm = crossings.fold_comm(hot);
+    const auto& member_list = crossings.members(hot);
+    auto& slots = crossings.slots(hot);
+    for (std::size_t m = 0; m < member_list.size(); ++m) {
+      const std::uint32_t ci = member_list[m];
+      CrossingIndex::Slot& slot = slots[m];
+      if (crossings.slot_fresh(slot, ci)) {
+        ++n_hits;
 #if PAMR_CHECK_LEVEL >= 2
-      {
-        // Paranoid: re-fold from scratch and demand the identical result.
-        xyi::Candidate check;
-        std::size_t check_comm = comms.size();
-        for (const std::uint32_t ci : crossings.members(hot)) {
-          const xyi::Candidate cand = fresh_candidate(hot, ci);
-          if (cand.delta < check.delta) {
-            check = cand;
-            check_comm = ci;
-          }
-        }
-        PAMR_INVARIANT("xyi-fold-cache",
-                       same_candidate(check, best) &&
-                           (check.delta == std::numeric_limits<double>::infinity() ||
-                            check_comm == best_comm),
-                       "band-validated fold cache diverged from a fresh fold");
-      }
+        // Paranoid: a reused slot must match a from-scratch evaluation bit
+        // for bit.
+        PAMR_INVARIANT("xyi-slot-cache",
+                       same_candidate(evaluate(hot_info, ci), slot.best),
+                       "cached candidate diverged from a fresh evaluation");
 #endif
-    } else {
-      const LinkInfo& hot_info = mesh.link(hot);
-      const bool hot_vertical = !hot_info.horizontal();
-
-      // Ascending-member scan with strict < — the reference's order and
-      // tie-break — folding cached candidate deltas for fresh members and
-      // recomputing only the genuinely dirty ones.
-      const auto& member_list = crossings.members(hot);
-      auto& hots = crossings.hot_slots(hot);
-      auto& colds = crossings.cold_slots(hot);
-      for (std::size_t m = 0; m < member_list.size(); ++m) {
-        const std::uint32_t ci = member_list[m];
-        CrossingIndex::SlotHot& slot = hots[m];
-        if (crossings.slot_fresh(slot, ci)) {
-          ++n_hits;
-        } else {
-          const std::uint64_t epoch = crossings.epoch();
-          CrossingIndex::SlotCold& cold = colds[m];
-          bool recomputed = false;
-          if (cold.spec_stamp == 0 || crossings.path_epoch(ci) > cold.spec_stamp) {
-            // Path rewritten (or first sight): rotations themselves may have
-            // changed — recompute the whole slot.
-            const xyi::CandidateSpecs specs = xyi::candidate_specs(
-                paths[ci], xyi::known_crossing_position(paths[ci], hot_info),
-                hot_vertical);
-            cold.count = specs.count;
-            for (std::uint8_t c = 0; c < specs.count; ++c) {
-              cold.box[c] = {};
-              cold.cand[c] = xyi::eval_candidate(
-                  mesh, paths[ci], path_links[ci], specs.j[c], specs.i[c],
-                  specs.forward[c], comms[ci].weight, loads, cost, cost_now,
-                  &cold.box[c]);
-              cold.cstamp[c] = epoch;
-            }
-            cold.spec_stamp = epoch;
-            recomputed = true;
-          } else {
-            // Path unchanged: the cached rotations are current; revalidate
-            // or recompute each dirty side on its own. The comm-level stamp
-            // is coarse — if nothing a candidate read has changed, per the
-            // O(1) box check or, when its block quantization cries wolf, an
-            // exact rewalk of the read set against per-link load epochs,
-            // the cached delta is what a recompute would produce: restamp.
-            const std::uint64_t dirty = crossings.dirty_stamp(ci);
-            for (std::uint8_t c = 0; c < cold.count; ++c) {
-              if (cold.cstamp[c] >= dirty) continue;  // this side untouched
-              const xyi::Candidate& cached = cold.cand[c];
-              if (crossings.window_clean(cold.box[c], cold.cstamp[c]) ||
-                  xyi::candidate_loads_unchanged(
-                      mesh, paths[ci], path_links[ci], cached.j, cached.i,
-                      cached.forward, crossings.load_epochs(), cold.cstamp[c])) {
-                cold.cstamp[c] = epoch;
-              } else {
-                cold.box[c] = {};
-                cold.cand[c] = xyi::eval_candidate(
-                    mesh, paths[ci], path_links[ci], cached.j, cached.i,
-                    cached.forward, comms[ci].weight, loads, cost, cost_now,
-                    &cold.box[c]);
-                cold.cstamp[c] = epoch;
-                recomputed = true;
-              }
-            }
-          }
-          if (recomputed) slot.best = CrossingIndex::combined(cold);
-          std::uint64_t fresh = epoch;
-          for (std::uint8_t c = 0; c < cold.count; ++c) {
-            fresh = std::min(fresh, cold.cstamp[c]);
-          }
-          slot.fresh_stamp = fresh;
-          recomputed ? ++n_misses : ++n_hits;
-#if PAMR_CHECK_LEVEL >= 2
-          // Paranoid: every cached candidate — revalidated or recomputed —
-          // must match a from-scratch evaluation bit for bit.
-          {
-            const xyi::CandidateSpecs specs = xyi::candidate_specs(
-                paths[ci], xyi::known_crossing_position(paths[ci], hot_info),
-                hot_vertical);
-            PAMR_INVARIANT("xyi-slot-cache", specs.count == cold.count,
-                           "cached candidate count diverged from the path shape");
-            for (std::uint8_t c = 0; c < specs.count; ++c) {
-              PAMR_INVARIANT(
-                  "xyi-slot-cache",
-                  same_candidate(
-                      xyi::eval_candidate(mesh, paths[ci], path_links[ci], specs.j[c],
-                                          specs.i[c], specs.forward[c],
-                                          comms[ci].weight, loads, cost, cost_now),
-                      cold.cand[c]),
-                  "cached candidate diverged from a fresh evaluation");
-            }
-            PAMR_INVARIANT("xyi-slot-cache",
-                           same_candidate(slot.best, CrossingIndex::combined(cold)),
-                           "hot slot best diverged from its cold candidates");
-          }
-#endif
-        }
-        if (slot.best.delta < best.delta) {
-          best = slot.best;
-          best_comm = ci;
-        }
+      } else {
+        ++n_misses;
+        slot.best = evaluate(hot_info, ci);
+        slot.stamp = crossings.epoch();
       }
-      crossings.record_fold(hot, best, static_cast<std::uint32_t>(best_comm));
+      if (slot.best.delta < best.delta) {
+        best = slot.best;
+        best_comm = ci;
+      }
     }
 
     if (best.delta < -xyi::kImproveEps) {
@@ -300,7 +188,6 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
 
   obs::bump(obs::Metric::kXyiEvalHits, n_hits);
   obs::bump(obs::Metric::kXyiEvalMisses, n_misses);
-  obs::bump(obs::Metric::kXyiVerdictSkips, n_fold_skips);
   std::vector<Path> final_paths;
   final_paths.reserve(comms.size());
   for (const auto& cores : paths) final_paths.push_back(path_from_cores(mesh, cores));

@@ -56,8 +56,7 @@ CandidateBounds candidate_bounds(const std::vector<Coord>& cores, std::size_t i,
 double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
                        std::span<const LinkId> links, std::size_t j, std::size_t i,
                        bool forward, double weight, const LinkLoads& loads,
-                       const LoadCost& cost, std::span<const double> cost_now,
-                       WindowBox* box) {
+                       const LoadCost& cost, std::span<const double> cost_now) {
   const Coord dj{cores[j + 1].u - cores[j].u, cores[j + 1].v - cores[j].v};
   const Coord di{cores[i + 1].u - cores[i].u, cores[i + 1].v - cores[i].v};
   // Indexing the dense value span directly reads each changed link's load
@@ -65,7 +64,6 @@ double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
   const std::span<const double> load_values = loads.values();
   double delta = 0.0;
   Coord after_k = cores[j];
-  if (box != nullptr) box->cover(cores[j]);
   for (std::size_t k = j; k <= i; ++k) {
     const Coord after_k1 =
         k == i ? cores[i + 1]
@@ -73,10 +71,6 @@ double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
                           : Coord{cores[k + 2].u - dj.u, cores[k + 2].v - dj.v});
     const LinkId removed = links[k];
     const LinkId added = mesh.link_between_unchecked(after_k, after_k1);
-    if (box != nullptr) {
-      box->cover(cores[k + 1]);
-      box->cover(after_k1);
-    }
     if (removed != added) {
       const double removed_load = load_values[static_cast<std::size_t>(removed)];
       const double added_load = load_values[static_cast<std::size_t>(added)];
@@ -89,67 +83,6 @@ double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
 }
 
 }  // namespace
-
-// Same walk as candidate_delta, but instead of accumulating cost terms it
-// checks whether any load the evaluation would read (the removed/added
-// links with removed != added — the only ones candidate_delta touches)
-// changed after `since`. candidate_delta is a pure function of the path,
-// the weight and those loads, so "all unchanged" means a recompute would
-// return the identical bits.
-bool candidate_loads_unchanged(const Mesh& mesh, const std::vector<Coord>& cores,
-                               std::span<const LinkId> links, std::size_t j,
-                               std::size_t i, bool forward,
-                               std::span<const std::uint64_t> link_epochs,
-                               std::uint64_t since) {
-  const Coord dj{cores[j + 1].u - cores[j].u, cores[j + 1].v - cores[j].v};
-  const Coord di{cores[i + 1].u - cores[i].u, cores[i + 1].v - cores[i].v};
-  Coord after_k = cores[j];
-  for (std::size_t k = j; k <= i; ++k) {
-    const Coord after_k1 =
-        k == i ? cores[i + 1]
-               : (forward ? Coord{cores[k].u + di.u, cores[k].v + di.v}
-                          : Coord{cores[k + 2].u - dj.u, cores[k + 2].v - dj.v});
-    const LinkId removed = links[k];
-    const LinkId added = mesh.link_between_unchecked(after_k, after_k1);
-    if (removed != added && (link_epochs[static_cast<std::size_t>(removed)] > since ||
-                             link_epochs[static_cast<std::size_t>(added)] > since)) {
-      return false;
-    }
-    after_k = after_k1;
-  }
-  return true;
-}
-
-CandidateSpecs candidate_specs(const std::vector<Coord>& cores, std::size_t pos,
-                               bool hot_vertical) {
-  const CandidateBounds bounds = candidate_bounds(cores, pos, hot_vertical);
-  CandidateSpecs specs;
-  const auto push = [&specs](std::size_t j, std::size_t i, bool forward) {
-    specs.j[specs.count] = static_cast<std::uint32_t>(j);
-    specs.i[specs.count] = static_cast<std::uint32_t>(i);
-    specs.forward[specs.count] = forward;
-    ++specs.count;
-  };
-  // Same candidate set and order as consider_crossing: preferred side first.
-  if (hot_vertical) {
-    if (bounds.has_prev) push(bounds.prev - 1, pos, /*forward=*/false);
-    if (bounds.has_next) push(pos, bounds.next + 1, /*forward=*/true);
-  } else {
-    if (bounds.has_next) push(pos, bounds.next + 1, /*forward=*/true);
-    if (bounds.has_prev) push(bounds.prev - 1, pos, /*forward=*/false);
-  }
-  return specs;
-}
-
-Candidate eval_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
-                         std::span<const LinkId> links, std::uint32_t j,
-                         std::uint32_t i, bool forward, double weight,
-                         const LinkLoads& loads, const LoadCost& cost,
-                         std::span<const double> cost_now, WindowBox* box) {
-  const double delta =
-      candidate_delta(mesh, cores, links, j, i, forward, weight, loads, cost, cost_now, box);
-  return Candidate{delta, j, i, forward};
-}
 
 std::vector<Coord> rotate_block(const std::vector<Coord>& cores, std::size_t j,
                                 std::size_t i, bool forward) {
@@ -228,16 +161,24 @@ std::size_t crossing_position(const std::vector<Coord>& cores, const LinkInfo& h
 Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
                          std::span<const LinkId> links, std::size_t pos,
                          bool hot_vertical, double weight, const LinkLoads& loads,
-                         const LoadCost& cost, std::span<const double> cost_now,
-                         WindowBox* box) {
-  // Same candidate set, order and strict-< tie-break as consider_crossing.
-  const CandidateSpecs specs = candidate_specs(cores, pos, hot_vertical);
+                         const LoadCost& cost, std::span<const double> cost_now) {
   Candidate best;
-  for (std::uint8_t c = 0; c < specs.count; ++c) {
-    const Candidate cand = eval_candidate(mesh, cores, links, specs.j[c], specs.i[c],
-                                          specs.forward[c], weight, loads, cost,
-                                          cost_now, box);
-    if (cand.delta < best.delta) best = cand;
+  auto consider = [&](std::size_t j, std::size_t i, bool forward) {
+    const double delta =
+        candidate_delta(mesh, cores, links, j, i, forward, weight, loads, cost, cost_now);
+    if (delta < best.delta) {
+      best = Candidate{delta, static_cast<std::uint32_t>(j),
+                       static_cast<std::uint32_t>(i), forward};
+    }
+  };
+  // Same candidate set, order and strict-< tie-break as consider_crossing.
+  const CandidateBounds bounds = candidate_bounds(cores, pos, hot_vertical);
+  if (hot_vertical) {
+    if (bounds.has_prev) consider(bounds.prev - 1, pos, /*forward=*/false);
+    if (bounds.has_next) consider(pos, bounds.next + 1, /*forward=*/true);
+  } else {
+    if (bounds.has_next) consider(pos, bounds.next + 1, /*forward=*/true);
+    if (bounds.has_prev) consider(bounds.prev - 1, pos, /*forward=*/false);
   }
   return best;
 }

@@ -17,7 +17,6 @@
 // the ground truth the shortcut is checked against.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -104,37 +103,6 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
   return pos;
 }
 
-/// Bounding box of every core an evaluation touched — original and shifted
-/// window cores alike — so every link whose load the evaluation read has
-/// both endpoints inside [u_lo,u_hi]×[v_lo,v_hi]. The empty sentinel
-/// (u_lo > u_hi, the default) marks an evaluation that read no loads at all
-/// (a crossing with no candidate rotations). CrossingIndex stores the box
-/// per cached slot and revalidates the slot in O(1) block-epoch reads: if
-/// no load inside the box changed since the slot was computed (and the path
-/// itself was not rewritten), a recomputation would read identical inputs
-/// and return the identical candidate, so the cached one is still exact.
-struct WindowBox {
-  std::uint16_t u_lo = 1;
-  std::uint16_t u_hi = 0;
-  std::uint16_t v_lo = 1;
-  std::uint16_t v_hi = 0;
-
-  [[nodiscard]] bool empty() const noexcept { return u_lo > u_hi; }
-  void cover(Coord c) noexcept {
-    const auto u = static_cast<std::uint16_t>(c.u);
-    const auto v = static_cast<std::uint16_t>(c.v);
-    if (empty()) {
-      u_lo = u_hi = u;
-      v_lo = v_hi = v;
-      return;
-    }
-    u_lo = std::min(u_lo, u);
-    u_hi = std::max(u_hi, u);
-    v_lo = std::min(v_lo, v);
-    v_hi = std::max(v_hi, v);
-  }
-};
-
 /// Best candidate rotation (preferred-side-first, strict <) for the path
 /// `cores` crossing the hot step at `pos`. Windowed evaluation: walks only
 /// the rotated block, allocation-free, reproducing path_swap_delta's
@@ -146,54 +114,12 @@ struct WindowBox {
 /// bits are the same double either way. `links` must hold the path's link
 /// ids (links[k] joins cores[k] and cores[k+1], also caller-maintained) so
 /// the removed side of each step is an array read instead of an adjacency
-/// lookup. `box` (optional) accumulates the read-set bounding box
-/// documented on WindowBox.
+/// lookup.
 [[nodiscard]] Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
                                        std::span<const LinkId> links, std::size_t pos,
                                        bool hot_vertical, double weight,
                                        const LinkLoads& loads, const LoadCost& cost,
-                                       std::span<const double> cost_now,
-                                       WindowBox* box = nullptr);
-
-/// The (at most two) candidate rotations of a path crossing the hot step
-/// at `pos`, in evaluation order — the paper's preferred side first, which
-/// is the order the strict-< tie-break depends on. A pure function of the
-/// path shape: cached specs stay valid while the path is unrewritten.
-struct CandidateSpecs {
-  std::uint8_t count = 0;
-  std::uint32_t j[2] = {0, 0};
-  std::uint32_t i[2] = {0, 0};
-  bool forward[2] = {false, false};
-};
-[[nodiscard]] CandidateSpecs candidate_specs(const std::vector<Coord>& cores,
-                                             std::size_t pos, bool hot_vertical);
-
-/// Evaluates ONE candidate rotation (a CandidateSpecs entry) under the
-/// contracts of best_candidate; returns it with its exact delta. Callers
-/// that cache per-candidate results revalidate and recompute each rotation
-/// independently — a load change near one side of the crossing leaves the
-/// other side's cached delta exact.
-[[nodiscard]] Candidate eval_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
-                                       std::span<const LinkId> links, std::uint32_t j,
-                                       std::uint32_t i, bool forward, double weight,
-                                       const LinkLoads& loads, const LoadCost& cost,
-                                       std::span<const double> cost_now,
-                                       WindowBox* box = nullptr);
-
-/// Exact revalidation of one cached candidate for an *unchanged* path: true
-/// iff none of the loads its evaluation read (enumerated by the same window
-/// walk eval_candidate performs) changed after epoch `since`, per the
-/// caller-maintained per-link change epochs. Precise where WindowBox's
-/// blocked check is conservative — the last layer before a real
-/// re-evaluation. The caller must guarantee the path itself is unrewritten
-/// since `since` (CrossingIndex::path_epoch), or the walk enumerates the
-/// wrong read set.
-[[nodiscard]] bool candidate_loads_unchanged(const Mesh& mesh,
-                                             const std::vector<Coord>& cores,
-                                             std::span<const LinkId> links,
-                                             std::size_t j, std::size_t i, bool forward,
-                                             std::span<const std::uint64_t> link_epochs,
-                                             std::uint64_t since);
+                                       std::span<const double> cost_now);
 
 /// Materializes a finite candidate into the rewritten core sequence.
 [[nodiscard]] std::vector<Coord> materialize(const std::vector<Coord>& cores,

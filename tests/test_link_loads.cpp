@@ -1,4 +1,4 @@
-// LinkLoads accounting contracts and the LoadCost boundary/memo suite.
+// LinkLoads accounting contracts and the LoadCost boundary suite.
 //
 // The negative-load clamp in LinkLoads::add used to be silent: any
 // incremental-index accounting bug that drove a load negative was rounded
@@ -6,13 +6,11 @@
 // anything beyond float-cancellation noise; these tests pin both halves of
 // that contract. The LoadCost tests pin the cost function exactly at the
 // feasibility boundary — the last discrete level, one ULP above it, the
-// capacity — and prove the overload memo is invisible: a warm hit returns
-// bit for bit what a cold evaluation computes.
+// capacity.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
-#include <vector>
 
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/power/power_model.hpp"
@@ -127,48 +125,6 @@ TEST(LoadCostBoundary, ContinuousModelMatchesPowerModelExactly) {
     const double load = rng.uniform(1e-3, 1e6);
     EXPECT_EQ(cost(load), *model.link_power(load)) << "load " << load;
   }
-}
-
-// ----------------------------------------------------------- overload memo --
-
-TEST(LoadCostMemo, WarmHitIsBitIdenticalToColdEvaluation) {
-  const PowerModel model = PowerModel::paper_discrete();
-  const double capacity = model.capacity();
-  Rng rng(0x3E30);
-  std::vector<double> overloads;
-  // Far more distinct values than the memo has slots, so collisions and
-  // overwrites are exercised, not just clean hits.
-  for (int i = 0; i < 20000; ++i) {
-    overloads.push_back(capacity + rng.uniform(1e-6, 50000.0));
-  }
-  const LoadCost warm(model);
-  std::vector<double> first;
-  first.reserve(overloads.size());
-  for (const double load : overloads) first.push_back(warm(load));
-  for (std::size_t i = 0; i < overloads.size(); ++i) {
-    // Second pass over the warm instance: mixture of hits and recomputes.
-    EXPECT_EQ(warm(overloads[i]), first[i]) << "load " << overloads[i];
-    // Fresh instance: guaranteed cold path.
-    const LoadCost cold(model);
-    if (i % 97 == 0) {
-      EXPECT_EQ(cold(overloads[i]), first[i]) << "load " << overloads[i];
-    }
-  }
-}
-
-TEST(LoadCostMemo, DeltaIsUnchangedByEvaluationOrder) {
-  // delta(before, after) must not depend on which operand was cached first.
-  const PowerModel model = PowerModel::paper_discrete();
-  const double capacity = model.capacity();
-  const double a = capacity + 123.456;
-  const double b = capacity + 789.012;
-  const LoadCost ab(model);
-  (void)ab(a);
-  const LoadCost ba(model);
-  (void)ba(b);
-  const LoadCost fresh(model);
-  EXPECT_EQ(ab.delta(a, b), fresh.delta(a, b));
-  EXPECT_EQ(ba.delta(a, b), fresh.delta(a, b));
 }
 
 }  // namespace

@@ -379,7 +379,7 @@ TEST(ParanoidCsvStream, AppendUnderMismatchedHeaderIsCaughtWhenParanoid) {
     // the shard journal guarantees a resumed campaign reopens the stream
     // with the same columns, so a mismatch means the resume path regressed.
     EXPECT_THROW(
-        resumed.open(path.string(), {"name", "latency"}, /*append=*/true),
+        (void)resumed.open(path.string(), {"name", "latency"}, /*append=*/true),
         InvariantError);
     CsvStreamWriter matching;
     EXPECT_TRUE(matching.open(path.string(), {"name", "power"}, /*append=*/true));

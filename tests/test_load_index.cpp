@@ -3,7 +3,7 @@
 // same paths, same power — across mesh shapes, seeds and comm counts,
 // including exact-tie workloads (equal weights make whole cuts carry
 // exactly equal loads, which is where the seed's stable-history tie-break
-// is observable).
+// is observable) and the registry's structured traffic suites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +13,7 @@
 #include "pamr/comm/generator.hpp"
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
+#include "structured_inputs.hpp"
 
 namespace pamr {
 namespace {
@@ -116,9 +117,8 @@ TEST(LoadIndex, MemberListsKeepInsertionOrder) {
 
 // ---------------------------------------------------------- differential --
 
-void expect_identical(const Mesh& mesh, const CommSet& comms,
-                      const std::string& label) {
-  const PowerModel model = PowerModel::paper_discrete();
+void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string& label,
+                      const PowerModel& model = PowerModel::paper_discrete()) {
   const RouteResult ref =
       PathRemoverRouter(PathRemoverRouter::Mode::kReference).route(mesh, comms, model);
   const RouteResult inc = PathRemoverRouter().route(mesh, comms, model);
@@ -212,9 +212,8 @@ TEST(PathRemoverDifferential, HeavyOverloadIsBitIdentical) {
 
 TEST(PathRemoverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   // The 32×32/nc=2000 benchmark shape scaled for CI: many overlapping
-  // rectangles per link mean long removal runs with repeated windowed
-  // prunes per communication — the regime where the incremental prune's
-  // persistent marks accumulate the most history before being re-read.
+  // rectangles per link mean long removal runs with repeated prunes per
+  // communication and long histories of near-equal loads in the LoadIndex.
   const Mesh mesh(10, 10);
   Rng rng(0x5CA1E);
   UniformWorkload spec;
@@ -223,6 +222,13 @@ TEST(PathRemoverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   spec.weight_hi = 3400.0;
   const CommSet comms = generate_uniform(mesh, spec, rng);
   expect_identical(mesh, comms, "sustained overload 10x10");
+}
+
+TEST(PathRemoverDifferential, StructuredTrafficIsBitIdentical) {
+  for (const structured::Instance& instance : structured::instances()) {
+    expect_identical(instance.spec.make_mesh(), instance.comms, instance.label,
+                     instance.spec.make_model());
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // XYI differential + convergence suite: the incremental implementation
-// (CrossingIndex + LoadIndex + dirty-move memoization) must reproduce the
+// (CrossingIndex + LoadIndex + per-slot candidate cache) must reproduce the
 // reference loop bit for bit — same paths, same power, same move count —
 // across mesh shapes, seeds and comm counts, including exact-tie workloads
 // (equal weights make whole corridors carry exactly equal loads, which is
 // where the stable-sort tie-break history and the paper's preferred-side
-// move priority are observable). Every run also asserts non-truncation:
-// the scaled move cap must never bite on these instances.
+// move priority are observable) and the registry's structured traffic
+// suites. Every run also asserts non-truncation: the scaled move cap must
+// never bite on these instances.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -16,6 +17,7 @@
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/rng.hpp"
+#include "structured_inputs.hpp"
 
 namespace pamr {
 namespace {
@@ -25,14 +27,14 @@ struct BothResults {
   RouteResult inc;
 };
 
-BothResults route_both(const Mesh& mesh, const CommSet& comms) {
-  const PowerModel model = PowerModel::paper_discrete();
+BothResults route_both(const Mesh& mesh, const CommSet& comms, const PowerModel& model) {
   return {XYImproverRouter(XYImproverRouter::Mode::kReference).route(mesh, comms, model),
           XYImproverRouter().route(mesh, comms, model)};
 }
 
-void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string& label) {
-  const auto [ref, inc] = route_both(mesh, comms);
+void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string& label,
+                      const PowerModel& model = PowerModel::paper_discrete()) {
+  const auto [ref, inc] = route_both(mesh, comms, model);
 
   ASSERT_TRUE(ref.routing.has_value()) << label;
   ASSERT_TRUE(inc.routing.has_value()) << label;
@@ -142,8 +144,8 @@ TEST(XyImproverDifferential, HeavyOverloadIsBitIdentical) {
 TEST(XyImproverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   // The 32×32/nc=2000 benchmark shape scaled for CI: enough communications
   // per corridor that hot links stay far past capacity for most of the
-  // descent, so candidate_delta runs through LoadCost's penalty branch (and
-  // its overload memo) rather than the discrete fast path.
+  // descent, so candidate_delta runs through LoadCost's penalty branch
+  // rather than the discrete fast path.
   const Mesh mesh(10, 10);
   Rng rng(0x5CA1E);
   UniformWorkload spec;
@@ -152,6 +154,13 @@ TEST(XyImproverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   spec.weight_hi = 3400.0;
   const CommSet comms = generate_uniform(mesh, spec, rng);
   expect_identical(mesh, comms, "sustained overload 10x10");
+}
+
+TEST(XyImproverDifferential, StructuredTrafficIsBitIdentical) {
+  for (const structured::Instance& instance : structured::instances()) {
+    expect_identical(instance.spec.make_mesh(), instance.comms, instance.label,
+                     instance.spec.make_model());
+  }
 }
 
 // ------------------------------------------------------------ edge cases --

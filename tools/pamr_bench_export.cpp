@@ -5,10 +5,12 @@
 // at 16×16/32×32 unlocked by the incremental XYI local search; BENCH_6.json
 // added the topology column and the 16×16 torus rows routed through the
 // topo:: analogues; BENCH_10.json re-baselines after the hot-path round
-// (XYI overload memo, IG cut cache, PR windowed prune) and adds --filter so
-// CI can time a single point (schema pamr-bench/4). Rows with "valid":
-// false, "power": 0 are model-infeasible points (the workload's loads
-// exceed the max link frequency) — expected outcomes, not failures.
+// and adds --filter so CI can time a single point (schema pamr-bench/4).
+// Rows with "valid": false, "power": 0 are model-infeasible points (the
+// workload's loads exceed the max link frequency) — expected outcomes, not
+// failures. The whole-program baseline, with noise bands and the paper
+// regime's workloads, is perfbench/ (see perfbench/README.md); this matrix
+// times single router calls.
 //
 //   $ pamr_bench_export --out BENCH_10.json [--reps 5] [--quick]
 //                       [--filter route32/XYI/2000]
