@@ -17,7 +17,8 @@
 int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("fig7_num_comms", "paper Figure 7: sweep over nc");
-  parser.add_int("trials", exp::default_trials(), "instances per point", "PAMR_TRIALS");
+  parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
+                 "PAMR_TRIALS");
   parser.add_int("seed", 7, "campaign base seed");
   parser.add_flag("csv", "also write CSV files to PAMR_OUT_DIR");
   parser.add_flag("json", "also write JSON files to PAMR_OUT_DIR");

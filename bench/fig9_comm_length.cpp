@@ -16,7 +16,8 @@
 int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("fig9_comm_length", "paper Figure 9: sweep over Manhattan length");
-  parser.add_int("trials", exp::default_trials(), "instances per point", "PAMR_TRIALS");
+  parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
+                 "PAMR_TRIALS");
   parser.add_int("seed", 9, "campaign base seed");
   parser.add_flag("csv", "also write CSV files to PAMR_OUT_DIR");
   parser.add_flag("json", "also write JSON files to PAMR_OUT_DIR");

@@ -9,34 +9,36 @@
 //   * static power ≈ 1/7 of total (BEST, valid instances).
 #include <cstdio>
 
-#include "pamr/exp/panels.hpp"
+#include "pamr/scenario/suite_runner.hpp"
 #include "pamr/util/args.hpp"
 #include "pamr/util/csv.hpp"
 
 int main(int argc, char** argv) {
   using namespace pamr;
   ArgParser parser("table_summary", "paper §6.4 summary statistics");
-  parser.add_int("trials", exp::default_trials(), "instances per point", "PAMR_TRIALS");
+  parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
+                 "PAMR_TRIALS");
   parser.add_int("seed", 64, "campaign base seed");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;
 
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  exp::CampaignOptions options;
-  options.trials = static_cast<std::int32_t>(parser.get_int("trials"));
-  options.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  const auto trials = static_cast<std::int32_t>(parser.get_int("trials"));
+  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
 
   // "On average, over all problem instances" (§6.4) — aggregate across the
   // workloads of all three figures.
   exp::PointAggregate all;
   std::uint64_t point_id = 0;
-  for (const auto& panels :
-       {exp::figure7_panels(), exp::figure8_panels(), exp::figure9_panels()}) {
-    for (const auto& panel : panels) {
-      for (const auto& point : panel.points) {
-        all.merge(exp::run_point(mesh, model, point, options, point_id++));
-      }
+  for (const char* name :
+       {"fig7a_small", "fig7b_mixed", "fig7c_big", "fig8a_few_10comms",
+        "fig8b_some_20comms", "fig8c_numerous_40comms", "fig9a_numerous_small",
+        "fig9b_some_mixed", "fig9c_few_big"}) {
+    for (const scenario::ScenarioPoint& point :
+         scenario::ScenarioRegistry::builtin().at(name).points) {
+      all.merge(scenario::run_scenario_point(mesh, model, point.spec, trials, seed,
+                                             point_id++));
     }
   }
 

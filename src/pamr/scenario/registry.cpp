@@ -71,8 +71,11 @@ Scenario weight_sweep(std::string name, std::string description,
   scenario.description = std::move(description);
   scenario.x_label = "avg_weight";
   scenario.default_seed = 8;
-  // Constant weights; the paper's cliff sits at 1751 = capacity/2 + ε, so
-  // sample that region densely (see exp/panels.hpp for the derivation).
+  // Constant weight per instance. The paper's cliff, where "every
+  // communication reaches 1751 Mb/s" = capacity/2 + ε and no two can share
+  // a link, exists only if every weight equals the swept average, which
+  // pins the weight distribution to a degenerate one. Sample that region
+  // densely.
   for (double w : {100.0, 300.0, 500.0, 700.0, 900.0, 1100.0, 1300.0, 1500.0,
                    1600.0, 1700.0, 1740.0, 1760.0, 1800.0, 1900.0, 2000.0, 2200.0,
                    2400.0, 2600.0, 2800.0, 3000.0, 3200.0, 3400.0}) {

@@ -6,9 +6,10 @@
 // draws from Rng(derive_seed(seed, p, i)) — never from thread identity —
 // and per-instance samples are folded into fixed-size chunk aggregates that
 // are merged in chunk order afterwards, so the resulting PointAggregates
-// are bit-identical for 1 thread and N threads. exp::run_point delegates
-// here, which is what makes `pamr_scenarios --run fig7a_small` reproduce
-// `bench/fig7_num_comms` number-for-number.
+// are bit-identical for 1 thread and N threads. The figure benches run the
+// same registry scenarios through run_and_report, which is what makes
+// `pamr_scenarios --run fig7a_small` reproduce `bench/fig7_num_comms`
+// number-for-number.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "pamr/exp/campaign.hpp"
 #include "pamr/exp/metrics.hpp"
 #include "pamr/scenario/registry.hpp"
 #include "pamr/scenario/work_list.hpp"
@@ -79,8 +79,8 @@ struct ScenarioResult {
 /// instead of by parallel hand-rolled copies.
 [[nodiscard]] Scenario adhoc_scenario(ScenarioSpec spec);
 
-/// Runs every instance of one spec (the single-point kernel; exp::run_point
-/// delegates here). `pool` may be null for the global pool.
+/// Runs every instance of one spec (the single-point kernel). `pool` may be
+/// null for the global pool.
 [[nodiscard]] exp::PointAggregate run_scenario_point(
     const Mesh& mesh, const PowerModel& model, const ScenarioSpec& spec,
     std::int32_t instances, std::uint64_t seed, std::uint64_t point_id,
@@ -112,32 +112,9 @@ class SuiteRunner {
   SuiteOptions options_;
 };
 
-// -- Campaign bridge -------------------------------------------------------
-//
-// exp::WorkloadSpec predates the scenario subsystem and survives as the
-// narrow paper-campaign view; these converters let exp::campaign and
-// exp::panels run on the scenario engine while their declarative APIs (and
-// the tests pinning the paper's parameters) stay put.
-
-/// Wraps a campaign workload as a single-layer scenario on the paper's
-/// platform (8×8, discrete links, flat envelope).
-[[nodiscard]] ScenarioSpec spec_from_workload(const exp::WorkloadSpec& workload);
-
-/// Inverse of spec_from_workload; CHECKs that the spec is such a
-/// single-layer paper workload.
-[[nodiscard]] exp::WorkloadSpec workload_from_spec(const ScenarioSpec& spec);
-
 // -- Reporting -------------------------------------------------------------
 
-/// Generic per-series table: one row per x, one column per series. The
-/// extractor maps (aggregate, series) to the cell value. Shared by the
-/// scenario CLI and exp::panels.
-using SeriesExtractor = double (*)(const exp::PointAggregate&, std::size_t);
-[[nodiscard]] Table series_table(const std::string& x_label,
-                                 const std::vector<double>& xs,
-                                 const std::vector<const exp::PointAggregate*>& points,
-                                 SeriesExtractor extract);
-
+/// One row per point, one column per series.
 [[nodiscard]] Table normalized_inverse_table(const ScenarioResult& result);
 [[nodiscard]] Table failure_ratio_table(const ScenarioResult& result);
 

@@ -1,11 +1,11 @@
-// Tests for the §6 experiment harness: metric bookkeeping, campaign
-// determinism, and coarse shape checks of the panels (full-resolution
-// sweeps live in bench/).
+// Tests for the §6 experiment harness: metric bookkeeping, point-run
+// determinism, and the paper parameters of the registry's figure sweeps
+// (full-resolution sweeps live in bench/).
 #include <gtest/gtest.h>
 
-#include "pamr/exp/campaign.hpp"
 #include "pamr/exp/instance_runner.hpp"
-#include "pamr/exp/panels.hpp"
+#include "pamr/scenario/suite_runner.hpp"
+#include "pamr/util/thread_pool.hpp"
 
 namespace pamr {
 namespace exp {
@@ -86,62 +86,48 @@ TEST(Metrics, MergeMatchesSequentialAggregation) {
   }
 }
 
-TEST(Campaign, WorkloadSpecGeneratesWhatItSays) {
-  const Mesh mesh(8, 8);
-  Rng rng(9);
-  WorkloadSpec uniform;
-  uniform.kind = WorkloadSpec::Kind::kUniform;
-  uniform.num_comms = 30;
-  uniform.weight_lo = 200.0;
-  uniform.weight_hi = 900.0;
-  const CommSet a = uniform.generate(mesh, rng);
-  EXPECT_EQ(a.size(), 30u);
-  for (const auto& comm : a) {
-    EXPECT_GE(comm.weight, 200.0);
-    EXPECT_LT(comm.weight, 900.0);
-  }
-  WorkloadSpec fixed;
-  fixed.kind = WorkloadSpec::Kind::kFixedLength;
-  fixed.num_comms = 10;
-  fixed.length = 7;
-  const CommSet b = fixed.generate(mesh, rng);
-  for (const auto& comm : b) {
-    EXPECT_EQ(manhattan_distance(comm.src, comm.snk), 7);
-  }
+/// A single uniform layer on the paper's 8×8 discrete platform.
+scenario::ScenarioSpec uniform_spec(std::int32_t num_comms, double lo, double hi) {
+  scenario::ScenarioSpec spec;
+  scenario::WorkloadLayer& layer = spec.layers.emplace_back();
+  layer.kind = scenario::WorkloadLayer::Kind::kUniform;
+  layer.num_comms = num_comms;
+  layer.weight_lo = lo;
+  layer.weight_hi = hi;
+  return spec;
 }
+
+constexpr std::uint64_t kSeed = scenario::SuiteOptions{}.seed;
 
 TEST(Campaign, RunPointIsDeterministicAcrossThreadCounts) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  PointSpec point;
-  point.x = 20;
-  point.workload.num_comms = 20;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 1500.0;
-  CampaignOptions options;
-  options.trials = 24;
-  options.seed = 42;
-  const PointAggregate first = run_point(mesh, model, point, options, 3);
-  const PointAggregate second = run_point(mesh, model, point, options, 3);
+  const scenario::ScenarioSpec spec = uniform_spec(20, 100.0, 1500.0);
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const PointAggregate first =
+      scenario::run_scenario_point(mesh, model, spec, 24, 42, 3, &one);
+  const PointAggregate second =
+      scenario::run_scenario_point(mesh, model, spec, 24, 42, 3, &four);
+  EXPECT_EQ(first.instances, 24u);
   EXPECT_EQ(first.instances, second.instances);
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     EXPECT_EQ(first.failures[s], second.failures[s]);
-    EXPECT_DOUBLE_EQ(first.normalized_inverse[s].mean(),
-                     second.normalized_inverse[s].mean());
+    // EXPECT_EQ on doubles is exact: the chunk-ordered merge must make the
+    // pool size invisible down to the last bit.
+    EXPECT_EQ(first.normalized_inverse[s].mean(), second.normalized_inverse[s].mean());
+    EXPECT_EQ(first.normalized_inverse[s].variance(),
+              second.normalized_inverse[s].variance());
+    EXPECT_EQ(first.inverse_power[s].mean(), second.inverse_power[s].mean());
   }
+  EXPECT_EQ(first.static_fraction.mean(), second.static_fraction.mean());
 }
 
 TEST(Campaign, NormalizedInverseIsAtMostOneAndBestIsExactlyOneWhenValid) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  PointSpec point;
-  point.x = 30;
-  point.workload.num_comms = 30;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 2500.0;
-  CampaignOptions options;
-  options.trials = 16;
-  const PointAggregate aggregate = run_point(mesh, model, point, options, 0);
+  const PointAggregate aggregate = scenario::run_scenario_point(
+      mesh, model, uniform_spec(30, 100.0, 2500.0), 16, kSeed, 0);
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     EXPECT_LE(aggregate.normalized_inverse[s].max(), 1.0 + 1e-9);
     EXPECT_GE(aggregate.normalized_inverse[s].min(), 0.0);
@@ -158,14 +144,8 @@ TEST(Campaign, FailureOrderingMatchesThePaperHierarchy) {
   // portfolio BEST at least as good as anything).
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
-  PointSpec point;
-  point.x = 50;
-  point.workload.num_comms = 50;
-  point.workload.weight_lo = 100.0;
-  point.workload.weight_hi = 1500.0;
-  CampaignOptions options;
-  options.trials = 32;
-  const PointAggregate aggregate = run_point(mesh, model, point, options, 7);
+  const PointAggregate aggregate = scenario::run_scenario_point(
+      mesh, model, uniform_spec(50, 100.0, 1500.0), 32, kSeed, 7);
   // BEST dominates everything by construction; XYI starts from XY and only
   // applies strictly improving moves, so it can only fix XY failures, not
   // create new ones.
@@ -176,52 +156,36 @@ TEST(Campaign, FailureOrderingMatchesThePaperHierarchy) {
   EXPECT_LE(aggregate.failure_ratio(4), aggregate.failure_ratio(0) + 1e-12);
 }
 
-TEST(Panels, DefinitionsMatchThePaperParameters) {
-  const auto fig7 = figure7_panels();
-  ASSERT_EQ(fig7.size(), 3u);
-  EXPECT_EQ(fig7[0].points.back().workload.num_comms, 140);
-  EXPECT_EQ(fig7[1].points.back().workload.num_comms, 70);
-  EXPECT_EQ(fig7[2].points.back().workload.num_comms, 30);
-  EXPECT_DOUBLE_EQ(fig7[0].points[0].workload.weight_lo, 100.0);
-  EXPECT_DOUBLE_EQ(fig7[2].points[0].workload.weight_lo, 2500.0);
-
-  const auto fig8 = figure8_panels();
-  ASSERT_EQ(fig8.size(), 3u);
-  EXPECT_EQ(fig8[0].points[0].workload.num_comms, 10);
-  EXPECT_EQ(fig8[1].points[0].workload.num_comms, 20);
-  EXPECT_EQ(fig8[2].points[0].workload.num_comms, 40);
-
-  const auto fig9 = figure9_panels();
-  ASSERT_EQ(fig9.size(), 3u);
-  for (const auto& panel : fig9) {
-    EXPECT_DOUBLE_EQ(panel.points.front().x, 2.0);
-    EXPECT_DOUBLE_EQ(panel.points.back().x, 14.0);
-  }
-  EXPECT_EQ(fig9[0].points[0].workload.num_comms, 100);
-  EXPECT_EQ(fig9[1].points[0].workload.num_comms, 25);
-  EXPECT_EQ(fig9[2].points[0].workload.num_comms, 12);
+/// The single workload layer of one registry point.
+const scenario::WorkloadLayer& layer_of(const scenario::ScenarioPoint& point) {
+  EXPECT_EQ(point.spec.layers.size(), 1u);
+  return point.spec.layers.at(0);
 }
 
-TEST(Panels, TablesHaveOneRowPerPointAndAllSeries) {
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  Panel panel;
-  panel.name = std::string{"tiny"};
-  panel.x_label = std::string{"n"};
-  for (const std::int32_t n : {5, 10}) {
-    PointSpec point;
-    point.x = n;
-    point.workload.num_comms = n;
-    panel.points.push_back(point);
+TEST(Panels, DefinitionsMatchThePaperParameters) {
+  const scenario::ScenarioRegistry& registry = scenario::ScenarioRegistry::builtin();
+  const auto& fig7a = registry.at("fig7a_small").points;
+  const auto& fig7b = registry.at("fig7b_mixed").points;
+  const auto& fig7c = registry.at("fig7c_big").points;
+  EXPECT_EQ(layer_of(fig7a.back()).num_comms, 140);
+  EXPECT_EQ(layer_of(fig7b.back()).num_comms, 70);
+  EXPECT_EQ(layer_of(fig7c.back()).num_comms, 30);
+  EXPECT_DOUBLE_EQ(layer_of(fig7a.front()).weight_lo, 100.0);
+  EXPECT_DOUBLE_EQ(layer_of(fig7c.front()).weight_lo, 2500.0);
+
+  EXPECT_EQ(layer_of(registry.at("fig8a_few_10comms").points.front()).num_comms, 10);
+  EXPECT_EQ(layer_of(registry.at("fig8b_some_20comms").points.front()).num_comms, 20);
+  EXPECT_EQ(layer_of(registry.at("fig8c_numerous_40comms").points.front()).num_comms,
+            40);
+
+  const std::pair<const char*, std::int32_t> fig9[] = {
+      {"fig9a_numerous_small", 100}, {"fig9b_some_mixed", 25}, {"fig9c_few_big", 12}};
+  for (const auto& [name, num_comms] : fig9) {
+    const auto& points = registry.at(name).points;
+    EXPECT_DOUBLE_EQ(points.front().x, 2.0) << name;
+    EXPECT_DOUBLE_EQ(points.back().x, 14.0) << name;
+    EXPECT_EQ(layer_of(points.front()).num_comms, num_comms) << name;
   }
-  CampaignOptions options;
-  options.trials = 4;
-  const PanelResult result = run_panel(mesh, model, panel.points, options);
-  const Table norm = normalized_inverse_table(panel, result);
-  const Table fail = failure_ratio_table(panel, result);
-  EXPECT_EQ(norm.rows(), 2u);
-  EXPECT_EQ(norm.columns(), 1 + kNumSeries);
-  EXPECT_EQ(fail.rows(), 2u);
 }
 
 }  // namespace

@@ -1,12 +1,11 @@
 // Tests for the scenario subsystem: envelope semantics, spec parse/print
 // round-trips, registry completeness, suite-runner determinism across
-// thread counts, and the campaign bridge.
+// thread counts, and result export.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
 #include "pamr/comm/generator.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/scenario/suite_runner.hpp"
 
 namespace pamr {
@@ -196,6 +195,14 @@ TEST(Layers, FlatEnvelopeMatchesTheRawGeneratorBitForBit) {
   Rng raw_rng(123);
   const CommSet via_raw = generate_uniform(mesh, raw, raw_rng);
   EXPECT_EQ(via_layer, via_raw);
+
+  layer.kind = WorkloadLayer::Kind::kFixedLength;
+  layer.length = 7;
+  Rng length_layer_rng(321);
+  const CommSet via_length_layer = layer.generate(mesh, model, 0.37, length_layer_rng);
+  Rng length_raw_rng(321);
+  EXPECT_EQ(via_length_layer,
+            generate_with_length(mesh, 40, 100.0, 1500.0, 7, length_raw_rng));
 }
 
 TEST(Layers, EnvelopeScalesWeightsOnly) {
@@ -265,43 +272,6 @@ TEST(SuiteRunner, AggregatesAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SuiteRunner, CampaignRunPointDelegatesToTheSameKernel) {
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  exp::PointSpec point;
-  point.x = 20;
-  point.workload.num_comms = 20;
-  exp::CampaignOptions options;
-  options.trials = 32;
-  options.seed = 99;
-  const exp::PointAggregate via_campaign = exp::run_point(mesh, model, point, options, 5);
-  const exp::PointAggregate via_scenario = run_scenario_point(
-      mesh, model, spec_from_workload(point.workload), options.trials, options.seed, 5);
-  EXPECT_EQ(via_campaign.instances, via_scenario.instances);
-  for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
-    EXPECT_EQ(via_campaign.failures[s], via_scenario.failures[s]);
-    EXPECT_EQ(via_campaign.normalized_inverse[s].mean(),
-              via_scenario.normalized_inverse[s].mean());
-  }
-}
-
-TEST(SuiteRunner, CampaignBridgeRoundTrips) {
-  exp::WorkloadSpec workload;
-  workload.kind = exp::WorkloadSpec::Kind::kFixedLength;
-  workload.num_comms = 25;
-  workload.weight_lo = 300.0;
-  workload.weight_hi = 2000.0;
-  workload.length = 9;
-  const ScenarioSpec spec = spec_from_workload(workload);
-  const exp::WorkloadSpec back = workload_from_spec(spec);
-  EXPECT_EQ(back.kind, workload.kind);
-  EXPECT_EQ(back.num_comms, workload.num_comms);
-  EXPECT_DOUBLE_EQ(back.weight_lo, workload.weight_lo);
-  EXPECT_DOUBLE_EQ(back.weight_hi, workload.weight_hi);
-  EXPECT_EQ(back.length, workload.length);
-  EXPECT_THROW((void)workload_from_spec(ScenarioSpec{}), std::logic_error);
-}
-
 TEST(SuiteRunner, JsonExportNamesTheScenarioAndBothTables) {
   const Scenario* mix = ScenarioRegistry::builtin().find("multi_app_mix");
   ASSERT_NE(mix, nullptr);
@@ -313,6 +283,12 @@ TEST(SuiteRunner, JsonExportNamesTheScenarioAndBothTables) {
   EXPECT_NE(json.find("\"normalized_inverse_power\""), std::string::npos);
   EXPECT_NE(json.find("\"failure_ratio\""), std::string::npos);
   EXPECT_NE(json.find("\"BEST\""), std::string::npos);
+  // One row per point, the x column plus one column per series.
+  for (const Table& table :
+       {normalized_inverse_table(result), failure_ratio_table(result)}) {
+    EXPECT_EQ(table.rows(), mix->points.size());
+    EXPECT_EQ(table.columns(), 1 + exp::kNumSeries);
+  }
 }
 
 }  // namespace

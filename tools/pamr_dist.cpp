@@ -18,7 +18,6 @@
 
 #include "pamr/dist/coordinator.hpp"
 #include "pamr/dist/worker.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/scenario/suite_runner.hpp"
 #include "pamr/util/args.hpp"
@@ -42,7 +41,8 @@ int main(int argc, char** argv) {
                     "run one ad-hoc scenario spec (see scenario_spec.hpp) instead "
                     "of --run; same semantics as pamr_scenarios --spec");
   parser.add_int("workers", 2, "worker processes", "PAMR_WORKERS");
-  parser.add_int("trials", exp::default_trials(), "instances per point", "PAMR_TRIALS");
+  parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
+                 "PAMR_TRIALS");
   parser.add_int("seed", -1, "base seed; -1 uses each scenario's default");
   parser.add_int("chunk", 8, "instances per work unit");
   parser.add_string("out", "pamr_dist_out",

@@ -14,7 +14,6 @@
 #include <cstdio>
 
 #include "pamr/dist/protocol.hpp"
-#include "pamr/exp/campaign.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/scenario/suite_runner.hpp"
 #include "pamr/util/args.hpp"
@@ -30,7 +29,8 @@ int main(int argc, char** argv) {
   parser.add_string("describe", "", "print a scenario's point specs and exit");
   parser.add_string("run", "", "comma-separated scenario names, or 'all'");
   parser.add_string("spec", "", "run one ad-hoc scenario spec (see scenario_spec.hpp)");
-  parser.add_int("trials", exp::default_trials(), "instances per point", "PAMR_TRIALS");
+  parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
+                 "PAMR_TRIALS");
   parser.add_int("seed", -1, "base seed; -1 uses each scenario's default");
   parser.add_int("threads", 0, "worker threads; 0 follows PAMR_THREADS/hardware");
   parser.add_flag("csv", "also write CSV files to PAMR_OUT_DIR");
