@@ -56,7 +56,9 @@ Path min_cost_manhattan_path(const CommRect& rect, const LinkCostFn& cost) {
   const Mesh& mesh = rect.mesh();
   // value[cell] = min cost from cell to snk; choice[cell] = best next step.
   // Cells are keyed by core index; only rectangle cells are touched.
+  // pamr-lint: ordered-ok (lookup only: find by cell, never iterated)
   std::unordered_map<std::int32_t, double> value;
+  // pamr-lint: ordered-ok (lookup only: the path walk reads one cell per step)
   std::unordered_map<std::int32_t, CommRect::Step> choice;
   value[mesh.core_index(rect.snk())] = 0.0;
 

@@ -128,7 +128,7 @@ struct ScenarioSpec {
 
   // Open-loop injection probe ("sim"/"cycles"/"warmup" in the text form,
   // global section): when enabled, every instance additionally drives
-  // sim::Simulator on its BEST routing — injection rates follow the drawn
+  // sim::simulate on its BEST routing — injection rates follow the drawn
   // (envelope-scaled) weights — and the point aggregates latency, delivery
   // ratio and delivered throughput next to power (exp::PointAggregate's
   // sim_* stats).

@@ -1,9 +1,6 @@
 #include "pamr/sim/sim_stats.hpp"
 
-#include <sstream>
-
 #include "pamr/util/assert.hpp"
-#include "pamr/util/string_util.hpp"
 
 namespace pamr {
 namespace sim {
@@ -32,25 +29,6 @@ double SimStats::delivery_ratio() const noexcept {
   return offered > 0
              ? static_cast<double>(delivered) / static_cast<double>(offered)
              : 1.0;
-}
-
-std::string SimStats::summary() const {
-  std::int64_t delivered = 0;
-  double latency_sum = 0.0;
-  for (const SubflowStats& stats : per_subflow) {
-    delivered += stats.delivered_flits;
-    latency_sum += stats.latency_sum;
-  }
-  double peak_util = 0.0;
-  for (std::size_t link = 0; link < link_busy_cycles.size(); ++link) {
-    const double util = link_utilization(link);
-    if (util > peak_util) peak_util = util;
-  }
-  std::ostringstream out;
-  out << "delivery ratio " << format_double(delivery_ratio(), 4) << ", mean latency "
-      << format_double(delivered > 0 ? latency_sum / static_cast<double>(delivered) : 0.0, 2)
-      << " cycles, peak link utilization " << format_double(peak_util, 4);
-  return out.str();
 }
 
 }  // namespace sim

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace pamr {
@@ -40,8 +39,6 @@ struct SimStats {
   /// sources generated was delivered; an overloaded routing backlogs and
   /// scores < 1).
   [[nodiscard]] double delivery_ratio() const noexcept;
-
-  [[nodiscard]] std::string summary() const;
 };
 
 }  // namespace sim

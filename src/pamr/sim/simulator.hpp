@@ -1,4 +1,12 @@
-// The cycle-level simulation driver.
+// The cycle-level NoC simulator. It shows dynamically what the paper's
+// static analysis asserts: a routing whose per-link loads respect the
+// bandwidths sustains the requested throughput on a buffered, credit
+// flow-controlled mesh, and an overloaded routing does not.
+//
+// Each (communication, path) pair is a subflow with its own leaky-bucket
+// source. Packets are fixed-length flit trains; a flit carries its hop
+// index into its path, which names its output port at every node, so the
+// routers hold no routing tables.
 //
 // Cycle structure (two-phase update so link traversal is simultaneous
 // across the mesh): per router, per output port, a round-robin arbiter
@@ -8,8 +16,9 @@
 // output, the co-located source queues whose first hop uses it compete for
 // injection (per-subflow virtual injection channels — no head-of-line
 // blocking between flows sharing a source). Winning flits are staged and
-// committed at the end of the cycle; the local output ejects one flit per
-// cycle (delivery).
+// committed at the end of the cycle. After its mesh outputs, each router
+// delivers every head flit that has reached its sink (ejection is not a
+// modeled resource).
 //
 // A valid routing keeps every source queue bounded and delivers ≈ 100 % of
 // offered traffic; an overloaded link shows up as utilization pinned at

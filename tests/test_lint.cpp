@@ -97,8 +97,24 @@ TEST_F(LintFixture, UnorderedContainerInResultPathFires) {
       << run.output;
 }
 
+TEST_F(LintFixture, UnorderedContainerInSimMapOptFires) {
+  // The simulator (*_sim.csv), placement (place=optimized) and the exact
+  // solvers feed result files too.
+  write("sim/bad.cpp", "std::unordered_map<int, int> routes;\n");
+  write("map/bad.cpp", "std::unordered_set<int> taken;\n");
+  write("opt/bad.cpp", "std::unordered_map<int, double> value;\n");
+  const LintRun run = this->run();
+  EXPECT_EQ(run.exit_code, 1) << run.output;
+  for (const char* file : {"sim/bad.cpp", "map/bad.cpp", "opt/bad.cpp"}) {
+    EXPECT_NE(run.output.find(std::string(file) + ":1: [ordered-iteration]"),
+              std::string::npos)
+        << file << "\n"
+        << run.output;
+  }
+}
+
 TEST_F(LintFixture, UnorderedContainerOutsideResultPathsAllowed) {
-  // util/ and sim/ are not result-producing paths; the rule stays quiet.
+  // util/ is not a result-producing path; the rule stays quiet.
   write("util/fine.cpp", "std::unordered_map<int, int> cache;\n");
   EXPECT_EQ(run().exit_code, 0);
 }

@@ -8,7 +8,8 @@
 // boundary:
 //
 //   ordered-iteration   unordered_map/unordered_set in result-producing
-//                       paths (routing/, exp/, scenario/, dist/, topo/).
+//                       paths (routing/, exp/, scenario/, dist/, topo/,
+//                       sim/, map/, opt/).
 //                       Hash-order iteration is the classic way
 //                       nondeterminism leaks into aggregates; membership-only
 //                       uses are fine but must say so with a justification:
@@ -178,7 +179,8 @@ bool has_float_conversion(const std::string& text) {
 /// Result-producing subsystems: hash-order iteration here can reach an
 /// aggregate, a CSV byte stream or a routing decision.
 bool in_result_path(const std::string& rel) {
-  for (const char* dir : {"routing/", "exp/", "scenario/", "dist/", "topo/"}) {
+  for (const char* dir :
+       {"routing/", "exp/", "scenario/", "dist/", "topo/", "sim/", "map/", "opt/"}) {
     if (rel.find(dir) != std::string::npos) return true;
   }
   return false;
