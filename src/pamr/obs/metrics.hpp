@@ -67,6 +67,9 @@ enum class Metric : std::uint32_t {
   kPhaseUnit,             ///< one run_unit_instances call
   kPhaseSuite,            ///< one SuiteRunner::run_all
   kPhaseDistCampaign,     ///< one dist::run_campaign
+  // ------------------------ unit-scoped counters (appended, see above) --
+  kSimRouterCycles,       ///< router-cycles the simulator evaluated (idle ones skipped)
+  kSimFlitHops,           ///< flits the simulator moved across a mesh link
   kMetricCount,
 };
 
@@ -129,6 +132,8 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"phase.unit", Kind::kTimer, Scope::kWall},
     {"phase.suite", Kind::kTimer, Scope::kWall},
     {"phase.dist.campaign", Kind::kTimer, Scope::kWall},
+    {"sim.router_cycles", Kind::kCounter, Scope::kUnit},
+    {"sim.flit_hops", Kind::kCounter, Scope::kUnit},
 };
 
 inline constexpr const MetricInfo& info(Metric m) noexcept {

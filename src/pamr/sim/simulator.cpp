@@ -1,9 +1,12 @@
 #include "pamr/sim/simulator.hpp"
 
+#include <array>
+#include <bit>
 #include <deque>
 #include <utility>
 #include <vector>
 
+#include "pamr/obs/obs.hpp"
 #include "pamr/routing/validate.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/rng.hpp"
@@ -37,6 +40,7 @@ struct Flit {
 /// overloaded routing shows up as backlog rather than silent loss.
 struct Subflow {
   std::vector<int> ports;           ///< link directions, then kPortLocal
+  std::size_t source = 0;           ///< its slot in the per-node queued counts
   double rate = 0.0;                ///< flits per cycle
   double accumulator = 0.0;         ///< fractional flit credit
   std::deque<std::int64_t> packets; ///< generation cycle of each queued packet
@@ -85,6 +89,9 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
 
   Rng rng(config.seed);
   std::vector<Subflow> subflows;
+  std::size_t num_flows = 0;
+  for (const CommRouting& comm_routing : routing.per_comm) num_flows += comm_routing.flows.size();
+  subflows.reserve(num_flows);  // a Subflow's deque is copied, not moved, on growth
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
     for (const RoutedFlow& flow : routing.per_comm[ci].flows) {
       Subflow subflow;
@@ -96,10 +103,11 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
       PAMR_CHECK(subflow.rate > 0.0, "subflow with zero rate");
       subflow.accumulator = rng.uniform();  // random phase
       if (subflow.ports.front() == kPortLocal) {
+        subflow.source = num_cores;
         local_only.push_back(subflows.size());
       } else {
-        by_source_port[static_cast<std::size_t>(mesh.core_index(comms[ci].src)) *
-                           kNumMeshPorts +
+        subflow.source = static_cast<std::size_t>(mesh.core_index(comms[ci].src));
+        by_source_port[subflow.source * kNumMeshPorts +
                        static_cast<std::size_t>(subflow.ports.front())]
             .push_back(subflows.size());
       }
@@ -129,6 +137,12 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
   // Per (node, mesh output): the input port that won last, so the first
   // scan starts at port 0.
   std::vector<int> last_winner(num_cores * kNumMeshPorts, kNumMeshPorts - 1);
+  // Per node: flits in its four input rings, and packets queued at the
+  // sources whose first hop leaves it (zero-hop subflows count into a spare
+  // last slot no node reads). A node with both at zero has nothing to
+  // arbitrate, inject or drain, so the cycle loop skips it.
+  std::vector<std::size_t> occupancy(num_cores, 0);
+  std::vector<std::size_t> queued(num_cores + 1, 0);
 
   const auto head_flit = [&](std::size_t buffer) -> const Flit& {
     return slots[buffer * depth + head[buffer]];
@@ -141,6 +155,7 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
     const std::size_t slot = buffer * depth + head[buffer];
     head[buffer] = (head[buffer] + 1) % depth;
     --count[buffer];
+    --occupancy[buffer / kNumMeshPorts];
     return slots[slot];
   };
   const auto pop_source = [&](std::size_t i) {
@@ -152,6 +167,7 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
     if (++subflow.sent == packet_length) {
       subflow.packets.pop_front();
       subflow.sent = 0;
+      --queued[subflow.source];
     }
     return flit;
   };
@@ -165,6 +181,9 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
 
   std::vector<Arrival> arrivals;
   arrivals.reserve(static_cast<std::size_t>(mesh.num_links()));
+  // Telemetry tallies, bumped once at the end so the loop pays nothing.
+  std::uint64_t router_cycles = 0;
+  std::uint64_t flit_hops = 0;
 
   for (std::int64_t cycle = 0; cycle < config.cycles; ++cycle) {
     const bool measuring = cycle >= config.warmup;
@@ -180,6 +199,7 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
         subflow.accumulator -= static_cast<double>(packet_length);
         subflow.packets.push_back(cycle);
         subflow.generated += packet_length;
+        ++queued[subflow.source];
       }
     }
 
@@ -189,29 +209,47 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
     // every output port; each node's local output then drains.
     arrivals.clear();
     for (std::size_t n = 0; n < num_cores; ++n) {
+      if (occupancy[n] == 0 && queued[n] == 0) continue;  // idle router
+      ++router_cycles;
+      const std::size_t base = n * kNumMeshPorts;
+      // Request masks: bit p of want[out] is set while input p's head flit
+      // leaves through out (want[kPortLocal]: it ends here). A pop clears
+      // its bit and files the uncovered head, which can still take a later
+      // output or the local drain this cycle, but not an earlier output.
+      std::array<unsigned, kNumMeshPorts + 1> want{};
+      for (int port = 0; port < kNumMeshPorts; ++port) {
+        const std::size_t buffer = base + static_cast<std::size_t>(port);
+        if (count[buffer] > 0) want[port_of(head_flit(buffer))] |= 1U << port;
+      }
+      const auto pop_head = [&](int port, int out) {
+        const std::size_t buffer = base + static_cast<std::size_t>(port);
+        const Flit flit = pop(buffer);
+        want[out] &= ~(1U << port);
+        if (count[buffer] > 0) want[port_of(head_flit(buffer))] |= 1U << port;
+        return flit;
+      };
+
       for (int out = 0; out < kNumMeshPorts; ++out) {
-        const std::size_t output = n * kNumMeshPorts + static_cast<std::size_t>(out);
+        if (want[out] == 0 && queued[n] == 0) continue;  // nothing to send
+        const std::size_t output = base + static_cast<std::size_t>(out);
         const Downstream& next = downstream[output];
         if (next.link == kInvalidLink) continue;
         // Each input buffer has exactly one upstream link, so one credit
         // check per cycle suffices.
         if (snapshot[next.buffer] >= depth) continue;  // no credit downstream
 
-        // Round robin over the mesh inputs whose head flit leaves here.
-        int winner = -1;
-        for (int step = 1; step <= kNumMeshPorts; ++step) {
-          const int port = (last_winner[output] + step) % kNumMeshPorts;
-          const std::size_t buffer = n * kNumMeshPorts + static_cast<std::size_t>(port);
-          if (count[buffer] > 0 && port_of(head_flit(buffer)) == out) {
-            winner = port;
-            break;
-          }
-        }
-
         Flit moving;
-        if (winner >= 0) {
+        if (want[out] != 0) {
+          // Round robin: the first requesting input after the last winner.
+          const unsigned start = static_cast<unsigned>(last_winner[output] + 1) % kNumMeshPorts;
+          const unsigned rotated =
+              ((want[out] >> start) | (want[out] << (kNumMeshPorts - start))) &
+              ((1U << kNumMeshPorts) - 1);
+          const int winner =
+              static_cast<int>((start + static_cast<unsigned>(std::countr_zero(rotated))) %
+                               kNumMeshPorts);
           last_winner[output] = winner;
-          moving = pop(n * kNumMeshPorts + static_cast<std::size_t>(winner));
+          moving = pop_head(winner, out);
         } else {
           // Output idle this cycle: inject from the co-located source
           // queues whose first hop uses this link (per-subflow virtual
@@ -239,7 +277,8 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
       // bandwidth only): drain every local-destined head flit. It runs
       // after the mesh outputs, so heads they uncovered leave this cycle.
       for (int port = 0; port < kNumMeshPorts; ++port) {
-        const std::size_t buffer = n * kNumMeshPorts + static_cast<std::size_t>(port);
+        if ((want[kPortLocal] & (1U << port)) == 0) continue;
+        const std::size_t buffer = base + static_cast<std::size_t>(port);
         while (count[buffer] > 0 && port_of(head_flit(buffer)) == kPortLocal) {
           const Flit delivered = pop(buffer);
           if (measuring) {
@@ -249,11 +288,13 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
         }
       }
     }
+    flit_hops += arrivals.size();
     for (const Arrival& arrival : arrivals) {
       PAMR_ASSERT(count[arrival.buffer] < depth);
       slots[arrival.buffer * depth + (head[arrival.buffer] + count[arrival.buffer]) % depth] =
           arrival.flit;
       ++count[arrival.buffer];
+      ++occupancy[arrival.buffer / kNumMeshPorts];
     }
 
     // Zero-hop subflows: deliver straight from the source queue.
@@ -274,6 +315,8 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
         static_cast<std::int64_t>(subflow.packets.size()) * packet_length - subflow.sent;
     stats.per_subflow[i].offered_flits = subflow.generated - offered_at_warmup[i];
   }
+  obs::bump(obs::Metric::kSimRouterCycles, router_cycles);
+  obs::bump(obs::Metric::kSimFlitHops, flit_hops);
   return stats;
 }
 

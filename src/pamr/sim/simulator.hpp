@@ -20,6 +20,13 @@
 // delivers every head flit that has reached its sink (ejection is not a
 // modeled resource).
 //
+// Only routers with work are evaluated: a router holding no flit and no
+// queued packet at its sources is skipped for the cycle, which is exact
+// because arrivals are staged. An evaluated router reads its four head
+// flits once into per-output request masks; a pop clears the winner's bit
+// and files the head it uncovered, which may still take a later output or
+// the local drain in the same cycle, but not an earlier output.
+//
 // A valid routing keeps every source queue bounded and delivers ≈ 100 % of
 // offered traffic; an overloaded link shows up as utilization pinned at
 // 1.0 plus growing backlog on the flows crossing it.

@@ -3,7 +3,8 @@
 //   * Unit-scoped counters are pinned to exact values and bit-identical
 //     across thread counts and across the dist driver (the counter deltas
 //     travel the wire as a side channel and merge into the coordinator's
-//     registry).
+//     registry). The simulator's router-cycle count shows idle routers
+//     being skipped.
 //   * Result bytes are identical with telemetry off, on, traced, and
 //     through an interrupted-then-resumed campaign — telemetry observes,
 //     never perturbs.
@@ -24,7 +25,10 @@
 #include "pamr/dist/coordinator.hpp"
 #include "pamr/dist/protocol.hpp"
 #include "pamr/obs/obs.hpp"
+#include "pamr/routing/path.hpp"
+#include "pamr/routing/routing.hpp"
 #include "pamr/scenario/suite_runner.hpp"
+#include "pamr/sim/simulator.hpp"
 #include "suite_diff.hpp"
 
 namespace pamr {
@@ -151,6 +155,48 @@ TEST_F(ObsTest, UnitCellsAreBitIdenticalAcrossThreadCounts) {
         << "cell " << c << " of " << info(cell_metric(c)).name
         << " differs between 1 and 4 threads";
   }
+}
+
+TEST_F(ObsTest, SimCountersAreDeterministicAndShowSkippedRouters) {
+  // injection_sweep probes every instance's BEST routing with sim=on.
+  const scenario::Scenario& sweep =
+      scenario::ScenarioRegistry::builtin().at("injection_sweep");
+  const auto run = [&](std::size_t threads) {
+    scenario::SuiteOptions options;
+    options.instances = 2;
+    options.chunk = 1;
+    options.seed = sweep.default_seed;
+    options.threads = threads;
+    reset();
+    (void)scenario::SuiteRunner(options).run(sweep);
+    return snapshot();
+  };
+  const Snapshot one = run(1);
+  const Snapshot three = run(3);
+  EXPECT_GT(one.counter(Metric::kSimProbes), 0u);
+  EXPECT_GT(one.counter(Metric::kSimRouterCycles), 0u);
+  EXPECT_GT(one.counter(Metric::kSimFlitHops), 0u);
+  EXPECT_EQ(one.counter(Metric::kSimRouterCycles), three.counter(Metric::kSimRouterCycles));
+  EXPECT_EQ(one.counter(Metric::kSimFlitHops), three.counter(Metric::kSimFlitHops));
+
+  // One 2-hop flow on 8x8: only its source, middle and sink ever have work.
+  const Mesh mesh(8, 8);
+  const CommSet comms{{{0, 0}, {0, 2}, 1000.0}};
+  const Routing routing = make_single_path_routing(comms, {xy_path(mesh, {0, 0}, {0, 2})});
+  sim::SimConfig config;
+  config.cycles = 4000;
+  config.warmup = 0;  // measure every cycle, so the flit counts bound the hops
+  reset();
+  const sim::SimStats stats = sim::simulate(mesh, comms, routing, config);
+  const Snapshot snap = snapshot();
+  const auto cycles = static_cast<std::uint64_t>(config.cycles);
+  EXPECT_GT(snap.counter(Metric::kSimRouterCycles), 0u);
+  EXPECT_LE(snap.counter(Metric::kSimRouterCycles), 3 * cycles);
+  EXPECT_LT(snap.counter(Metric::kSimRouterCycles), cycles * 64 / 10);
+  const auto delivered = static_cast<std::uint64_t>(stats.per_subflow[0].delivered_flits);
+  const auto injected = static_cast<std::uint64_t>(stats.per_subflow[0].injected_flits);
+  EXPECT_GE(snap.counter(Metric::kSimFlitHops), 2 * delivered);
+  EXPECT_LE(snap.counter(Metric::kSimFlitHops), 2 * injected);
 }
 
 TEST_F(ObsTest, DisabledRegistryRecordsNothing) {

@@ -347,6 +347,73 @@ std::vector<PinCase> pin_cases() {
     c.config.buffer_depth = 1;
     cases.push_back(std::move(c));
   }
+  {
+    // Three long flows across a 16x16 mesh: most routers never see a
+    // flit, and those on the paths fall idle between packets.
+    const Mesh mesh(16, 16);
+    PinCase c;
+    c.name = "sparse/16";
+    c.side = 16;
+    c.comms = {{{0, 0}, {15, 15}, 1200.0}, {{15, 0}, {0, 15}, 900.0}, {{0, 15}, {15, 3}, 300.0}};
+    c.routing = make_single_path_routing(
+        c.comms, {xy_path(mesh, {0, 0}, {15, 15}), yx_path(mesh, {15, 0}, {0, 15}),
+                  xy_path(mesh, {0, 15}, {15, 3})});
+    c.config.cycles = 3000;
+    c.config.warmup = 500;
+    cases.push_back(std::move(c));
+  }
+  for (const std::int32_t depth : {1, 4}) {
+    // One packet every ~140 cycles down a 14-hop path: the network drains
+    // completely between packets.
+    const Mesh mesh(8, 8);
+    PinCase c;
+    c.name = "trickle/8/d" + std::to_string(depth);
+    c.side = 8;
+    c.comms = {{{0, 0}, {7, 7}, 100.0}};
+    c.routing = make_single_path_routing(c.comms, {xy_path(mesh, {0, 0}, {7, 7})});
+    c.config.cycles = 3000;
+    c.config.warmup = 500;
+    c.config.buffer_depth = depth;
+    c.config.packet_length = 4;
+    cases.push_back(std::move(c));
+  }
+  for (const std::int32_t packet : {1, 4}) {
+    // A (east) and B (east, then south) share the west input of (1,1),
+    // where C (south, then east) oversubscribes the east output. Popping
+    // A's head there uncovers B's flit, bound for the later south output,
+    // which may still leave in the same cycle; popping B's head uncovers
+    // A's, bound for the earlier east output, which must wait.
+    const Mesh mesh(3, 3);
+    PinCase c;
+    c.name = "uncover/3/p" + std::to_string(packet);
+    c.side = 3;
+    c.comms = {{{1, 0}, {1, 2}, 1800.0}, {{1, 0}, {2, 1}, 1200.0}, {{0, 1}, {1, 2}, 1800.0}};
+    c.routing = make_single_path_routing(
+        c.comms, {xy_path(mesh, {1, 0}, {1, 2}), xy_path(mesh, {1, 0}, {2, 1}),
+                  yx_path(mesh, {0, 1}, {1, 2})});
+    c.config.cycles = 3000;
+    c.config.warmup = 500;
+    c.config.buffer_depth = 2;
+    c.config.packet_length = packet;
+    cases.push_back(std::move(c));
+  }
+  {
+    // overloaded/4 at depth 1: the source node holds no flit of its own
+    // and, on the cycles its downstream buffer has no credit, has work
+    // only in its source queues.
+    const Mesh mesh(4, 4);
+    PinCase c;
+    c.name = "overloaded/4/d1";
+    c.side = 4;
+    c.comms = {{{0, 0}, {3, 3}, 2600.0}, {{0, 0}, {3, 3}, 2600.0}, {{0, 0}, {3, 0}, 900.0}};
+    c.routing = make_single_path_routing(
+        c.comms, {xy_path(mesh, {0, 0}, {3, 3}), xy_path(mesh, {0, 0}, {3, 3}),
+                  xy_path(mesh, {0, 0}, {3, 0})});
+    c.config.cycles = 3000;
+    c.config.warmup = 500;
+    c.config.buffer_depth = 1;
+    cases.push_back(std::move(c));
+  }
   return cases;
 }
 
@@ -606,6 +673,26 @@ const std::vector<Pin> kPins = {
       {1144, 0, 0, 0, 0x0000000000000000ULL, 1371},
       {1144, 0, 0, 0, 0x0000000000000000ULL, 1371},
       {1144, 0, 0, 0, 0x0000000000000000ULL, 1371}}},
+    {"sparse/16", 50808, 0x3c2a05ada59d40cfULL,
+     {{856, 857, 856, 214, 0x40db3c0000000000ULL, 1},
+      {644, 642, 643, 160, 0x40d3c74000000000ULL, 2},
+      {216, 216, 212, 53, 0x40b79a0000000000ULL, 0}}},
+    {"trickle/8/d1", 1008, 0x07d5dfa6310cd425ULL,
+     {{72, 72, 72, 18, 0x4093200000000000ULL, 0}}},
+    {"trickle/8/d4", 1008, 0x07d5dfa6310cd425ULL,
+     {{72, 72, 72, 18, 0x4091700000000000ULL, 0}}},
+    {"uncover/3/p1", 6715, 0xebcb663058e7af44ULL,
+     {{1285, 1250, 1250, 1250, 0x40ef0f4000000000ULL, 43},
+      {857, 857, 857, 857, 0x409b580000000000ULL, 0},
+      {1286, 1250, 1250, 1250, 0x40ef916000000000ULL, 42}}},
+    {"uncover/3/p4", 6358, 0xc798ebabc73ec61bULL,
+     {{1284, 1034, 1035, 259, 0x4115983800000000ULL, 299},
+      {856, 859, 858, 214, 0x40aeb00000000000ULL, 0},
+      {1284, 1285, 1287, 322, 0x40b8700000000000ULL, 0}}},
+    {"overloaded/4/d1", 9426, 0x12534f5a9956d8edULL,
+     {{1856, 626, 624, 156, 0x41261ca000000000ULL, 1478},
+      {1856, 624, 626, 156, 0x41263b9000000000ULL, 1480},
+      {644, 642, 642, 161, 0x40ae200000000000ULL, 3}}},
 };
 // clang-format on
 
