@@ -41,7 +41,7 @@ enum class Metric : std::uint32_t {
   kXyiIndexRewrites,      ///< CrossingIndex::apply_rewrite calls
   kPrRemovals,            ///< PR removals applied (both loops)
   kPrLinksRetired,        ///< LoadIndex::retire calls
-  kLoadIndexReorders,     ///< LoadIndex::reorder merge passes
+  kLoadIndexReorders,     ///< rank updates (LoadIndex/LoadOrder::reorder calls)
   kIgCutBounds,           ///< IG remaining_bound evaluations
   kSimProbes,             ///< simulator probes of a finished routing
   kSuiteUnits,            ///< work units executed (run_unit_instances calls)

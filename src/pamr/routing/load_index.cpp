@@ -1,80 +1,108 @@
 #include "pamr/routing/load_index.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 #include <numeric>
+#include <string>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
 
-LoadIndex::LoadIndex(std::int32_t num_links, const LinkLoads& loads)
-    : order_(static_cast<std::size_t>(num_links)),
-      pos_(static_cast<std::size_t>(num_links)),
-      retired_(static_cast<std::size_t>(num_links), 0),
-      changed_mark_(static_cast<std::size_t>(num_links), 0),
-      members_(static_cast<std::size_t>(num_links)) {
+// ------------------------------------------------------------ LinkRanks --
+
+LinkRanks::LinkRanks(std::int32_t num_links)
+    : rank_(static_cast<std::size_t>(num_links)), next_back_(num_links) {
   PAMR_ASSERT(num_links >= 0);
-  std::iota(order_.begin(), order_.end(), LinkId{0});
-  // The seed's first round: identity order stably sorted by the initial
-  // loads, so ties start out in LinkId order.
-  std::stable_sort(order_.begin(), order_.end(), [&loads](LinkId a, LinkId b) {
-    return loads.load(a) > loads.load(b);
-  });
-  for (std::size_t at = 0; at < order_.size(); ++at) {
-    pos_[static_cast<std::size_t>(order_[at])] = static_cast<std::int32_t>(at);
+  std::iota(rank_.begin(), rank_.end(), std::int64_t{0});
+}
+
+const std::vector<LinkId>& LinkRanks::update(const TouchLog& log,
+                                             const LinkLoads& loads) {
+  obs::bump(obs::Metric::kLoadIndexReorders);
+  changed_.clear();
+  risers_.clear();
+  fallers_.clear();
+  for (std::size_t i = 0; i < log.links.size(); ++i) {
+    const LinkId link = log.links[i];
+    const double before = log.before[i];
+    const double now = loads.load(link);
+    if (now == before) continue;
+    changed_.push_back(link);
+    (now > before ? risers_ : fallers_)
+        .push_back({before, rank_[static_cast<std::size_t>(link)], link});
   }
-  merge_scratch_.reserve(order_.size());
+  // Each group in its old (load desc, rank asc) order.
+  const auto old_order = [](const Mover& a, const Mover& b) {
+    if (a.before != b.before) return a.before > b.before;
+    return a.rank < b.rank;
+  };
+  std::sort(risers_.begin(), risers_.end(), old_order);
+  for (const Mover& m : risers_) rank_[static_cast<std::size_t>(m.link)] = next_back_++;
+  std::sort(fallers_.begin(), fallers_.end(), old_order);
+  for (auto it = fallers_.rbegin(); it != fallers_.rend(); ++it) {
+    rank_[static_cast<std::size_t>(it->link)] = next_front_--;
+  }
+  return changed_;
+}
+
+// ------------------------------------------------------------ LoadIndex --
+
+namespace {
+
+constexpr double kEmptyLoad = -std::numeric_limits<double>::infinity();
+
+}  // namespace
+
+LoadIndex::LoadIndex(std::int32_t num_links, const LinkLoads& loads)
+    : ranks_(num_links),
+      leaves_(std::bit_ceil(std::max<std::size_t>(static_cast<std::size_t>(num_links), 1))),
+      tree_(2 * leaves_, Node{kEmptyLoad, 0, kInvalidLink}),
+      members_(static_cast<std::size_t>(num_links)) {
+  for (LinkId link = 0; link < num_links; ++link) {
+    tree_[leaves_ + static_cast<std::size_t>(link)] = leaf_key(link, loads);
+  }
+  for (std::size_t node = leaves_ - 1; node >= 1; --node) tree_[node] = winner(node);
 }
 
 void LoadIndex::add_member(LinkId link, std::uint32_t comm) {
   members_[static_cast<std::size_t>(link)].push_back(comm);
 }
 
-void LoadIndex::retire(LinkId link) {
-  obs::bump(obs::Metric::kPrLinksRetired);
-  retired_[static_cast<std::size_t>(link)] = 1;
+LoadIndex::Node LoadIndex::leaf_key(LinkId link, const LinkLoads& loads) const {
+  return Node{loads.load(link), ranks_.rank(link), link};
 }
 
-void LoadIndex::reorder(const std::vector<LinkId>& changed, const LinkLoads& loads) {
-  obs::bump(obs::Metric::kLoadIndexReorders);
-  // The changed links, re-sorted by (new load desc, previous position asc).
-  // Everything else keeps its relative order, which is exactly what the
-  // seed's stable_sort of the persistent order vector computes; merging the
-  // two sequences under the same comparator reproduces it bit for bit.
-  std::vector<LinkId>& resorted = resort_scratch_;
-  resorted.clear();
-  for (const LinkId link : changed) {
-    if (retired_[static_cast<std::size_t>(link)] != 0) continue;
-    changed_mark_[static_cast<std::size_t>(link)] = 1;
-    resorted.push_back(link);
-  }
-  const auto precedes = [&](LinkId a, LinkId b) {
-    const double la = loads.load(a);
-    const double lb = loads.load(b);
-    if (la != lb) return la > lb;
-    return pos_[static_cast<std::size_t>(a)] < pos_[static_cast<std::size_t>(b)];
-  };
-  std::sort(resorted.begin(), resorted.end(), precedes);
+LoadIndex::Node LoadIndex::winner(std::size_t node) const {
+  const Node& left = tree_[2 * node];
+  const Node& right = tree_[2 * node + 1];
+  if (left.load != right.load) return left.load > right.load ? left : right;
+  return left.rank < right.rank ? left : right;
+}
 
-  merge_scratch_.clear();
-  std::size_t next = 0;
-  for (const LinkId link : order_) {
-    if (changed_mark_[static_cast<std::size_t>(link)] != 0) continue;  // merged below
-    if (retired_[static_cast<std::size_t>(link)] != 0) continue;       // purged for good
-    while (next < resorted.size() && precedes(resorted[next], link)) {
-      merge_scratch_.push_back(resorted[next++]);
-    }
-    merge_scratch_.push_back(link);
+void LoadIndex::refix(LinkId link, Node leaf) {
+  std::size_t node = leaves_ + static_cast<std::size_t>(link);
+  tree_[node] = leaf;
+  // Once a node's winner comes out unchanged, its ancestors' inputs are
+  // unchanged too. Inner nodes still holding another changed link's old key
+  // lie on that link's own path, which its refix walks in turn.
+  for (node /= 2; node >= 1; node /= 2) {
+    const Node fixed = winner(node);
+    if (fixed == tree_[node]) break;
+    tree_[node] = fixed;
   }
-  while (next < resorted.size()) merge_scratch_.push_back(resorted[next++]);
+}
 
-  order_.swap(merge_scratch_);
-  for (std::size_t at = 0; at < order_.size(); ++at) {
-    pos_[static_cast<std::size_t>(order_[at])] = static_cast<std::int32_t>(at);
-  }
-  for (const LinkId link : resorted) {
-    changed_mark_[static_cast<std::size_t>(link)] = 0;
+void LoadIndex::retire(LinkId link) {
+  obs::bump(obs::Metric::kPrLinksRetired);
+  refix(link, Node{kEmptyLoad, 0, kInvalidLink});
+}
+
+void LoadIndex::reorder(const TouchLog& log, const LinkLoads& loads) {
+  for (const LinkId link : ranks_.update(log, loads)) {
+    if (!is_retired(link)) refix(link, leaf_key(link, loads));
   }
 #if PAMR_CHECK_LEVEL >= 2
   check_invariants(loads);
@@ -82,33 +110,83 @@ void LoadIndex::reorder(const std::vector<LinkId>& changed, const LinkLoads& loa
 }
 
 void LoadIndex::check_invariants(const LinkLoads& loads) const {
-  std::vector<char> seen(pos_.size(), 0);
+  for (std::size_t leaf = 0; leaf < leaves_; ++leaf) {
+    const Node& held = tree_[leaves_ + leaf];
+    if (held.link == kInvalidLink) continue;  // retired or padding
+    PAMR_INVARIANT_ALWAYS("load-index",
+                          leaf < members_.size() && held.link == static_cast<LinkId>(leaf),
+                          "winner-tree leaf " + std::to_string(leaf) + " holds another link");
+    PAMR_INVARIANT_ALWAYS(
+        "load-index", held == leaf_key(held.link, loads),
+        "winner-tree node " + std::to_string(leaves_ + leaf) + " (leaf of link " +
+            std::to_string(leaf) +
+            ") holds a stale key — a load change was never reported to reorder()");
+  }
+  for (std::size_t node = leaves_ - 1; node >= 1; --node) {
+    PAMR_INVARIANT_ALWAYS(
+        "load-index", tree_[node] == winner(node),
+        "winner-tree node " + std::to_string(node) + " holds link " +
+            std::to_string(tree_[node].link) + " where its children pick link " +
+            std::to_string(winner(node).link) +
+            " — a load change was never reported to reorder()");
+  }
+}
+
+// ------------------------------------------------------------ LoadOrder --
+
+LoadOrder::LoadOrder(std::int32_t num_links, const LinkLoads& loads)
+    : ranks_(num_links),
+      order_(static_cast<std::size_t>(num_links)),
+      changed_mark_(static_cast<std::size_t>(num_links), 0) {
+  std::iota(order_.begin(), order_.end(), LinkId{0});
+  std::sort(order_.begin(), order_.end(),
+            [&](LinkId a, LinkId b) { return ranks_.precedes(a, b, loads); });
+  merge_scratch_.reserve(order_.size());
+}
+
+const std::vector<LinkId>& LoadOrder::reorder(const TouchLog& log, const LinkLoads& loads) {
+  // Unchanged links keep their loads and ranks, so they are still in
+  // (load, rank) order; merge the re-sorted changed links into them.
+  const std::vector<LinkId>& changed = ranks_.update(log, loads);
+  const auto precedes = [&](LinkId a, LinkId b) { return ranks_.precedes(a, b, loads); };
+  resort_scratch_.assign(changed.begin(), changed.end());
+  std::sort(resort_scratch_.begin(), resort_scratch_.end(), precedes);
+  for (const LinkId link : changed) changed_mark_[static_cast<std::size_t>(link)] = 1;
+
+  merge_scratch_.clear();
+  std::size_t next = 0;
+  for (const LinkId link : order_) {
+    if (changed_mark_[static_cast<std::size_t>(link)] != 0) continue;  // merged below
+    while (next < resort_scratch_.size() && precedes(resort_scratch_[next], link)) {
+      merge_scratch_.push_back(resort_scratch_[next++]);
+    }
+    merge_scratch_.push_back(link);
+  }
+  merge_scratch_.insert(merge_scratch_.end(),
+                        resort_scratch_.begin() + static_cast<std::ptrdiff_t>(next),
+                        resort_scratch_.end());
+  order_.swap(merge_scratch_);
+  for (const LinkId link : changed) changed_mark_[static_cast<std::size_t>(link)] = 0;
+#if PAMR_CHECK_LEVEL >= 2
+  check_invariants(loads);
+#endif
+  return changed;
+}
+
+void LoadOrder::check_invariants(const LinkLoads& loads) const {
+  std::vector<char> seen(changed_mark_.size(), 0);
+  PAMR_INVARIANT_ALWAYS("load-index", order_.size() == seen.size(),
+                        "order_ does not hold every link");
   for (std::size_t at = 0; at < order_.size(); ++at) {
     const auto link = static_cast<std::size_t>(order_[at]);
-    PAMR_INVARIANT_ALWAYS("load-index", link < pos_.size(),
+    PAMR_INVARIANT_ALWAYS("load-index", link < seen.size(),
                           "order_ holds an out-of-range link id");
-    PAMR_INVARIANT_ALWAYS("load-index", seen[link] == 0,
-                          "link appears twice in order_");
+    PAMR_INVARIANT_ALWAYS("load-index", seen[link] == 0, "link appears twice in order_");
     seen[link] = 1;
     PAMR_INVARIANT_ALWAYS(
-        "load-index", pos_[link] == static_cast<std::int32_t>(at),
-        "pos_ disagrees with order_ for link " + std::to_string(link));
-  }
-  // Live links must be in non-increasing load order. Retired links are
-  // skipped: reorder() ignores load changes reported for them, so their
-  // stored position may legitimately lag the current loads until purged.
-  double previous = 0.0;
-  bool first = true;
-  for (const LinkId link : order_) {
-    if (retired_[static_cast<std::size_t>(link)] != 0) continue;
-    const double load = loads.load(link);
-    PAMR_INVARIANT_ALWAYS(
-        "load-index", first || previous >= load,
-        "order_ is not sorted by non-increasing load at link " +
-            std::to_string(static_cast<std::size_t>(link)) +
+        "load-index", at == 0 || ranks_.precedes(order_[at - 1], order_[at], loads),
+        "order_ is not in (load desc, rank asc) order at link " + std::to_string(link) +
             " — a load change was never reported to reorder()");
-    previous = load;
-    first = false;
   }
 }
 

@@ -1,36 +1,58 @@
-// Incremental removal index for the PR path remover (paper §5.5).
+// Incremental hot-link indexes for the PR path remover (paper §5.5) and the
+// XYI improver (§5.4).
 //
-// PR's inner loop repeatedly asks one question — "which is the most loaded
-// link, and which is the heaviest communication still using it?" — while
-// each removal only changes a handful of link loads (the cuts of one
-// communication's rectangle). The seed implementation answered it from
-// scratch every time: a stable_sort of every mesh link followed by a scan
-// of every communication per link, O(L log L + nc) per removal.
+// Both loops repeatedly ask "which is the most loaded link?" while each step
+// (a PR removal, an XYI move) only changes a handful of link loads. The seed
+// answered it from scratch every time with a stable_sort of every mesh link,
+// O(L log L) per step.
 //
 // Crucially, the seed's sort is a *stable* sort of a persistent order
 // vector: equal-load links keep the relative order they had in the previous
-// round, so the effective tie-break is the whole load history (most recent
-// round where the two loads differed, higher first; LinkId only if they
-// never differed). Exact equal loads are common — every link of a cut
-// carries the same δ/m share — so this history is observable in the final
-// routing, and a plain (load, LinkId) priority queue does NOT reproduce it:
-// lazy heap entries pushed in different rounds cannot be compared under a
-// history-dependent order. LoadIndex therefore keeps the *materialized*
-// sorted order and updates it by merge:
+// round, so the effective tie-break is the whole load history. Exact equal
+// loads are common — every link of a cut carries the same δ/m share — so
+// this history is observable in the final routing.
 //
-//   stable_sort(order, by load)  ==  sort by (load desc, prev position asc)
+// The history fits in one integer per link. LinkRanks keeps a `rank` such
+// that ordering by (load desc, rank asc) is exactly the seed's stable
+// re-sort. Ranks start at LinkId (the seed's first round sorts the identity
+// permutation). After a step, a link whose stored load rose takes the next
+// value of an increasing counter (the back of its new equal-load group); a
+// link whose load fell takes the next value of a decreasing counter (the
+// front). Links moving the same way are numbered in their old (before-load
+// desc, rank asc) order, fallers in reverse, so among themselves they keep
+// that order. Why this is the stable sort: take two links a, b that end
+// with equal loads (unequal loads are ordered by load in both), and assume
+// (load, rank) gave the old order before the step.
 //
-// so after a removal the unchanged links (already in correct relative
-// order) are merged with the re-sorted changed links in O(L + K log K),
-// instead of re-sorting everything in O(L log L).
+//   1. both unchanged: same loads, same ranks, same relative order as
+//      before — which is what the stable sort keeps;
+//   2. a rose, b unchanged: a was below b's load before, hence behind b;
+//      a's new rank exceeds every existing rank, so a stays behind b;
+//   3. a fell, b unchanged: a was above b's load before, hence ahead of b;
+//      a's new rank is below every existing rank, so a stays ahead;
+//   4. both rose: the stable sort keeps their old relative order; the
+//      increasing counter numbers them in exactly that order;
+//   5. both fell: same, with the decreasing counter walked in reverse so
+//      the one that was ahead gets the smaller rank;
+//   6. a rose, b fell: before the step a was below the common new load and
+//      b above it, so b was ahead; b's rank is negative-going and a's
+//      positive-going, so b stays ahead.
 //
-// The index also keeps a membership list per link — the indices of the
-// communications whose path DAG still contains the link, heaviest-first —
-// so the "largest communication using this link" scan is O(members)
-// instead of O(nc); lists are compacted lazily by the caller. Links whose
-// scan proves permanently unremovable are retire()d: they are skipped in
-// O(1) and purged from the order on the next rebuild (the caller's
-// monotonicity argument lives in path_remover.cpp).
+// Two views use the ranks:
+//
+//   * LoadIndex (PR): a winner (tournament) tree over the links keyed by
+//     (load, rank). top() is the first live link; retire() empties a leaf;
+//     a step re-fixes only the root paths of the K changed leaves, each
+//     stopping at the first node whose winner is unchanged — O(K log L) at
+//     worst, and a level or two for a link that stays cold. It also keeps a membership list per link — the indices
+//     of the communications whose path DAG still contains the link,
+//     heaviest-first — so the "largest communication using this link" scan
+//     is O(members) instead of O(nc); lists are compacted lazily by the
+//     caller.
+//   * LoadOrder (XYI): the materialized sorted order, walked from the top
+//     after every move (about 29 links deep on the paper's 8×8 regime). A
+//     step merges the re-sorted changed links back into the unchanged
+//     ones, O(L + K log K).
 #pragma once
 
 #include <cstdint>
@@ -42,11 +64,11 @@
 namespace pamr {
 
 /// First-touch snapshots of stored link loads across one incremental update
-/// (a PR removal, an XYI move), so the caller can hand LoadIndex::reorder
-/// exactly the links whose stored double actually changed — including the
-/// ulp-sized perturbations a -w/+w round trip can leave on a link both the
-/// old and new state touch (IEEE addition is not associative, and the
-/// reference loops' next sort sees the perturbed bits).
+/// (a PR removal, an XYI move), so the indexes re-rank exactly the links
+/// whose stored double actually changed — including the ulp-sized
+/// perturbations a -w/+w round trip can leave on a link both the old and new
+/// state touch (IEEE addition is not associative, and the reference loops'
+/// next sort sees the perturbed bits) — and know which way each one moved.
 struct TouchLog {
   std::vector<LinkId> links;
   std::vector<double> before;
@@ -68,10 +90,49 @@ struct TouchLog {
   }
 };
 
+/// The seed's stable-sort tie-break as one rank per link (see file comment).
+class LinkRanks {
+ public:
+  /// Ranks start at LinkId.
+  explicit LinkRanks(std::int32_t num_links);
+
+  [[nodiscard]] std::int64_t rank(LinkId link) const {
+    return rank_[static_cast<std::size_t>(link)];
+  }
+
+  /// True iff `a` comes before `b` in (load desc, rank asc) order.
+  [[nodiscard]] bool precedes(LinkId a, LinkId b, const LinkLoads& loads) const {
+    const double la = loads.load(a);
+    const double lb = loads.load(b);
+    if (la != lb) return la > lb;
+    return rank(a) < rank(b);
+  }
+
+  /// Applies the rise→back / fall→front rule to every logged link whose
+  /// stored load now differs from its snapshot, and returns those links in
+  /// log order (valid until the next call).
+  const std::vector<LinkId>& update(const TouchLog& log, const LinkLoads& loads);
+
+ private:
+  struct Mover {
+    double before;
+    std::int64_t rank;
+    LinkId link;
+  };
+
+  std::vector<std::int64_t> rank_;
+  std::int64_t next_back_;        ///< next rank for a riser (above every rank)
+  std::int64_t next_front_ = -1;  ///< next rank for a faller (below every rank)
+  std::vector<LinkId> changed_;
+  std::vector<Mover> risers_;
+  std::vector<Mover> fallers_;
+};
+
+/// PR's index: the first live link in (load desc, rank asc) order from a
+/// winner tree, plus per-link member lists.
 class LoadIndex {
  public:
-  /// Captures the seed's first round: the identity permutation stably
-  /// sorted by the initial loads (ties by LinkId).
+  /// Captures the seed's first round: ties in LinkId order.
   LoadIndex(std::int32_t num_links, const LinkLoads& loads);
 
   // ------------------------------------------------------- membership --
@@ -86,47 +147,85 @@ class LoadIndex {
   }
 
   // ------------------------------------------------------------ order --
-  /// Walk support: the current descending-load order. Retired links stay
-  /// in the order until the next reorder() purges them; skip them via
-  /// is_retired().
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
-  [[nodiscard]] LinkId link_at(std::size_t at) const { return order_[at]; }
+  /// The first live link in (load desc, rank asc) order — the seed's
+  /// stable-sort order with retired links skipped; kInvalidLink once every
+  /// link is retired.
+  [[nodiscard]] LinkId top() const { return tree_[1].link; }
 
-  /// Marks a link permanently unremovable. It is skipped by callers and
-  /// dropped from the order on the next reorder(); any later load change
-  /// reported for it is ignored (its relative order can never matter
-  /// again).
+  /// Marks a link permanently unremovable: it is never returned by top()
+  /// again, and any later load change reported for it is ignored (its
+  /// relative order can never matter again).
   void retire(LinkId link);
   [[nodiscard]] bool is_retired(LinkId link) const {
-    return retired_[static_cast<std::size_t>(link)] != 0;
+    return tree_[leaves_ + static_cast<std::size_t>(link)].link == kInvalidLink;
   }
 
-  /// Re-establishes sorted order after one removal changed the stored
-  /// loads of `changed` (each currently in the order, unless retired;
-  /// duplicates not allowed). Exactly equivalent to the seed's
-  /// stable_sort of the persistent order vector by the new loads.
-  /// At PAMR_CHECK_LEVEL >= 2 every call re-verifies the full structural
-  /// invariant against `loads` (O(L) per removal).
-  void reorder(const std::vector<LinkId>& changed, const LinkLoads& loads);
+  /// Re-ranks the links whose stored load changed across `log` and re-fixes
+  /// their tree paths. Exactly equivalent to the seed's stable_sort of the
+  /// persistent order vector by the new loads. At PAMR_CHECK_LEVEL >= 2
+  /// every call re-verifies the whole tree against `loads` (O(L)).
+  void reorder(const TouchLog& log, const LinkLoads& loads);
 
-  /// Verifies the index's structural invariants against the current loads:
-  /// order_/pos_ agree, no link appears twice, and live links are in
-  /// non-increasing load order. Throws pamr::InvariantError (category
-  /// "load-index") on the first violation — an order that has drifted from
-  /// `loads` means some load change was never reported to reorder(), which
-  /// is exactly the corruption that silently changes PR's removal order.
-  /// Called automatically from reorder() under the paranoid check level;
-  /// always callable directly (tests do).
+  /// Verifies every tree node against the current loads: each leaf holds
+  /// its own link's current (load, rank) key or nothing (retired), and each
+  /// inner node holds the winner of its two children. Throws pamr::InvariantError
+  /// (category "load-index") on the first violation — a stale node means
+  /// some load change was never reported to reorder(), which is exactly the
+  /// corruption that silently changes PR's removal order. Called
+  /// automatically from reorder() under the paranoid check level; always
+  /// callable directly (tests do).
   void check_invariants(const LinkLoads& loads) const;
 
  private:
-  std::vector<LinkId> order_;          ///< live links, (load desc, history) order
-  std::vector<std::int32_t> pos_;      ///< link -> index in order_ (stale once purged)
-  std::vector<char> retired_;          ///< link -> permanently unremovable
-  std::vector<char> changed_mark_;     ///< scratch: link is in `changed`
+  /// A link with its (load, rank) key, copied in so that a comparison reads
+  /// two adjacent nodes. An empty node (retired leaf, padding) has load
+  /// -inf and loses to every link.
+  struct Node {
+    double load;
+    std::int64_t rank;
+    LinkId link;
+
+    friend bool operator==(const Node&, const Node&) = default;
+  };
+
+  [[nodiscard]] Node leaf_key(LinkId link, const LinkLoads& loads) const;
+  [[nodiscard]] Node winner(std::size_t node) const;
+  void refix(LinkId link, Node leaf);
+
+  LinkRanks ranks_;
+  std::size_t leaves_;      ///< first leaf node; a power of two ≥ the link count
+  std::vector<Node> tree_;  ///< [1, leaves_) winners, [leaves_, 2·leaves_) leaves
+  std::vector<std::vector<std::uint32_t>> members_;
+};
+
+/// XYI's index: every link in (load desc, rank asc) order, for a walk from
+/// the top.
+class LoadOrder {
+ public:
+  /// Captures the seed's first round: ties in LinkId order.
+  LoadOrder(std::int32_t num_links, const LinkLoads& loads);
+
+  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
+  [[nodiscard]] LinkId link_at(std::size_t at) const { return order_[at]; }
+
+  /// Re-ranks the links whose stored load changed across `log` and merges
+  /// them back into the order. Exactly equivalent to the seed's stable_sort
+  /// of the persistent order vector by the new loads. Returns the changed
+  /// links in log order (valid until the next call). At PAMR_CHECK_LEVEL >=
+  /// 2 every call re-verifies the whole order against `loads` (O(L)).
+  const std::vector<LinkId>& reorder(const TouchLog& log, const LinkLoads& loads);
+
+  /// Verifies that the order is a permutation of the links in strict
+  /// (load desc, rank asc) order. Throws pamr::InvariantError (category
+  /// "load-index") on the first violation.
+  void check_invariants(const LinkLoads& loads) const;
+
+ private:
+  LinkRanks ranks_;
+  std::vector<LinkId> order_;
+  std::vector<char> changed_mark_;     ///< scratch: link changed this step
   std::vector<LinkId> merge_scratch_;  ///< scratch: next order_ being built
   std::vector<LinkId> resort_scratch_; ///< scratch: changed links, re-sorted
-  std::vector<std::vector<std::uint32_t>> members_;
 };
 
 }  // namespace pamr

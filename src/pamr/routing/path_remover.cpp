@@ -25,10 +25,12 @@
 //     removal. Kept (selectable via Mode::kReference) as the ground truth
 //     for differential tests.
 //   * route_incremental (default) — answers "most loaded link, heaviest
-//     communication using it" from a LoadIndex: the materialized sorted
-//     order, merge-updated only for the links whose stored load actually
-//     changed, plus per-link heaviest-first membership lists. Links whose
-//     scan finds no removable member are retired permanently: every
+//     communication using it" from a LoadIndex: a winner tree over the
+//     links keyed by (load, rank), whose rank encodes the seed's stable
+//     re-sort and is updated, with the tree, only for the links whose
+//     stored load actually changed (O(K log L) per removal), plus per-link
+//     heaviest-first membership lists. Links whose scan finds no removable
+//     member are retired permanently — their leaf is emptied: every
 //     surviving member holds them in a singleton cut, cuts only shrink,
 //     and membership only dies, so such a link can never yield a removal
 //     again.
@@ -237,20 +239,17 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   std::size_t active = count_multi_path(states);
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
   TouchLog log(static_cast<std::size_t>(mesh.num_links()));
-  std::vector<LinkId> changed;
   std::size_t removals = 0;
 
   const std::size_t none = states.size();
   while (active > 0) {
-    // Selection: walk the maintained (load desc, stable history) order;
-    // the first link with a member whose cut keeps ≥ 2 links is exactly
-    // the reference's choice.
+    // Selection: take live links in (load desc, rank asc) order; the first
+    // one with a member whose cut keeps ≥ 2 links is exactly the
+    // reference's choice.
     LinkId link = kInvalidLink;
     std::size_t chosen = none;
     std::int32_t depth = -1;
-    for (std::size_t at = 0; at < index.size(); ++at) {
-      const LinkId cand = index.link_at(at);
-      if (index.is_retired(cand)) continue;
+    for (LinkId cand = index.top(); cand != kInvalidLink; cand = index.top()) {
       if (loads.load(cand) <= 0.0) break;  // same early break as the reference
       const Coord tail = mesh.link(cand).from;
       auto& members = index.members(cand);
@@ -288,11 +287,7 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     std::erase(state.cuts[static_cast<std::size_t>(depth)], link);
     state.prune(mesh, scratch);
     state.apply_spread_tracked(weight, loads, log);
-    changed.clear();
-    for (std::size_t i = 0; i < log.links.size(); ++i) {
-      if (loads.load(log.links[i]) != log.before[i]) changed.push_back(log.links[i]);
-    }
-    index.reorder(changed, loads);
+    index.reorder(log, loads);
     log.clear();
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);

@@ -93,7 +93,7 @@ class XYImproverRouter final : public Router {
   /// (default) drives the descent through a CrossingIndex (link→crossing
   /// communications, plus one cached best candidate per (link, member),
   /// reused while the member's comm stamp is older than the slot) and a
-  /// LoadIndex (merge-maintained hot-link order);
+  /// LoadOrder (rank-keyed, merge-maintained hot-link order);
   /// kReference is the seed's loop — a full stable_sort of every mesh link
   /// and an every-communication rescan per move — kept for differential
   /// testing. Both produce bit-identical routings, including the
@@ -128,8 +128,8 @@ class XYImproverRouter final : public Router {
 class PathRemoverRouter final : public Router {
  public:
   /// Implementation selector. kIncremental drives the removal loop through
-  /// the LoadIndex (merge-maintained sorted order + per-link membership
-  /// lists) and is the default; kReference is the seed's loop — a full
+  /// the LoadIndex (rank-keyed winner tree + per-link membership lists)
+  /// and is the default; kReference is the seed's loop — a full
   /// stable_sort of every mesh link and a rescan of every communication
   /// per removal — kept for differential testing. Both produce
   /// bit-identical routings: most-loaded link first with the seed's

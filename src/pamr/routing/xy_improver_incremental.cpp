@@ -7,11 +7,14 @@
 // hot-prefix link that was already known to have no improving move. This
 // file removes all three without changing a single decision:
 //
-//   * hot-link order: a LoadIndex (the PR remover's merge-maintained sorted
-//     order) re-sorted only for the links whose stored load actually
-//     changed under a move. The seed's stable_sort of a persistent order
-//     vector makes the tie-break history-dependent; LoadIndex::reorder
-//     reproduces it bit for bit (see load_index.hpp).
+//   * hot-link order: a LoadOrder, the materialized (load desc, rank asc)
+//     order, into which only the links whose stored load actually changed
+//     under a move are re-ranked and merged back. The seed's stable_sort of
+//     a persistent order vector makes the tie-break history-dependent; the
+//     per-link rank shared with PR's LoadIndex reproduces it bit for bit
+//     (see load_index.hpp). The walk restarts at the top after every move
+//     and goes only a few dozen links deep, so a sorted array serves it
+//     better than PR's winner tree.
 //   * crossings: a CrossingIndex maps each link to the communications whose
 //     current path crosses it, in ascending order — the reference's scan
 //     order — and is patched per move from the rewritten window only.
@@ -78,7 +81,7 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
 
   // == the reference's first resort(): identity order stably sorted by the
   // initial loads.
-  LoadIndex index(mesh.num_links(), loads);
+  LoadOrder index(mesh.num_links(), loads);
   CrossingIndex crossings(mesh, comms.size());
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
     crossings.add_initial_path(static_cast<std::uint32_t>(ci), paths[ci]);
@@ -94,7 +97,6 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   const std::size_t cap = xyi::move_cap(mesh, comms.size());
   std::size_t moves = 0;
   TouchLog log(static_cast<std::size_t>(mesh.num_links()));
-  std::vector<LinkId> changed;
   std::vector<Coord> old_cores;
 
   // Counter totals, bumped in bulk after the descent: two obs calls per
@@ -166,16 +168,10 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
       ++moves;
       obs::bump(obs::Metric::kXyiMoves);
       crossings.apply_rewrite(static_cast<std::uint32_t>(best_comm), old_cores, cores);
-      changed.clear();
-      for (std::size_t i = 0; i < log.links.size(); ++i) {
-        if (loads.load(log.links[i]) != log.before[i]) {
-          changed.push_back(log.links[i]);
-          crossings.note_load_change(log.links[i]);
-          cost_now[static_cast<std::size_t>(log.links[i])] =
-              cost(loads.load(log.links[i]));
-        }
+      for (const LinkId link : index.reorder(log, loads)) {
+        crossings.note_load_change(link);
+        cost_now[static_cast<std::size_t>(link)] = cost(loads.load(link));
       }
-      index.reorder(changed, loads);
       log.clear();
       if (trace_ != nullptr) {
         trace_->penalized_totals.push_back(cost.total(loads.values()));

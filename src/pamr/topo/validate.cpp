@@ -48,27 +48,30 @@ ValidationResult validate_structure(const Topology& topology, const CommSet& com
   for (std::size_t i = 0; i < comms.size(); ++i) {
     const Communication& comm = comms[i];
     const CommRouting& routed = routing.per_comm[i];
-    const std::string tag = "communication #" + std::to_string(i) + " " + to_string(comm);
-    if (routed.flows.empty()) return fail(tag + ": no flows");
+    // Built only on failure: this runs on every routed instance.
+    const auto tag = [&] {
+      return "communication #" + std::to_string(i) + " " + to_string(comm);
+    };
+    if (routed.flows.empty()) return fail(tag() + ": no flows");
     if (max_paths != 0 && routed.flows.size() > max_paths) {
-      return fail(tag + ": " + std::to_string(routed.flows.size()) +
+      return fail(tag() + ": " + std::to_string(routed.flows.size()) +
                   " flows exceed the rule's s=" + std::to_string(max_paths));
     }
     double sum = 0.0;
     for (const RoutedFlow& flow : routed.flows) {
-      if (flow.weight <= 0.0) return fail(tag + ": non-positive flow weight");
+      if (flow.weight <= 0.0) return fail(tag() + ": non-positive flow weight");
       if (flow.path.src != comm.src || flow.path.snk != comm.snk) {
-        return fail(tag + ": flow endpoints differ from the communication's");
+        return fail(tag() + ": flow endpoints differ from the communication's");
       }
       if (!is_shortest_path(topology, flow.path)) {
-        return fail(tag + ": flow path is not a shortest " +
+        return fail(tag() + ": flow path is not a shortest " +
                     std::string(topology.name()) + " path");
       }
       sum += flow.weight;
     }
     const double scale = std::max(1.0, std::abs(comm.weight));
     if (std::abs(sum - comm.weight) > kWeightTolerance * scale) {
-      return fail(tag + ": flow weights sum to " + std::to_string(sum) +
+      return fail(tag() + ": flow weights sum to " + std::to_string(sum) +
                   ", expected " + std::to_string(comm.weight));
     }
   }

@@ -329,20 +329,26 @@ TEST(ParanoidLoadIndex, DirectSweepCatchesUnreportedLoadChange) {
   loads.add(2, 2.0);
   loads.add(3, 1.0);
   LoadIndex index(4, loads);
+  LoadOrder order(4, loads);
   EXPECT_NO_THROW(index.check_invariants(loads));
+  EXPECT_NO_THROW(order.check_invariants(loads));
 
   // Corrupt: bump a cold link's load past the hot one WITHOUT telling
   // reorder() — the stored order is now stale, which is exactly the bug
   // class that silently changes PR's removal order.
   loads.add(3, 10.0);
-  try {
-    index.check_invariants(loads);
-    FAIL() << "corrupted index passed its invariant sweep";
-  } catch (const InvariantError& e) {
-    EXPECT_EQ(e.category(), "load-index");
-    EXPECT_NE(std::string(e.what()).find("never reported"), std::string::npos)
-        << e.what();
-  }
+  const auto expect_caught = [](const auto& sweep) {
+    try {
+      sweep();
+      FAIL() << "corrupted index passed its invariant sweep";
+    } catch (const InvariantError& e) {
+      EXPECT_EQ(e.category(), "load-index");
+      EXPECT_NE(std::string(e.what()).find("never reported"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_caught([&] { index.check_invariants(loads); });
+  expect_caught([&] { order.check_invariants(loads); });
 }
 
 TEST(ParanoidLoadIndex, ReorderSweepsAutomaticallyUnderParanoidBuilds) {
@@ -351,17 +357,54 @@ TEST(ParanoidLoadIndex, ReorderSweepsAutomaticallyUnderParanoidBuilds) {
   loads.add(1, 2.0);
   loads.add(2, 1.0);
   LoadIndex index(3, loads);
+  LoadOrder order(3, loads);
+  const TouchLog empty(3);
 
   loads.add(2, 9.0);  // unreported corruption, as above
   if (compiled_check_level() >= 2) {
     // Paranoid library builds (sanitizer CI) sweep after every reorder; an
-    // empty changed set leaves the stale order in place, so the sweep
-    // must throw.
-    EXPECT_THROW(index.reorder({}, loads), InvariantError);
+    // empty log leaves the stale order in place, so the sweep must throw.
+    EXPECT_THROW(index.reorder(empty, loads), InvariantError);
+    EXPECT_THROW(order.reorder(empty, loads), InvariantError);
   } else {
     // Default builds skip the automatic sweep — reorder accepts the stale
     // order (the direct sweep above is how it would be caught).
-    EXPECT_NO_THROW(index.reorder({}, loads));
+    EXPECT_NO_THROW(index.reorder(empty, loads));
+    EXPECT_NO_THROW(order.reorder(empty, loads));
+  }
+}
+
+TEST(ParanoidLoadIndex, StaleTreeNodeBelowTheTopIsCaughtUnderParanoidBuilds) {
+  // An unreported change below the top: top() still names the right link,
+  // so only the full node sweep sees the stale nodes under it (link 3's
+  // leaf key, and the inner node that ranks link 2 above link 3).
+  LinkLoads loads(4);
+  loads.add(0, 4.0);
+  loads.add(1, 3.0);
+  loads.add(2, 2.0);
+  loads.add(3, 1.0);
+  LoadIndex index(4, loads);
+  loads.add(3, 1.5);  // link 3 now outranks link 2, unreported
+  ASSERT_EQ(index.top(), 0);
+
+  // An honest, reported change elsewhere triggers the automatic sweep.
+  TouchLog log(4);
+  log.record(0, loads.load(0));
+  loads.add(0, 1.0);
+  if (compiled_check_level() >= 2) {
+    try {
+      index.reorder(log, loads);
+      FAIL() << "stale winner-tree node passed the paranoid sweep";
+    } catch (const InvariantError& e) {
+      EXPECT_EQ(e.category(), "load-index");
+      EXPECT_NE(std::string(e.what()).find("winner-tree node"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("never reported"), std::string::npos)
+          << e.what();
+    }
+  } else {
+    EXPECT_NO_THROW(index.reorder(log, loads));
+    EXPECT_THROW(index.check_invariants(loads), InvariantError);
   }
 }
 
@@ -372,11 +415,17 @@ TEST(ParanoidLoadIndex, ReorderKeepsInvariantsOnHonestUpdates) {
   loads.add(2, 2.0);
   loads.add(3, 1.0);
   LoadIndex index(4, loads);
+  LoadOrder order(4, loads);
 
-  loads.add(3, 10.0);            // link 3 becomes the hottest...
-  index.reorder({3}, loads);     // ...and reorder is told about it
+  TouchLog log(4);
+  log.record(3, loads.load(3));
+  loads.add(3, 10.0);          // link 3 becomes the hottest...
+  index.reorder(log, loads);   // ...and reorder is told about it
+  order.reorder(log, loads);
   EXPECT_NO_THROW(index.check_invariants(loads));
-  EXPECT_EQ(index.link_at(0), 3);
+  EXPECT_NO_THROW(order.check_invariants(loads));
+  EXPECT_EQ(index.top(), 3);
+  EXPECT_EQ(order.link_at(0), 3);
 }
 
 TEST(ParanoidCsvStream, AppendUnderMismatchedHeaderIsCaughtWhenParanoid) {

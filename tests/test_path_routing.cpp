@@ -187,5 +187,55 @@ TEST(Validate, RejectsBandwidthViolation) {
   EXPECT_TRUE(validate_structure(mesh, comms, routing, 1).ok);
 }
 
+TEST(Validate, StructureMessagesArePinned) {
+  // Every rejection of validate_structure, with the exact text the routers'
+  // finish() check reports. The tag naming the communication is built only
+  // on failure; these strings pin that deferring it changed no message.
+  const Mesh mesh(3, 3);
+  const CommSet comms{{{0, 1}, {1, 2}, 100.0}, {{0, 0}, {2, 2}, 3.0}};
+  const auto base = [&] {
+    return make_single_path_routing(
+        comms, {xy_path(mesh, {0, 1}, {1, 2}), xy_path(mesh, {0, 0}, {2, 2})});
+  };
+  const auto message = [&](const Routing& routing, std::size_t max_paths) {
+    const ValidationResult result = validate_structure(mesh, comms, routing, max_paths);
+    EXPECT_FALSE(result.ok);
+    return result.error;
+  };
+  const std::string tag = "communication #1 C(0,0)->C(2,2) @ 3.0 Mb/s";
+  ASSERT_TRUE(validate_structure(mesh, comms, base(), 1).ok);
+
+  Routing short_routing = base();
+  short_routing.per_comm.pop_back();
+  EXPECT_EQ(message(short_routing, 1), "routing covers 1 communications, expected 2");
+
+  Routing no_flows = base();
+  no_flows.per_comm[1].flows.clear();
+  EXPECT_EQ(message(no_flows, 1), tag + ": no flows");
+
+  Routing split = base();
+  split.per_comm[1].flows[0].weight = 1.5;
+  split.per_comm[1].flows.push_back(RoutedFlow{yx_path(mesh, {0, 0}, {2, 2}), 1.5});
+  EXPECT_EQ(message(split, 1), tag + ": 2 flows exceed the rule's s=1");
+  EXPECT_TRUE(validate_structure(mesh, comms, split, 2).ok);
+
+  Routing zero_weight = base();
+  zero_weight.per_comm[1].flows[0].weight = 0.0;
+  EXPECT_EQ(message(zero_weight, 1), tag + ": non-positive flow weight");
+
+  Routing wrong_sink = base();
+  wrong_sink.per_comm[1].flows[0].path = xy_path(mesh, {0, 0}, {2, 1});
+  EXPECT_EQ(message(wrong_sink, 1), tag + ": flow endpoints differ from the communication's");
+
+  Routing detour = base();
+  detour.per_comm[1].flows[0].path = xy_path(mesh, {0, 0}, {2, 1});
+  detour.per_comm[1].flows[0].path.snk = {2, 2};
+  EXPECT_EQ(message(detour, 1), tag + ": flow path is not a Manhattan shortest path");
+
+  Routing short_sum = split;
+  short_sum.per_comm[1].flows[1].weight = 1.0;
+  EXPECT_EQ(message(short_sum, 2), tag + ": flow weights sum to 2.500000, expected 3.000000");
+}
+
 }  // namespace
 }  // namespace pamr

@@ -272,6 +272,56 @@ TEST(TopoValidate, RoutedInstancesAreVcDeadlockFree) {
   }
 }
 
+TEST(TopoValidate, StructureMessagesArePinned) {
+  // Every rejection of the topology validate_structure, with its exact text;
+  // as in the mesh validator, the communication tag is built only on failure.
+  const TorusTopology topology(4, 4);
+  const CommSet comms{{{0, 1}, {1, 2}, 100.0}, {{0, 0}, {1, 1}, 3.0}};
+  const auto base = [&] {
+    return make_single_path_routing(comms, {topology.canonical_path({0, 1}, {1, 2}),
+                                            topology.canonical_path({0, 0}, {1, 1})});
+  };
+  const auto message = [&](const Routing& routing, std::size_t max_paths) {
+    const ValidationResult result =
+        validate_structure(topology, comms, routing, max_paths);
+    EXPECT_FALSE(result.ok);
+    return result.error;
+  };
+  const std::string tag = "communication #1 C(0,0)->C(1,1) @ 3.0 Mb/s";
+  ASSERT_TRUE(validate_structure(topology, comms, base(), 1).ok);
+
+  Routing short_routing = base();
+  short_routing.per_comm.pop_back();
+  EXPECT_EQ(message(short_routing, 1), "routing covers 1 communications, expected 2");
+
+  Routing no_flows = base();
+  no_flows.per_comm[1].flows.clear();
+  EXPECT_EQ(message(no_flows, 1), tag + ": no flows");
+
+  Routing split = base();
+  split.per_comm[1].flows[0].weight = 1.5;
+  split.per_comm[1].flows.push_back(split.per_comm[1].flows[0]);
+  EXPECT_EQ(message(split, 1), tag + ": 2 flows exceed the rule's s=1");
+  EXPECT_TRUE(validate_structure(topology, comms, split, 2).ok);
+
+  Routing zero_weight = base();
+  zero_weight.per_comm[1].flows[0].weight = 0.0;
+  EXPECT_EQ(message(zero_weight, 1), tag + ": non-positive flow weight");
+
+  Routing wrong_sink = base();
+  wrong_sink.per_comm[1].flows[0].path = topology.canonical_path({0, 0}, {1, 2});
+  EXPECT_EQ(message(wrong_sink, 1), tag + ": flow endpoints differ from the communication's");
+
+  Routing detour = base();
+  detour.per_comm[1].flows[0].path = topology.canonical_path({0, 0}, {1, 2});
+  detour.per_comm[1].flows[0].path.snk = {1, 1};
+  EXPECT_EQ(message(detour, 1), tag + ": flow path is not a shortest torus path");
+
+  Routing short_sum = split;
+  short_sum.per_comm[1].flows[1].weight = 1.0;
+  EXPECT_EQ(message(short_sum, 2), tag + ": flow weights sum to 2.500000, expected 3.000000");
+}
+
 TEST(TopoValidate, TorusAllEastRingNeedsTheDatelineClasses) {
   // The adversarial case for wraparound: eight flows (0,k)→(0,(k+2)%8) all
   // travelling East close a cycle around the ring. On a single channel the
