@@ -19,21 +19,6 @@ CommRect::CommRect(const Mesh& mesh, Coord src, Coord snk)
              "communication endpoints outside mesh");
 }
 
-bool CommRect::offsets(Coord c, std::int32_t& a, std::int32_t& b) const noexcept {
-  // With a zero step sign the rectangle is degenerate along that axis and
-  // the offset must be zero.
-  const std::int32_t raw_a = su_ != 0 ? (c.u - src_.u) * su_ : c.u - src_.u;
-  const std::int32_t raw_b = sv_ != 0 ? (c.v - src_.v) * sv_ : c.v - src_.v;
-  if (raw_a < 0 || raw_a > du_ || raw_b < 0 || raw_b > dv_) return false;
-  a = raw_a;
-  b = raw_b;
-  return true;
-}
-
-Coord CommRect::cell_at(std::int32_t a, std::int32_t b) const noexcept {
-  return {src_.u + su_ * a, src_.v + sv_ * b};
-}
-
 bool CommRect::contains(Coord c) const noexcept {
   std::int32_t a = 0;
   std::int32_t b = 0;
@@ -47,46 +32,11 @@ std::int32_t CommRect::depth(Coord c) const noexcept {
   return a + b;
 }
 
-std::vector<Coord> CommRect::cells_at_depth(std::int32_t t) const {
-  std::vector<Coord> cells;
-  if (t < 0 || t > length()) return cells;
-  const std::int32_t a_lo = std::max<std::int32_t>(0, t - dv_);
-  const std::int32_t a_hi = std::min(du_, t);
-  cells.reserve(static_cast<std::size_t>(a_hi - a_lo + 1));
-  for (std::int32_t a = a_lo; a <= a_hi; ++a) cells.push_back(cell_at(a, t - a));
-  return cells;
-}
-
 std::int32_t CommRect::width_at_depth(std::int32_t t) const noexcept {
   if (t < 0 || t > length()) return 0;
   const std::int32_t a_lo = std::max<std::int32_t>(0, t - dv_);
   const std::int32_t a_hi = std::min(du_, t);
   return a_hi - a_lo + 1;
-}
-
-std::vector<CommRect::Step> CommRect::next_steps(Coord c) const {
-  std::vector<Step> steps;
-  std::int32_t a = 0;
-  std::int32_t b = 0;
-  if (!offsets(c, a, b)) return steps;
-  steps.reserve(2);
-  if (a < du_) {
-    const Coord to = cell_at(a + 1, b);
-    steps.push_back(Step{mesh_->link_between(c, to), to});
-  }
-  if (b < dv_) {
-    const Coord to = cell_at(a, b + 1);
-    steps.push_back(Step{mesh_->link_between(c, to), to});
-  }
-  return steps;
-}
-
-std::vector<LinkId> CommRect::cut_links(std::int32_t t) const {
-  std::vector<LinkId> cut;
-  for (const Coord c : cells_at_depth(t)) {
-    for (const Step& s : next_steps(c)) cut.push_back(s.link);
-  }
-  return cut;
 }
 
 std::int32_t CommRect::cut_size(std::int32_t t) const noexcept {
@@ -99,15 +49,6 @@ std::int32_t CommRect::cut_size(std::int32_t t) const noexcept {
     if (t - a < dv_) ++count;   // horizontal step available
   }
   return count;
-}
-
-std::vector<LinkId> CommRect::all_links() const {
-  std::vector<LinkId> links;
-  for (std::int32_t t = 0; t < length(); ++t) {
-    const auto cut = cut_links(t);
-    links.insert(links.end(), cut.begin(), cut.end());
-  }
-  return links;
 }
 
 }  // namespace pamr

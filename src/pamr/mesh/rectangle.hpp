@@ -9,8 +9,9 @@
 // this structure instead of re-deriving the geometry.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "pamr/mesh/diagonal.hpp"
 #include "pamr/mesh/mesh.hpp"
@@ -49,10 +50,6 @@ class CommRect {
     return cell_at(a, b);
   }
 
-  /// Cells of the rectangle at the given depth t ∈ [0, length()], ordered by
-  /// increasing row offset.
-  [[nodiscard]] std::vector<Coord> cells_at_depth(std::int32_t t) const;
-
   /// Number of cells at depth t (no allocation).
   [[nodiscard]] std::int32_t width_at_depth(std::int32_t t) const noexcept;
 
@@ -61,26 +58,86 @@ class CommRect {
     Coord to;
   };
 
+  /// The ≤2 monotone steps out of a cell, held by value: vertical first,
+  /// then horizontal.
+  class Steps {
+   public:
+    void push_back(const Step& step) noexcept { items_[size_++] = step; }
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+    [[nodiscard]] const Step& operator[](std::size_t i) const noexcept { return items_[i]; }
+    [[nodiscard]] const Step& front() const noexcept { return items_[0]; }
+    [[nodiscard]] const Step* begin() const noexcept { return items_.data(); }
+    [[nodiscard]] const Step* end() const noexcept { return items_.data() + size_; }
+
+   private:
+    std::array<Step, 2> items_{};
+    std::size_t size_ = 0;
+  };
+
   /// The ≤2 monotone steps from `c` that remain inside the rectangle
   /// (vertical first, then horizontal, for deterministic iteration order).
-  [[nodiscard]] std::vector<Step> next_steps(Coord c) const;
+  /// Defined inline: SG and IG ask for it at every hop.
+  [[nodiscard]] Steps next_steps(Coord c) const {
+    Steps steps;
+    std::int32_t a = 0;
+    std::int32_t b = 0;
+    if (!offsets(c, a, b)) return steps;
+    if (a < du_) {
+      const Coord to = cell_at(a + 1, b);
+      steps.push_back(Step{mesh_->link_between(c, to), to});
+    }
+    if (b < dv_) {
+      const Coord to = cell_at(a, b + 1);
+      steps.push_back(Step{mesh_->link_between(c, to), to});
+    }
+    return steps;
+  }
 
-  /// All links crossing from depth t to depth t+1 inside the rectangle —
-  /// the per-communication cut used by IG's virtual pre-routing and PR.
-  [[nodiscard]] std::vector<LinkId> cut_links(std::int32_t t) const;
+  /// Visits the cut from depth t to depth t+1 in place, as
+  /// `visit(Coord from, const Step& step)`: cells by ascending row offset,
+  /// each cell's vertical step before its horizontal one — the
+  /// per-communication cut of IG's virtual pre-routing and of PR. Nothing
+  /// is visited for t outside [0, length()).
+  template <class Visit>
+  void visit_cut(std::int32_t t, Visit&& visit) const {
+    if (t < 0 || t >= length()) return;
+    const std::int32_t a_lo = t > dv_ ? t - dv_ : 0;
+    const std::int32_t a_hi = t < du_ ? t : du_;
+    for (std::int32_t a = a_lo; a <= a_hi; ++a) {
+      const std::int32_t b = t - a;
+      const Coord from = cell_at(a, b);
+      if (a < du_) {
+        const Coord to = cell_at(a + 1, b);
+        visit(from, Step{mesh_->link_between(from, to), to});
+      }
+      if (b < dv_) {
+        const Coord to = cell_at(a, b + 1);
+        visit(from, Step{mesh_->link_between(from, to), to});
+      }
+    }
+  }
 
   /// Number of links in cut t (closed form: cells at depth t each contribute
   /// their in-rectangle steps).
   [[nodiscard]] std::int32_t cut_size(std::int32_t t) const noexcept;
 
-  /// Every monotone link of the rectangle (union of all cuts).
-  [[nodiscard]] std::vector<LinkId> all_links() const;
-
  private:
   /// Offset of a cell from src along the quadrant's step directions:
   /// a = rows advanced (0..du), b = columns advanced (0..dv).
-  [[nodiscard]] bool offsets(Coord c, std::int32_t& a, std::int32_t& b) const noexcept;
-  [[nodiscard]] Coord cell_at(std::int32_t a, std::int32_t b) const noexcept;
+  [[nodiscard]] bool offsets(Coord c, std::int32_t& a, std::int32_t& b) const noexcept {
+    // With a zero step sign the rectangle is degenerate along that axis and
+    // the offset must be zero.
+    const std::int32_t raw_a = su_ != 0 ? (c.u - src_.u) * su_ : c.u - src_.u;
+    const std::int32_t raw_b = sv_ != 0 ? (c.v - src_.v) * sv_ : c.v - src_.v;
+    if (raw_a < 0 || raw_a > du_ || raw_b < 0 || raw_b > dv_) return false;
+    a = raw_a;
+    b = raw_b;
+    return true;
+  }
+  [[nodiscard]] Coord cell_at(std::int32_t a, std::int32_t b) const noexcept {
+    return {src_.u + su_ * a, src_.v + sv_ * b};
+  }
 
   const Mesh* mesh_;
   Coord src_;

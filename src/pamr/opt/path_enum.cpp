@@ -63,23 +63,22 @@ Path min_cost_manhattan_path(const CommRect& rect, const LinkCostFn& cost) {
   value[mesh.core_index(rect.snk())] = 0.0;
 
   for (std::int32_t t = rect.length() - 1; t >= 0; --t) {
-    for (const Coord cell : rect.cells_at_depth(t)) {
-      double best = std::numeric_limits<double>::infinity();
-      CommRect::Step best_step;
-      for (const CommRect::Step& step : rect.next_steps(cell)) {
-        const auto it = value.find(mesh.core_index(step.to));
-        PAMR_ASSERT(it != value.end());
-        const double total = cost(step.link) + it->second;
-        // Strict '<': next_steps lists the vertical step first, so exact
-        // ties resolve to it deterministically.
-        if (total < best) {
-          best = total;
-          best_step = step;
-        }
+    // The cut lists each cell's steps together, vertical first, so a cell's
+    // running minimum sees them in next_steps order.
+    rect.visit_cut(t, [&](Coord cell, const CommRect::Step& step) {
+      const auto it = value.find(mesh.core_index(step.to));
+      PAMR_ASSERT(it != value.end());
+      const double total = cost(step.link) + it->second;
+      const std::int32_t key = mesh.core_index(cell);
+      double& best = value.try_emplace(key, std::numeric_limits<double>::infinity())
+                         .first->second;
+      CommRect::Step& best_step = choice[key];
+      // Strict '<': exact ties resolve to the vertical step deterministically.
+      if (total < best) {
+        best = total;
+        best_step = step;
       }
-      value[mesh.core_index(cell)] = best;
-      choice[mesh.core_index(cell)] = best_step;
-    }
+    });
   }
 
   Path path;

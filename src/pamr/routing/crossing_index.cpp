@@ -21,30 +21,44 @@ void erase_unordered(std::vector<std::uint32_t>& list, std::uint32_t value) {
 
 }  // namespace
 
-CrossingIndex::CrossingIndex(const Mesh& mesh, std::size_t num_comms)
+CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
     : mesh_(&mesh),
       members_(static_cast<std::size_t>(mesh.num_links())),
       slots_(static_cast<std::size_t>(mesh.num_links())),
       visitors_(static_cast<std::size_t>(mesh.num_cores())),
-      comm_stamp_(num_comms, 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
-      core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0) {}
-
-void CrossingIndex::add_initial_path(std::uint32_t comm,
-                                     const std::vector<Coord>& cores) {
-  for (std::size_t k = 0; k + 1 < cores.size(); ++k) {
-    const LinkId link = mesh_->link_between(cores[k], cores[k + 1]);
-    auto& list = members_[static_cast<std::size_t>(link)];
-    PAMR_ASSERT(list.empty() || list.back() < comm);  // registration order
-    list.push_back(comm);
-    slots_[static_cast<std::size_t>(link)].emplace_back();
+      comm_stamp_(paths.size(), 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
+      core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0) {
+  std::vector<std::uint32_t> link_count(members_.size(), 0);
+  std::vector<std::uint32_t> core_count(visitors_.size(), 0);
+  for (std::size_t ci = 0; ci < paths.size(); ++ci) {
+    for (const LinkId link : paths.links(ci)) ++link_count[static_cast<std::size_t>(link)];
+    for (const Coord core : paths.cores(ci)) {
+      ++core_count[static_cast<std::size_t>(mesh.core_index(core))];
+    }
   }
-  for (const Coord core : cores) {
-    visitors_[static_cast<std::size_t>(mesh_->core_index(core))].push_back(comm);
+  for (std::size_t link = 0; link < members_.size(); ++link) {
+    members_[link].reserve(link_count[link]);
+    slots_[link].reserve(link_count[link]);
+  }
+  for (std::size_t core = 0; core < visitors_.size(); ++core) {
+    visitors_[core].reserve(core_count[core]);
+  }
+  for (std::size_t ci = 0; ci < paths.size(); ++ci) {
+    const auto comm = static_cast<std::uint32_t>(ci);
+    for (const LinkId link : paths.links(ci)) {
+      auto& list = members_[static_cast<std::size_t>(link)];
+      PAMR_ASSERT(list.empty() || list.back() < comm);  // registration order
+      list.push_back(comm);
+      slots_[static_cast<std::size_t>(link)].emplace_back();
+    }
+    for (const Coord core : paths.cores(ci)) {
+      visitors_[static_cast<std::size_t>(mesh.core_index(core))].push_back(comm);
+    }
   }
 }
 
-void CrossingIndex::apply_rewrite(std::uint32_t comm, const std::vector<Coord>& before,
-                                  const std::vector<Coord>& after) {
+void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> before,
+                                  std::span<const Coord> after) {
   PAMR_ASSERT(before.size() == after.size());
   obs::bump(obs::Metric::kXyiIndexRewrites);
   ++epoch_;

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pamr/mesh/coord.hpp"
@@ -53,11 +54,10 @@ class CrossingIndex {
     std::uint64_t stamp = 0;
   };
 
-  CrossingIndex(const Mesh& mesh, std::size_t num_comms);
-
-  /// Registers a communication's initial path (as visited cores). Call in
-  /// increasing `comm` order so member lists start out sorted.
-  void add_initial_path(std::uint32_t comm, const std::vector<Coord>& cores);
+  /// Registers every communication's initial path, in increasing index
+  /// order so member lists start out sorted. Each list is sized exactly by
+  /// a count pass first.
+  CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths);
 
   /// Communications whose current path crosses `link`, ascending.
   [[nodiscard]] const std::vector<std::uint32_t>& members(LinkId link) const {
@@ -83,8 +83,8 @@ class CrossingIndex {
   /// A move rewrote `comm`'s path from `before` to `after` (same length,
   /// shared prefix/suffix): advances the move epoch, stamps `comm` dirty and
   /// re-indexes exactly the changed window's links and cores.
-  void apply_rewrite(std::uint32_t comm, const std::vector<Coord>& before,
-                     const std::vector<Coord>& after);
+  void apply_rewrite(std::uint32_t comm, std::span<const Coord> before,
+                     std::span<const Coord> after);
 
   /// The stored load of `link` changed under the current move: stamps every
   /// communication whose path passes within one hop of it (the set whose

@@ -50,10 +50,10 @@ namespace {
 /// the virtual pre-routing of Figure 3 and its removal.
 void apply_virtual_spread(const CommRect& rect, double weight, LinkLoads& loads) {
   for (std::int32_t t = 0; t < rect.length(); ++t) {
-    const auto cut = rect.cut_links(t);
-    PAMR_ASSERT(!cut.empty());
-    const double share = weight / static_cast<double>(cut.size());
-    for (const LinkId link : cut) loads.add(link, share);
+    const std::int32_t size = rect.cut_size(t);
+    PAMR_ASSERT(size > 0);
+    const double share = weight / static_cast<double>(size);
+    rect.visit_cut(t, [&](Coord, const CommRect::Step& step) { loads.add(step.link, share); });
   }
 }
 
@@ -66,9 +66,9 @@ double scan_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
   double bound = 0.0;
   for (std::int32_t t = 0; t < rest.length(); ++t) {
     double best = std::numeric_limits<double>::infinity();
-    for (const LinkId link : rest.cut_links(t)) {
-      best = std::min(best, cost(loads.load(link) + weight));
-    }
+    rest.visit_cut(t, [&](Coord, const CommRect::Step& step) {
+      best = std::min(best, cost(loads.load(step.link) + weight));
+    });
     bound += best;
   }
   return bound;
@@ -89,7 +89,7 @@ double remaining_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
 ///
 /// Layout: slots hold cost(load + δ_i) for every cut link of the full
 /// rectangle, depth-major, cells by ascending row offset, vertical step
-/// before horizontal per cell — exactly CommRect::cut_links order. Per
+/// before horizontal per cell — exactly CommRect::visit_cut order. Per
 /// depth, cell_start_ records each cell's first slot plus one sentinel, so
 /// the sub-rectangle window [a_lo, a_hi] at full depth t is the contiguous
 /// slot range [cell_start(t, a_lo), cell_start(t, a_hi + 1)).
@@ -221,7 +221,10 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
     apply_virtual_spread(rect, -comm.weight, loads);
     cache.build(rect, comm.weight, loads, cost);
 
-    std::vector<Coord> cores{comm.src};
+    Path& path = paths[index];
+    path.src = comm.src;
+    path.snk = comm.snk;
+    path.links.reserve(static_cast<std::size_t>(rect.length()));
     Coord at = comm.src;
     while (at != comm.snk) {
       const auto steps = rect.next_steps(at);
@@ -254,10 +257,9 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
       }
       loads.add(chosen->link, comm.weight);
       cache.reload(chosen->link, loads, cost);
-      cores.push_back(chosen->to);
+      path.links.push_back(chosen->link);
       at = chosen->to;
     }
-    paths[index] = path_from_cores(mesh, cores);
   }
 
   return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
@@ -286,7 +288,10 @@ RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
     const CommRect& rect = rects[index];
     apply_virtual_spread(rect, -comm.weight, loads);
 
-    std::vector<Coord> cores{comm.src};
+    Path& path = paths[index];
+    path.src = comm.src;
+    path.snk = comm.snk;
+    path.links.reserve(static_cast<std::size_t>(rect.length()));
     Coord at = comm.src;
     while (at != comm.snk) {
       const auto steps = rect.next_steps(at);
@@ -306,10 +311,9 @@ RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
         }
       }
       loads.add(chosen->link, comm.weight);
-      cores.push_back(chosen->to);
+      path.links.push_back(chosen->link);
       at = chosen->to;
     }
-    paths[index] = path_from_cores(mesh, cores);
   }
 
   return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),

@@ -58,17 +58,13 @@ constexpr double kEmptyLoad = -std::numeric_limits<double>::infinity();
 
 LoadIndex::LoadIndex(std::int32_t num_links, const LinkLoads& loads)
     : ranks_(num_links),
-      leaves_(std::bit_ceil(std::max<std::size_t>(static_cast<std::size_t>(num_links), 1))),
-      tree_(2 * leaves_, Node{kEmptyLoad, 0, kInvalidLink}),
-      members_(static_cast<std::size_t>(num_links)) {
+      num_links_(static_cast<std::size_t>(num_links)),
+      leaves_(std::bit_ceil(std::max<std::size_t>(num_links_, 1))),
+      tree_(2 * leaves_, Node{kEmptyLoad, 0, kInvalidLink}) {
   for (LinkId link = 0; link < num_links; ++link) {
     tree_[leaves_ + static_cast<std::size_t>(link)] = leaf_key(link, loads);
   }
   for (std::size_t node = leaves_ - 1; node >= 1; --node) tree_[node] = winner(node);
-}
-
-void LoadIndex::add_member(LinkId link, std::uint32_t comm) {
-  members_[static_cast<std::size_t>(link)].push_back(comm);
 }
 
 LoadIndex::Node LoadIndex::leaf_key(LinkId link, const LinkLoads& loads) const {
@@ -114,7 +110,7 @@ void LoadIndex::check_invariants(const LinkLoads& loads) const {
     const Node& held = tree_[leaves_ + leaf];
     if (held.link == kInvalidLink) continue;  // retired or padding
     PAMR_INVARIANT_ALWAYS("load-index",
-                          leaf < members_.size() && held.link == static_cast<LinkId>(leaf),
+                          leaf < num_links_ && held.link == static_cast<LinkId>(leaf),
                           "winner-tree leaf " + std::to_string(leaf) + " holds another link");
     PAMR_INVARIANT_ALWAYS(
         "load-index", held == leaf_key(held.link, loads),

@@ -41,14 +41,11 @@
 // Two views use the ranks:
 //
 //   * LoadIndex (PR): a winner (tournament) tree over the links keyed by
-//     (load, rank). top() is the first live link; retire() empties a leaf;
-//     a step re-fixes only the root paths of the K changed leaves, each
-//     stopping at the first node whose winner is unchanged — O(K log L) at
-//     worst, and a level or two for a link that stays cold. It also keeps a membership list per link — the indices
-//     of the communications whose path DAG still contains the link,
-//     heaviest-first — so the "largest communication using this link" scan
-//     is O(members) instead of O(nc); lists are compacted lazily by the
-//     caller.
+//     (load, rank). top() is the first live link; retire() empties a leaf.
+//     A step re-fixes only the root paths of the K changed leaves, each
+//     stopping at the first node whose winner is unchanged: O(K log L) at
+//     worst, and a level or two for a link that stays cold. PR's per-link
+//     membership lists live next to its states (path_remover.cpp).
 //   * LoadOrder (XYI): the materialized sorted order, walked from the top
 //     after every move (about 29 links deep on the paper's 8×8 regime). A
 //     step merges the re-sorted changed links back into the unchanged
@@ -129,24 +126,12 @@ class LinkRanks {
 };
 
 /// PR's index: the first live link in (load desc, rank asc) order from a
-/// winner tree, plus per-link member lists.
+/// winner tree.
 class LoadIndex {
  public:
   /// Captures the seed's first round: ties in LinkId order.
   LoadIndex(std::int32_t num_links, const LinkLoads& loads);
 
-  // ------------------------------------------------------- membership --
-  /// Appends `comm` to the link's member list. Call in heaviest-first
-  /// (order_by_decreasing_weight) order at construction time so the list
-  /// order matches the reference scan order.
-  void add_member(LinkId link, std::uint32_t comm);
-
-  /// Mutable member list, for the caller's lazy compaction during scans.
-  [[nodiscard]] std::vector<std::uint32_t>& members(LinkId link) {
-    return members_[static_cast<std::size_t>(link)];
-  }
-
-  // ------------------------------------------------------------ order --
   /// The first live link in (load desc, rank asc) order — the seed's
   /// stable-sort order with retired links skipped; kInvalidLink once every
   /// link is retired.
@@ -193,9 +178,9 @@ class LoadIndex {
   void refix(LinkId link, Node leaf);
 
   LinkRanks ranks_;
+  std::size_t num_links_;
   std::size_t leaves_;      ///< first leaf node; a power of two ≥ the link count
   std::vector<Node> tree_;  ///< [1, leaves_) winners, [leaves_, 2·leaves_) leaves
-  std::vector<std::vector<std::uint32_t>> members_;
 };
 
 /// XYI's index: every link in (load desc, rank asc) order, for a walk from

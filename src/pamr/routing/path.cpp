@@ -34,6 +34,7 @@ Path xy_path(const Mesh& mesh, Coord src, Coord snk) {
   Path path;
   path.src = src;
   path.snk = snk;
+  path.links.reserve(static_cast<std::size_t>(manhattan_distance(src, snk)));
   Coord at = src;
   const std::int32_t sv = sign_of(snk.v - src.v);
   while (at.v != snk.v) {
@@ -54,6 +55,7 @@ Path yx_path(const Mesh& mesh, Coord src, Coord snk) {
   Path path;
   path.src = src;
   path.snk = snk;
+  path.links.reserve(static_cast<std::size_t>(manhattan_distance(src, snk)));
   Coord at = src;
   const std::int32_t su = sign_of(snk.u - src.u);
   while (at.u != snk.u) {
@@ -89,13 +91,10 @@ bool is_manhattan(const Mesh& mesh, const Path& path) {
 
 std::string to_string(const Mesh& mesh, const Path& path) {
   std::string out = to_string(path.src);
-  Coord at = path.src;
   for (const LinkId id : path.links) {
     const LinkInfo& info = mesh.link(id);
     out += std::string(" ") + to_cstring(info.dir) + " " + to_string(info.to);
-    at = info.to;
   }
-  (void)at;
   return out;
 }
 

@@ -18,7 +18,7 @@
 // removal strictly shrinks the union of allowed links, so termination is
 // structural.
 //
-// Two implementations share the CommState machinery below:
+// Two implementations share the CommStates machinery below:
 //
 //   * route_reference — the seed loop: every removal re-sorts all mesh
 //     links by load and rescans every communication, O(L log L + nc) per
@@ -29,20 +29,21 @@
 //     links keyed by (load, rank), whose rank encodes the seed's stable
 //     re-sort and is updated, with the tree, only for the links whose
 //     stored load actually changed (O(K log L) per removal), plus per-link
-//     heaviest-first membership lists. Links whose scan finds no removable
-//     member are retired permanently — their leaf is emptied: every
-//     surviving member holds them in a singleton cut, cuts only shrink,
-//     and membership only dies, so such a link can never yield a removal
-//     again.
+//     heaviest-first membership lists (MemberLists, one CSR array). Links
+//     whose scan finds no removable member are retired permanently — their
+//     leaf is emptied: every surviving member holds them in a singleton
+//     cut, cuts only shrink, and membership only dies, so such a link can
+//     never yield a removal again.
 //
 // Both clean up after a removal with the same full reachability sweep
-// (CommState::prune). Both order removals identically — most-loaded link
+// (CommStates::prune). Both order removals identically — most-loaded link
 // first with the seed's stable-history tie-break (see load_index.hpp),
 // heaviest communication first with ties by original index — and keep the
 // load array bit-identical at every decision point (see
 // apply_spread_tracked), so the routings they produce are bit-identical.
 #include <algorithm>
 #include <numeric>
+#include <span>
 
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/obs/obs.hpp"
@@ -56,7 +57,7 @@ namespace pamr {
 
 namespace {
 
-/// Reusable reachability buffers for CommState::prune: cells are marked
+/// Reusable reachability buffers for CommStates::prune: cells are marked
 /// with the current epoch instead of re-allocating (and re-zeroing) two
 /// per-core vectors on every removal, as the seed did.
 struct PruneScratch {
@@ -68,37 +69,59 @@ struct PruneScratch {
       : forward(num_cores, 0), backward(num_cores, 0) {}
 };
 
-/// Per-communication path-DAG state.
-struct CommState {
-  CommRect rect;
-  std::vector<char> allowed;             ///< indexed by LinkId, 1 = usable
-  std::vector<std::vector<LinkId>> cuts; ///< allowed links per depth t
-
-  CommState(const Mesh& mesh, const Communication& comm)
-      : rect(mesh, comm.src, comm.snk),
-        allowed(static_cast<std::size_t>(mesh.num_links()), 0) {
-    cuts.resize(static_cast<std::size_t>(rect.length()));
-    for (std::int32_t t = 0; t < rect.length(); ++t) {
-      cuts[static_cast<std::size_t>(t)] = rect.cut_links(t);
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
-        allowed[static_cast<std::size_t>(link)] = 1;
+/// Every communication's path-DAG state, in flat stores shared by both
+/// modes. Communication i's cuts are consecutive (begin, size) ranges of one
+/// link store, one per depth t; a cut only ever shrinks in place, keeping
+/// the order of its survivors (cells by ascending row offset, vertical step
+/// first — CommRect::visit_cut order). `allowed` is one nc × L byte array.
+class CommStates {
+ public:
+  CommStates(const Mesh& mesh, const CommSet& comms)
+      : num_links_(static_cast<std::size_t>(mesh.num_links())),
+        allowed_(comms.size() * num_links_, 0) {
+    rects_.reserve(comms.size());
+    depth_base_.reserve(comms.size() + 1);
+    for (std::size_t i = 0; i < comms.size(); ++i) {
+      const CommRect& rect = rects_.emplace_back(mesh, comms[i].src, comms[i].snk);
+      depth_base_.push_back(cuts_.size());
+      for (std::int32_t t = 0; t < rect.length(); ++t) {
+        const auto begin = static_cast<std::uint32_t>(links_.size());
+        rect.visit_cut(t, [&](Coord, const CommRect::Step& step) {
+          links_.push_back(step.link);
+          allowed_[i * num_links_ + static_cast<std::size_t>(step.link)] = 1;
+        });
+        cuts_.push_back({begin, static_cast<std::uint32_t>(links_.size()) - begin});
       }
     }
+    depth_base_.push_back(cuts_.size());
   }
 
-  [[nodiscard]] bool is_single_path() const noexcept {
-    for (const auto& cut : cuts) {
-      if (cut.size() != 1) return false;
+  [[nodiscard]] std::size_t size() const noexcept { return rects_.size(); }
+  [[nodiscard]] const CommRect& rect(std::size_t i) const { return rects_[i]; }
+
+  [[nodiscard]] bool allowed(std::size_t i, LinkId link) const {
+    return allowed_[i * num_links_ + static_cast<std::size_t>(link)] != 0;
+  }
+
+  /// Allowed links of communication i at depth t.
+  [[nodiscard]] std::span<const LinkId> cut(std::size_t i, std::int32_t t) const {
+    const Range& range = cuts_[depth_base_[i] + static_cast<std::size_t>(t)];
+    return {links_.data() + range.begin, range.size};
+  }
+
+  [[nodiscard]] bool is_single_path(std::size_t i) const noexcept {
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      if (cuts_[d].size != 1) return false;
     }
     return true;
   }
 
   /// Adds (sign × δ/m_t) for every allowed link of every cut.
-  void apply_spread(double weight, LinkLoads& loads) const {
-    for (const auto& cut : cuts) {
-      PAMR_ASSERT(!cut.empty());
-      const double share = weight / static_cast<double>(cut.size());
-      for (const LinkId link : cut) loads.add(link, share);
+  void apply_spread(std::size_t i, double weight, LinkLoads& loads) const {
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      PAMR_ASSERT(cuts_[d].size != 0);
+      const double share = weight / static_cast<double>(cuts_[d].size);
+      for (const LinkId link : range_links(d)) loads.add(link, share);
     }
   }
 
@@ -108,30 +131,44 @@ struct CommState {
   /// bit for bit (IEEE addition is not associative, so even an unchanged
   /// cut's -share/+share round trip can perturb a stored load by an ulp,
   /// and the reference's next sort sees the perturbed value).
-  void apply_spread_tracked(double weight, LinkLoads& loads, TouchLog& log) const {
-    for (const auto& cut : cuts) {
-      PAMR_ASSERT(!cut.empty());
-      const double share = weight / static_cast<double>(cut.size());
-      for (const LinkId link : cut) {
+  void apply_spread_tracked(std::size_t i, double weight, LinkLoads& loads,
+                            TouchLog& log) const {
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      PAMR_ASSERT(cuts_[d].size != 0);
+      const double share = weight / static_cast<double>(cuts_[d].size);
+      for (const LinkId link : range_links(d)) {
         log.record(link, loads.load(link));
         loads.add(link, share);
       }
     }
   }
 
-  /// Rebuilds `cuts` from `allowed`, dropping links that are not on any
-  /// surviving src→snk path (forward ∩ backward reachability over depths).
-  void prune(const Mesh& mesh, PruneScratch& scratch) {
-    const std::int32_t len = rect.length();
-    if (len == 0) return;
+  /// Disallows `link` and drops it from cut t of communication i, keeping
+  /// the order of the rest.
+  void remove(std::size_t i, std::int32_t t, LinkId link) {
+    allowed_[i * num_links_ + static_cast<std::size_t>(link)] = 0;
+    Range& range = cuts_[depth_base_[i] + static_cast<std::size_t>(t)];
+    LinkId* const first = links_.data() + range.begin;
+    LinkId* const last = std::remove(first, first + range.size, link);
+    range.size = static_cast<std::uint32_t>(last - first);
+  }
+
+  /// Rebuilds communication i's cuts from `allowed`, dropping links that
+  /// are not on any surviving src→snk path (forward ∩ backward
+  /// reachability over depths).
+  void prune(std::size_t i, const Mesh& mesh, PruneScratch& scratch) {
+    const CommRect& rect = rects_[i];
+    if (rect.length() == 0) return;
+    const std::size_t first = depth_base_[i];
+    const std::size_t last = depth_base_[i + 1];
     const std::uint64_t epoch = ++scratch.epoch;
     // Reachability per cell, keyed by depth-local enumeration.
     auto cell_key = [&](Coord c) {
       return static_cast<std::size_t>(mesh.core_index(c));
     };
     scratch.forward[cell_key(rect.src())] = epoch;
-    for (std::int32_t t = 0; t < len; ++t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
+    for (std::size_t d = first; d < last; ++d) {
+      for (const LinkId link : range_links(d)) {
         const LinkInfo& info = mesh.link(link);
         if (scratch.forward[cell_key(info.from)] == epoch) {
           scratch.forward[cell_key(info.to)] = epoch;
@@ -139,71 +176,141 @@ struct CommState {
       }
     }
     scratch.backward[cell_key(rect.snk())] = epoch;
-    for (std::int32_t t = len - 1; t >= 0; --t) {
-      for (const LinkId link : cuts[static_cast<std::size_t>(t)]) {
+    for (std::size_t d = last; d-- > first;) {
+      for (const LinkId link : range_links(d)) {
         const LinkInfo& info = mesh.link(link);
         if (scratch.backward[cell_key(info.to)] == epoch) {
           scratch.backward[cell_key(info.from)] = epoch;
         }
       }
     }
-    for (auto& cut : cuts) {
-      std::erase_if(cut, [&](LinkId link) {
+    char* const allowed = allowed_.data() + i * num_links_;
+    for (std::size_t d = first; d < last; ++d) {
+      Range& range = cuts_[d];
+      std::uint32_t keep = range.begin;
+      for (std::uint32_t at = range.begin; at < range.begin + range.size; ++at) {
+        const LinkId link = links_[at];
         const LinkInfo& info = mesh.link(link);
         const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
                            scratch.forward[cell_key(info.from)] == epoch &&
                            scratch.backward[cell_key(info.to)] == epoch;
-        if (!alive) allowed[static_cast<std::size_t>(link)] = 0;
-        return !alive;
-      });
-      PAMR_ASSERT_MSG(!cut.empty(), "prune emptied a cut — connectivity broken");
+        if (alive) {
+          links_[keep++] = link;
+        } else {
+          allowed[static_cast<std::size_t>(link)] = 0;
+        }
+      }
+      range.size = keep - range.begin;
+      PAMR_ASSERT_MSG(range.size != 0, "prune emptied a cut — connectivity broken");
     }
   }
 
-  /// Extracts the unique remaining path once single-path.
-  [[nodiscard]] Path extract_path(const Mesh& mesh) const {
+  /// Extracts communication i's unique remaining path once single-path.
+  [[nodiscard]] Path extract_path(std::size_t i, const Mesh& mesh) const {
+    const CommRect& rect = rects_[i];
     Path path;
     path.src = rect.src();
     path.snk = rect.snk();
-    path.links.reserve(cuts.size());
+    path.links.reserve(depth_base_[i + 1] - depth_base_[i]);
     Coord at = rect.src();
-    for (const auto& cut : cuts) {
-      PAMR_ASSERT(cut.size() == 1);
-      const LinkInfo& info = mesh.link(cut.front());
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      PAMR_ASSERT(cuts_[d].size == 1);
+      const LinkId link = links_[cuts_[d].begin];
+      const LinkInfo& info = mesh.link(link);
       PAMR_ASSERT(info.from == at);
-      path.links.push_back(cut.front());
+      path.links.push_back(link);
       at = info.to;
     }
     PAMR_ASSERT(at == rect.snk());
     return path;
   }
+
+ private:
+  struct Range {
+    std::uint32_t begin;
+    std::uint32_t size;
+  };
+
+  [[nodiscard]] std::span<const LinkId> range_links(std::size_t d) const {
+    return {links_.data() + cuts_[d].begin, cuts_[d].size};
+  }
+
+  std::size_t num_links_;
+  std::vector<CommRect> rects_;
+  std::vector<std::size_t> depth_base_;  ///< comm → first depth range; nc + 1 entries
+  std::vector<Range> cuts_;              ///< (comm, depth) → its links in links_
+  std::vector<LinkId> links_;            ///< every cut, comm-major then depth
+  std::vector<char> allowed_;            ///< comm × link, 1 = usable
+};
+
+/// Per-link membership lists for the incremental mode, in one CSR array:
+/// the indices of the communications whose path DAG still contains the
+/// link, heaviest-first (order_by_decreasing_weight, ties by index), so
+/// the "largest communication using this link" scan is O(members) instead
+/// of O(nc). Filled by a count pass and a fill pass in that order; the
+/// caller compacts a list lazily as membership dies, which keeps it
+/// heaviest-first.
+class MemberLists {
+ public:
+  MemberLists(const CommStates& states, const std::vector<std::size_t>& by_weight,
+              std::int32_t num_links)
+      : begin_(static_cast<std::size_t>(num_links) + 1, 0),
+        size_(static_cast<std::size_t>(num_links), 0) {
+    const auto for_each_membership = [&](auto&& visit) {
+      for (const std::size_t idx : by_weight) {
+        for (std::int32_t t = 0; t < states.rect(idx).length(); ++t) {
+          for (const LinkId link : states.cut(idx, t)) {
+            visit(static_cast<std::size_t>(link), static_cast<std::uint32_t>(idx));
+          }
+        }
+      }
+    };
+    for_each_membership([&](std::size_t link, std::uint32_t) { ++begin_[link + 1]; });
+    for (std::size_t link = 1; link < begin_.size(); ++link) begin_[link] += begin_[link - 1];
+    comms_.resize(begin_.back());
+    for_each_membership([&](std::size_t link, std::uint32_t idx) {
+      comms_[begin_[link] + size_[link]++] = idx;
+    });
+  }
+
+  /// The link's live list, writable for the caller's compaction.
+  [[nodiscard]] std::span<std::uint32_t> members(LinkId link) {
+    const auto at = static_cast<std::size_t>(link);
+    return {comms_.data() + begin_[at], size_[at]};
+  }
+
+  /// Keeps the first `keep` entries of the link's list.
+  void truncate(LinkId link, std::size_t keep) {
+    size_[static_cast<std::size_t>(link)] = static_cast<std::uint32_t>(keep);
+  }
+
+ private:
+  std::vector<std::uint32_t> begin_;  ///< link → first entry; L + 1 entries
+  std::vector<std::uint32_t> size_;   ///< link → live entries
+  std::vector<std::uint32_t> comms_;
 };
 
 /// Builds the initial per-communication spread states onto `loads`.
-std::vector<CommState> make_states(const Mesh& mesh, const CommSet& comms,
-                                   LinkLoads& loads) {
-  std::vector<CommState> states;
-  states.reserve(comms.size());
-  for (const Communication& comm : comms) {
-    states.emplace_back(mesh, comm);
-    states.back().apply_spread(comm.weight, loads);
+CommStates make_states(const Mesh& mesh, const CommSet& comms, LinkLoads& loads) {
+  CommStates states(mesh, comms);
+  for (std::size_t i = 0; i < comms.size(); ++i) {
+    states.apply_spread(i, comms[i].weight, loads);
   }
   return states;
 }
 
-std::size_t count_multi_path(const std::vector<CommState>& states) {
+std::size_t count_multi_path(const CommStates& states) {
   std::size_t active = 0;
-  for (const auto& state : states) {
-    if (!state.is_single_path()) ++active;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    if (!states.is_single_path(i)) ++active;
   }
   return active;
 }
 
-std::vector<Path> extract_paths(const Mesh& mesh,
-                                const std::vector<CommState>& states) {
+std::vector<Path> extract_paths(const Mesh& mesh, const CommStates& states) {
   std::vector<Path> paths;
   paths.reserve(states.size());
-  for (const auto& state : states) paths.push_back(state.extract_path(mesh));
+  for (std::size_t i = 0; i < states.size(); ++i) paths.push_back(states.extract_path(i, mesh));
   return paths;
 }
 
@@ -220,21 +327,13 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                                                  const PowerModel& model) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
-  std::vector<CommState> states = make_states(mesh, comms, loads);
+  CommStates states = make_states(mesh, comms, loads);
 
   // Heaviest-first candidate order within a link (paper: "the largest
-  // communication that uses this link"): member lists are filled in
-  // by_weight order, so each list stays heaviest-first under compaction.
+  // communication that uses this link").
   const std::vector<std::size_t> by_weight = order_by_decreasing_weight(comms);
-
+  MemberLists members(states, by_weight, mesh.num_links());
   LoadIndex index(mesh.num_links(), loads);
-  for (const std::size_t idx : by_weight) {
-    for (const auto& cut : states[idx].cuts) {
-      for (const LinkId link : cut) {
-        index.add_member(link, static_cast<std::uint32_t>(idx));
-      }
-    }
-  }
 
   std::size_t active = count_multi_path(states);
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
@@ -252,21 +351,20 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     for (LinkId cand = index.top(); cand != kInvalidLink; cand = index.top()) {
       if (loads.load(cand) <= 0.0) break;  // same early break as the reference
       const Coord tail = mesh.link(cand).from;
-      auto& members = index.members(cand);
+      const std::span<std::uint32_t> list = members.members(cand);
       std::size_t keep = 0;
-      for (const std::uint32_t idx : members) {
-        CommState& state = states[idx];
-        if (state.allowed[static_cast<std::size_t>(cand)] == 0) continue;  // compact away
-        members[keep++] = idx;
+      for (const std::uint32_t idx : list) {
+        if (!states.allowed(idx, cand)) continue;  // compact away
+        list[keep++] = idx;
         if (chosen != none) continue;  // found earlier; just finish compacting
-        const std::int32_t t = state.rect.depth(tail);
+        const std::int32_t t = states.rect(idx).depth(tail);
         PAMR_ASSERT(t >= 0);
-        if (state.cuts[static_cast<std::size_t>(t)].size() >= 2) {
+        if (states.cut(idx, t).size() >= 2) {
           chosen = idx;
           depth = t;
         }
       }
-      members.resize(keep);
+      members.truncate(cand, keep);
       if (chosen != none) {
         link = cand;
         break;
@@ -280,18 +378,16 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     PAMR_ASSERT_MSG(link != kInvalidLink,
                     "no removable link found while communications remain multi-path");
 
-    CommState& state = states[chosen];
     const double weight = comms[chosen].weight;
-    state.apply_spread_tracked(-weight, loads, log);
-    state.allowed[static_cast<std::size_t>(link)] = 0;
-    std::erase(state.cuts[static_cast<std::size_t>(depth)], link);
-    state.prune(mesh, scratch);
-    state.apply_spread_tracked(weight, loads, log);
+    states.apply_spread_tracked(chosen, -weight, loads, log);
+    states.remove(chosen, depth, link);
+    states.prune(chosen, mesh, scratch);
+    states.apply_spread_tracked(chosen, weight, loads, log);
     index.reorder(log, loads);
     log.clear();
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
-    if (state.is_single_path()) --active;
+    if (states.is_single_path(chosen)) --active;
   }
 
   obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
@@ -304,7 +400,7 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
                                                const PowerModel& model) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
-  std::vector<CommState> states = make_states(mesh, comms, loads);
+  CommStates states = make_states(mesh, comms, loads);
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link").
@@ -326,27 +422,21 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
     for (const LinkId link : order) {
       if (loads.load(link) <= 0.0) break;
       for (const std::size_t index : by_weight) {
-        CommState& state = states[index];
-        if (state.allowed[static_cast<std::size_t>(link)] == 0) continue;
+        if (!states.allowed(index, link)) continue;
         // Find the cut containing this link; removable iff it keeps ≥ 2
         // links (see file comment: in the monotone DAG this preserves
         // src→snk connectivity).
-        const std::int32_t t = [&] {
-          const LinkInfo& info = mesh.link(link);
-          return state.rect.depth(info.from);
-        }();
+        const std::int32_t t = states.rect(index).depth(mesh.link(link).from);
         PAMR_ASSERT(t >= 0);
-        auto& cut = state.cuts[static_cast<std::size_t>(t)];
-        if (cut.size() < 2) continue;
+        if (states.cut(index, t).size() < 2) continue;
 
-        state.apply_spread(-comms[index].weight, loads);
-        state.allowed[static_cast<std::size_t>(link)] = 0;
-        std::erase(cut, link);
-        state.prune(mesh, scratch);
-        state.apply_spread(comms[index].weight, loads);
+        states.apply_spread(index, -comms[index].weight, loads);
+        states.remove(index, t, link);
+        states.prune(index, mesh, scratch);
+        states.apply_spread(index, comms[index].weight, loads);
         ++removals;
         obs::bump(obs::Metric::kPrRemovals);
-        if (state.is_single_path()) --active;
+        if (states.is_single_path(index)) --active;
         removed = true;
         break;
       }

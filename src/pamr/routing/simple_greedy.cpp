@@ -45,7 +45,10 @@ RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comm
   for (const std::size_t index : order_by_decreasing_weight(comms)) {
     const Communication& comm = comms[index];
     const CommRect rect(mesh, comm.src, comm.snk);
-    std::vector<Coord> cores{comm.src};
+    Path& path = paths[index];
+    path.src = comm.src;
+    path.snk = comm.snk;
+    path.links.reserve(static_cast<std::size_t>(rect.length()));
     Coord at = comm.src;
     while (at != comm.snk) {
       const auto steps = rect.next_steps(at);
@@ -66,10 +69,9 @@ RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comm
         }
       }
       loads.add(chosen->link, comm.weight);
-      cores.push_back(chosen->to);
+      path.links.push_back(chosen->link);
       at = chosen->to;
     }
-    paths[index] = path_from_cores(mesh, cores);
   }
 
   return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),

@@ -13,7 +13,6 @@
 // Total Δv + 1 + Δu − 1 = Δu + Δv, matching the paper's count.
 #include <limits>
 
-#include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/assert.hpp"
@@ -23,24 +22,27 @@ namespace pamr {
 
 namespace {
 
-Path staircase_path(const Mesh& mesh, Coord src, Coord snk, bool horizontal_first,
-                    std::int32_t turn) {
-  // horizontal_first: H to column `turn`, V to snk.u, H to snk.v.
-  // !horizontal_first: V to row `turn`, H to snk.v, V to snk.u.
-  std::vector<Coord> cores{src};
+/// Walks a ≤2-bend staircase in path order, calling `visit(from, to)` per
+/// hop. horizontal_first: H to column `turn`, V to snk.u, H to snk.v;
+/// otherwise V to row `turn`, H to snk.v, V to snk.u.
+template <class Visit>
+void walk_staircase(Coord src, Coord snk, bool horizontal_first, std::int32_t turn,
+                    Visit&& visit) {
   Coord at = src;
   auto advance_v = [&](std::int32_t target) {
     const std::int32_t s = sign_of(target - at.v);
     while (at.v != target) {
+      const Coord from = at;
       at.v += s;
-      cores.push_back(at);
+      visit(from, at);
     }
   };
   auto advance_u = [&](std::int32_t target) {
     const std::int32_t s = sign_of(target - at.u);
     while (at.u != target) {
+      const Coord from = at;
       at.u += s;
-      cores.push_back(at);
+      visit(from, at);
     }
   };
   if (horizontal_first) {
@@ -52,31 +54,29 @@ Path staircase_path(const Mesh& mesh, Coord src, Coord snk, bool horizontal_firs
     advance_v(snk.v);
     advance_u(snk.u);
   }
-  return path_from_cores(mesh, cores);
 }
 
-/// All distinct ≤2-bend Manhattan paths, XY first (deterministic tie winner).
-std::vector<Path> two_bend_paths(const Mesh& mesh, Coord src, Coord snk) {
-  std::vector<Path> paths;
-  if (src == snk) {
-    paths.push_back(Path{src, snk, {}});
-    return paths;
-  }
+/// One ≤2-bend candidate: its family and turning row or column.
+struct Staircase {
+  bool horizontal_first = true;
+  std::int32_t turn = 0;
+};
+
+/// Visits every distinct ≤2-bend Manhattan path, XY first (the
+/// deterministic tie winner). A straight line has exactly one, the XY path
+/// (H-V-H turning at the sink column).
+template <class Visit>
+void for_each_two_bend(Coord src, Coord snk, Visit&& visit) {
   if (src.u == snk.u || src.v == snk.v) {
-    paths.push_back(xy_path(mesh, src, snk));  // straight line
-    return paths;
+    visit(Staircase{true, snk.v});
+    return;
   }
   const std::int32_t sv = sign_of(snk.v - src.v);
   // H-V-H family: turning column from v_snk (XY) back to v_src (VH).
-  for (std::int32_t m = snk.v; m != src.v - sv; m -= sv) {
-    paths.push_back(staircase_path(mesh, src, snk, /*horizontal_first=*/true, m));
-  }
+  for (std::int32_t m = snk.v; m != src.v - sv; m -= sv) visit(Staircase{true, m});
   // V-H-V family, interior turning rows only (endpoints duplicate XY / VH).
   const std::int32_t su = sign_of(snk.u - src.u);
-  for (std::int32_t r = src.u + su; r != snk.u; r += su) {
-    paths.push_back(staircase_path(mesh, src, snk, /*horizontal_first=*/false, r));
-  }
-  return paths;
+  for (std::int32_t r = src.u + su; r != snk.u; r += su) visit(Staircase{false, r});
 }
 
 }  // namespace
@@ -90,23 +90,34 @@ RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
 
   for (const std::size_t index : order_by_decreasing_weight(comms)) {
     const Communication& comm = comms[index];
-    const auto candidates = two_bend_paths(mesh, comm.src, comm.snk);
-    PAMR_ASSERT(!candidates.empty());
-    const Path* best = nullptr;
+    // Each candidate is costed along its staircase, link by link in path
+    // order; only the winner is built.
+    bool found = false;
+    Staircase best;
     double best_delta = std::numeric_limits<double>::infinity();
-    for (const Path& candidate : candidates) {
+    for_each_two_bend(comm.src, comm.snk, [&](const Staircase& candidate) {
       double delta = 0.0;
-      for (const LinkId link : candidate.links) {
-        delta += cost.delta(loads.load(link), loads.load(link) + comm.weight);
-      }
+      walk_staircase(comm.src, comm.snk, candidate.horizontal_first, candidate.turn,
+                     [&](Coord from, Coord to) {
+                       const LinkId link = mesh.link_between(from, to);
+                       delta += cost.delta(loads.load(link), loads.load(link) + comm.weight);
+                     });
       if (delta < best_delta) {
         best_delta = delta;
-        best = &candidate;
+        best = candidate;
+        found = true;
       }
-    }
-    PAMR_ASSERT(best != nullptr);
-    loads.add_path(*best, comm.weight);
-    paths[index] = *best;
+    });
+    PAMR_ASSERT(found);
+    Path& path = paths[index];
+    path.src = comm.src;
+    path.snk = comm.snk;
+    path.links.reserve(static_cast<std::size_t>(manhattan_distance(comm.src, comm.snk)));
+    walk_staircase(comm.src, comm.snk, best.horizontal_first, best.turn,
+                   [&](Coord from, Coord to) {
+                     path.links.push_back(mesh.link_between(from, to));
+                   });
+    loads.add_path(path, comm.weight);
   }
 
   return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),

@@ -34,6 +34,7 @@
 // the links a move changed) is transparent for the same reason: it holds
 // the very double a cold evaluation computes.
 #include <bit>
+#include <span>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/crossing_index.hpp"
@@ -64,28 +65,18 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   const WallTimer timer;
   const LoadCost cost(model);
 
-  std::vector<std::vector<Coord>> paths;
-  paths.reserve(comms.size());
-  // Per-comm link ids parallel to paths (path_links[ci][k] joins
-  // paths[ci][k] and paths[ci][k+1]), maintained under applied moves so the
+  // Cores and link ids of every current path in flat per-comm slices; the
   // window walks read the removed-side link id instead of resolving it.
-  std::vector<std::vector<LinkId>> path_links;
-  path_links.reserve(comms.size());
+  xyi::PathStore paths(mesh, comms);
   LinkLoads loads(mesh);
-  for (const Communication& comm : comms) {
-    Path path = xy_path(mesh, comm.src, comm.snk);
-    paths.push_back(cores_of_path(mesh, path));
-    loads.add_path(path, comm.weight);
-    path_links.push_back(std::move(path.links));
+  for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+    for (const LinkId link : paths.links(ci)) loads.add(link, comms[ci].weight);
   }
 
   // == the reference's first resort(): identity order stably sorted by the
   // initial loads.
   LoadOrder index(mesh.num_links(), loads);
-  CrossingIndex crossings(mesh, comms.size());
-  for (std::size_t ci = 0; ci < comms.size(); ++ci) {
-    crossings.add_initial_path(static_cast<std::uint32_t>(ci), paths[ci]);
-  }
+  CrossingIndex crossings(mesh, paths);
 
   // cost(load) of every link at its current load — the unrotated side of
   // every delta term in the windowed evaluation (see xy_moves.hpp).
@@ -97,7 +88,7 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   const std::size_t cap = xyi::move_cap(mesh, comms.size());
   std::size_t moves = 0;
   TouchLog log(static_cast<std::size_t>(mesh.num_links()));
-  std::vector<Coord> old_cores;
+  std::vector<Coord> old_cores;  // the moved path before its rewrite, reused
 
   // Counter totals, bumped in bulk after the descent: two obs calls per
   // route instead of one per member-scan iteration (tens of millions on an
@@ -108,8 +99,9 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   // One member's best candidate rotation across the hot link, evaluated
   // from the current paths and loads.
   const auto evaluate = [&](const LinkInfo& hot_info, std::uint32_t ci) {
-    return xyi::best_candidate(mesh, paths[ci], path_links[ci],
-                               xyi::known_crossing_position(paths[ci], hot_info),
+    const std::span<const Coord> cores = paths.cores(ci);
+    return xyi::best_candidate(mesh, cores, paths.links(ci),
+                               xyi::known_crossing_position(cores, hot_info),
                                !hot_info.horizontal(), comms[ci].weight, loads, cost,
                                cost_now);
   };
@@ -150,18 +142,18 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
     }
 
     if (best.delta < -xyi::kImproveEps) {
-      old_cores = std::move(paths[best_comm]);
-      paths[best_comm] = xyi::materialize(old_cores, best);
-      const auto& cores = paths[best_comm];
+      const std::span<Coord> cores = paths.cores(best_comm);
+      const std::span<LinkId> links = paths.links(best_comm);
+      old_cores.assign(cores.begin(), cores.end());
+      xyi::materialize(old_cores, best, cores);
       const double weight = comms[best_comm].weight;
-      for (std::size_t k = 0; k + 1 < old_cores.size(); ++k) {
-        const LinkId link = mesh.link_between(old_cores[k], old_cores[k + 1]);
+      for (const LinkId link : links) {
         log.record(link, loads.load(link));
         loads.add(link, -weight);
       }
-      for (std::size_t k = 0; k + 1 < cores.size(); ++k) {
+      for (std::size_t k = 0; k < links.size(); ++k) {
         const LinkId link = mesh.link_between(cores[k], cores[k + 1]);
-        path_links[best_comm][k] = link;  // rotations preserve path length
+        links[k] = link;
         log.record(link, loads.load(link));
         loads.add(link, weight);
       }
@@ -186,7 +178,10 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   obs::bump(obs::Metric::kXyiEvalMisses, n_misses);
   std::vector<Path> final_paths;
   final_paths.reserve(comms.size());
-  for (const auto& cores : paths) final_paths.push_back(path_from_cores(mesh, cores));
+  for (std::size_t ci = 0; ci < comms.size(); ++ci) {
+    const std::span<const LinkId> links = paths.links(ci);
+    final_paths.push_back(Path{comms[ci].src, comms[ci].snk, {links.begin(), links.end()}});
+  }
   obs::sample(obs::Metric::kXyiMovesPerCall, moves);
   RouteResult result = finish(mesh, comms, model,
                               make_single_path_routing(comms, std::move(final_paths)),

@@ -11,7 +11,7 @@ namespace pamr::xyi {
 
 namespace {
 
-bool step_is_vertical(const std::vector<Coord>& cores, std::size_t k) {
+bool step_is_vertical(std::span<const Coord> cores, std::size_t k) {
   return cores[k].v == cores[k + 1].v;
 }
 
@@ -24,7 +24,7 @@ struct CandidateBounds {
   std::size_t next = 0;
 };
 
-CandidateBounds candidate_bounds(const std::vector<Coord>& cores, std::size_t i,
+CandidateBounds candidate_bounds(std::span<const Coord> cores, std::size_t i,
                                  bool hot_vertical) {
   CandidateBounds bounds;
   std::size_t prev = i;
@@ -53,7 +53,7 @@ CandidateBounds candidate_bounds(const std::vector<Coord>& cores, std::size_t i,
 /// permutation stays inside the source/sink rectangle, so the full
 /// adjacency checks can never fire. Neither shortcut changes a bit of the
 /// accumulated delta.
-double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
+double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
                        std::span<const LinkId> links, std::size_t j, std::size_t i,
                        bool forward, double weight, const LinkLoads& loads,
                        const LoadCost& cost, std::span<const double> cost_now) {
@@ -84,13 +84,42 @@ double candidate_delta(const Mesh& mesh, const std::vector<Coord>& cores,
 
 }  // namespace
 
-std::vector<Coord> rotate_block(const std::vector<Coord>& cores, std::size_t j,
-                                std::size_t i, bool forward) {
+PathStore::PathStore(const Mesh& mesh, const CommSet& comms) {
+  link_begin_.reserve(comms.size() + 1);
+  link_begin_.push_back(0);
+  for (const Communication& comm : comms) {
+    link_begin_.push_back(link_begin_.back() +
+                          static_cast<std::size_t>(manhattan_distance(comm.src, comm.snk)));
+  }
+  cores_.reserve(link_begin_.back() + comms.size());
+  links_.reserve(link_begin_.back());
+  for (const Communication& comm : comms) {
+    // Horizontal first, then vertical: xy_path's links.
+    Coord at = comm.src;
+    cores_.push_back(at);
+    const auto advance = [&](Coord to) {
+      links_.push_back(mesh.link_between(at, to));
+      cores_.push_back(to);
+      at = to;
+    };
+    const std::int32_t sv = sign_of(comm.snk.v - comm.src.v);
+    while (at.v != comm.snk.v) advance({at.u, at.v + sv});
+    const std::int32_t su = sign_of(comm.snk.u - comm.src.u);
+    while (at.u != comm.snk.u) advance({at.u + su, at.v});
+  }
+  PAMR_ASSERT(links_.size() == link_begin_.back());
+}
+
+void rotate_block(std::span<const Coord> cores, std::size_t j, std::size_t i, bool forward,
+                  std::span<Coord> out) {
+  PAMR_ASSERT(out.size() == cores.size() && i + 1 < cores.size() && j <= i);
   // Steps are cores[k] -> cores[k+1]; rebuild the cores between j and i+1.
-  std::vector<Coord> out(cores.begin(), cores.begin() + static_cast<std::ptrdiff_t>(j) + 1);
+  std::copy(cores.begin(), cores.begin() + static_cast<std::ptrdiff_t>(j) + 1, out.begin());
+  std::size_t at = j;
   auto apply_step = [&](std::size_t k) {
     const Coord delta{cores[k + 1].u - cores[k].u, cores[k + 1].v - cores[k].v};
-    out.push_back({out.back().u + delta.u, out.back().v + delta.v});
+    out[at + 1] = {out[at].u + delta.u, out[at].v + delta.v};
+    ++at;
   };
   if (forward) {
     apply_step(i);
@@ -99,9 +128,9 @@ std::vector<Coord> rotate_block(const std::vector<Coord>& cores, std::size_t j,
     for (std::size_t k = j + 1; k <= i; ++k) apply_step(k);
     apply_step(j);
   }
-  out.insert(out.end(), cores.begin() + static_cast<std::ptrdiff_t>(i) + 2, cores.end());
-  PAMR_ASSERT(out.size() == cores.size());
-  return out;
+  PAMR_ASSERT(at == i + 1);
+  std::copy(cores.begin() + static_cast<std::ptrdiff_t>(i) + 2, cores.end(),
+            out.begin() + static_cast<std::ptrdiff_t>(i) + 2);
 }
 
 double path_swap_delta(const Mesh& mesh, const std::vector<Coord>& before,
@@ -129,7 +158,9 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
   if (i == kNoCrossing) return;
   const bool hot_vertical = !hot_info.horizontal();
 
-  auto consider = [&](std::vector<Coord> candidate) {
+  auto consider = [&](std::size_t first, std::size_t last, bool forward) {
+    std::vector<Coord> candidate(cores.size());
+    rotate_block(cores, first, last, forward, candidate);
     const double delta = path_swap_delta(mesh, cores, candidate, weight, loads, cost);
     if (delta < best.delta) {
       best = Move{ci, std::move(candidate), delta};
@@ -143,11 +174,11 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
   // source side for vertical hot links, sink side for horizontal ones
   // (ties keep the first candidate).
   if (hot_vertical) {
-    if (bounds.has_prev) consider(rotate_block(cores, bounds.prev - 1, i, /*forward=*/false));
-    if (bounds.has_next) consider(rotate_block(cores, i, bounds.next + 1, /*forward=*/true));
+    if (bounds.has_prev) consider(bounds.prev - 1, i, /*forward=*/false);
+    if (bounds.has_next) consider(i, bounds.next + 1, /*forward=*/true);
   } else {
-    if (bounds.has_next) consider(rotate_block(cores, i, bounds.next + 1, /*forward=*/true));
-    if (bounds.has_prev) consider(rotate_block(cores, bounds.prev - 1, i, /*forward=*/false));
+    if (bounds.has_next) consider(i, bounds.next + 1, /*forward=*/true);
+    if (bounds.has_prev) consider(bounds.prev - 1, i, /*forward=*/false);
   }
 }
 
@@ -158,7 +189,7 @@ std::size_t crossing_position(const std::vector<Coord>& cores, const LinkInfo& h
   return kNoCrossing;
 }
 
-Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
+Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                          std::span<const LinkId> links, std::size_t pos,
                          bool hot_vertical, double weight, const LinkLoads& loads,
                          const LoadCost& cost, std::span<const double> cost_now) {
@@ -183,9 +214,9 @@ Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
   return best;
 }
 
-std::vector<Coord> materialize(const std::vector<Coord>& cores, const Candidate& cand) {
+void materialize(std::span<const Coord> cores, const Candidate& cand, std::span<Coord> out) {
   PAMR_ASSERT(cand.delta < std::numeric_limits<double>::infinity());
-  return rotate_block(cores, cand.j, cand.i, cand.forward);
+  rotate_block(cores, cand.j, cand.i, cand.forward, out);
 }
 
 std::size_t move_cap(const Mesh& mesh, std::size_t num_comms) {

@@ -24,6 +24,7 @@
 #include <span>
 #include <vector>
 
+#include "pamr/comm/communication.hpp"
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/router.hpp"
@@ -56,12 +57,42 @@ struct Move {
   double delta = std::numeric_limits<double>::infinity();
 };
 
-/// Rotates the step block [j, i] of `cores` so that the step at one end
-/// moves to the other end (shifting the perpendicular run by one lane).
-/// `forward` = false: step j moves after steps j+1..i (swap with earlier
-/// perpendicular); `forward` = true: step i moves before steps j..i-1.
-[[nodiscard]] std::vector<Coord> rotate_block(const std::vector<Coord>& cores,
-                                              std::size_t j, std::size_t i, bool forward);
+/// Every communication's current path in flat slices (incremental mode):
+/// its visited cores and its link ids, links(ci)[k] joining cores(ci)[k]
+/// and cores(ci)[k+1]. Rotations preserve path length, so each slice keeps
+/// its place for the whole descent.
+class PathStore {
+ public:
+  /// The XY path of every communication (paper §5.4's starting point).
+  PathStore(const Mesh& mesh, const CommSet& comms);
+
+  [[nodiscard]] std::size_t size() const noexcept { return link_begin_.size() - 1; }
+  [[nodiscard]] std::span<Coord> cores(std::size_t ci) {
+    return {cores_.data() + link_begin_[ci] + ci, link_begin_[ci + 1] - link_begin_[ci] + 1};
+  }
+  [[nodiscard]] std::span<const Coord> cores(std::size_t ci) const {
+    return {cores_.data() + link_begin_[ci] + ci, link_begin_[ci + 1] - link_begin_[ci] + 1};
+  }
+  [[nodiscard]] std::span<LinkId> links(std::size_t ci) {
+    return {links_.data() + link_begin_[ci], link_begin_[ci + 1] - link_begin_[ci]};
+  }
+  [[nodiscard]] std::span<const LinkId> links(std::size_t ci) const {
+    return {links_.data() + link_begin_[ci], link_begin_[ci + 1] - link_begin_[ci]};
+  }
+
+ private:
+  std::vector<std::size_t> link_begin_;  ///< ci → first link; nc + 1 entries
+  std::vector<Coord> cores_;             ///< ci's cores start at link_begin_[ci] + ci
+  std::vector<LinkId> links_;
+};
+
+/// Rotates the step block [j, i] of `cores` into `out` (same size, no
+/// aliasing) so that the step at one end moves to the other end (shifting
+/// the perpendicular run by one lane). `forward` = false: step j moves
+/// after steps j+1..i (swap with earlier perpendicular); `forward` = true:
+/// step i moves before steps j..i-1.
+void rotate_block(std::span<const Coord> cores, std::size_t j, std::size_t i, bool forward,
+                  std::span<Coord> out);
 
 /// Cost delta of replacing the links of `before` with those of `after`
 /// (identical prefixes/suffixes cancel exactly because their loads are
@@ -93,7 +124,7 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
 /// sits at that core's Manhattan depth from the source. The always-on
 /// assert rejects a caller whose membership claim is stale.
 [[nodiscard]] inline std::size_t known_crossing_position(
-    const std::vector<Coord>& cores, const LinkInfo& hot_info) {
+    std::span<const Coord> cores, const LinkInfo& hot_info) {
   const std::size_t pos =
       static_cast<std::size_t>(std::abs(hot_info.from.u - cores.front().u) +
                                std::abs(hot_info.from.v - cores.front().v));
@@ -115,15 +146,15 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
 /// ids (links[k] joins cores[k] and cores[k+1], also caller-maintained) so
 /// the removed side of each step is an array read instead of an adjacency
 /// lookup.
-[[nodiscard]] Candidate best_candidate(const Mesh& mesh, const std::vector<Coord>& cores,
+[[nodiscard]] Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                                        std::span<const LinkId> links, std::size_t pos,
                                        bool hot_vertical, double weight,
                                        const LinkLoads& loads, const LoadCost& cost,
                                        std::span<const double> cost_now);
 
-/// Materializes a finite candidate into the rewritten core sequence.
-[[nodiscard]] std::vector<Coord> materialize(const std::vector<Coord>& cores,
-                                             const Candidate& cand);
+/// Materializes a finite candidate: writes the rewritten core sequence
+/// into `out` (same size as `cores`, no aliasing).
+void materialize(std::span<const Coord> cores, const Candidate& cand, std::span<Coord> out);
 
 /// Safety cap on applied moves, scaled with problem size (links × nc) and
 /// floored at the seed's fixed 100000 so small instances keep the old

@@ -1,0 +1,144 @@
+// Heap-allocation budget of the six §5 routers on the paper's 8×8 regime.
+//
+// This binary replaces every global operator new/delete form with a
+// malloc-backed one that counts allocations while a window is open; the
+// window covers exactly one Router::route() call. Each default-mode router
+// must stay within 4·nc + 4·L + 32 allocations per call: a handful of
+// buffers per communication (its routed path and flow list) and per link,
+// plus a constant. Inner loops that build a vector per cell, cut,
+// candidate or move blow through that budget within a few communications.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "paper_instances.hpp"
+#include "pamr/obs/registry.hpp"
+#include "pamr/routing/routers.hpp"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) noexcept {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  const auto alignment = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  const std::size_t rounded = ((size == 0 ? 1 : size) + alignment - 1) / alignment * alignment;
+  return std::aligned_alloc(alignment, rounded);
+}
+
+void* checked(void* ptr) {
+  if (ptr == nullptr) throw std::bad_alloc();
+  return ptr;
+}
+
+}  // namespace
+
+// ------------------------------------------- replaced allocation functions --
+
+void* operator new(std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new[](std::size_t size) { return checked(counted_alloc(size)); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  return checked(counted_aligned_alloc(size, align));
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return checked(counted_aligned_alloc(size, align));
+}
+void* operator new(std::size_t size, std::align_val_t align, const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align,
+                     const std::nothrow_t&) noexcept {
+  return counted_aligned_alloc(size, align);
+}
+
+void operator delete(void* ptr) noexcept { std::free(ptr); }
+void operator delete[](void* ptr) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, const std::nothrow_t&) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete[](void* ptr, std::size_t, std::align_val_t) noexcept { std::free(ptr); }
+void operator delete(void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+void operator delete[](void* ptr, std::align_val_t, const std::nothrow_t&) noexcept {
+  std::free(ptr);
+}
+
+namespace pamr {
+namespace {
+
+/// Runs `body` with the counting window open; returns the allocations it made.
+template <class Body>
+std::uint64_t allocations_in(Body&& body) {
+  g_allocations.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  body();
+  g_counting.store(false, std::memory_order_relaxed);
+  return g_allocations.load(std::memory_order_relaxed);
+}
+
+TEST(AllocBudget, CounterSeesEveryForm) {
+  // Direct calls: a new-expression paired with its delete may be elided.
+  const std::uint64_t counted = allocations_in([] {
+    ::operator delete(::operator new(8));
+    ::operator delete[](::operator new[](16));
+    ::operator delete(::operator new(8, std::nothrow), std::nothrow);
+    ::operator delete(::operator new(64, std::align_val_t{64}), std::align_val_t{64});
+    ::operator delete[](::operator new[](64, std::align_val_t{64}, std::nothrow),
+                        std::align_val_t{64}, std::nothrow);
+  });
+  EXPECT_EQ(counted, 5u);
+  EXPECT_EQ(allocations_in([] {}), 0u);
+}
+
+TEST(AllocBudget, RoutersStayWithinBudgetOnPaperInstances) {
+  // Telemetry off: the budget is the routers', not the registry's.
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(false);
+  for (const paper::Instance& instance : paper::instances()) {
+    const std::uint64_t nc = instance.comms.size();
+    const auto links = static_cast<std::uint64_t>(instance.mesh.num_links());
+    const std::uint64_t budget = 4 * nc + 4 * links + 32;
+    for (const RouterKind kind : all_base_routers()) {
+      const auto router = make_router(kind);
+      RouteResult result;
+      const std::uint64_t counted = allocations_in(
+          [&] { result = router->route(instance.mesh, instance.comms, instance.model); });
+      ASSERT_TRUE(result.routing.has_value());
+      std::printf("  %-34s nc=%-4llu %-3s %6llu allocations (budget %llu)\n",
+                  instance.label.c_str(), static_cast<unsigned long long>(nc),
+                  to_cstring(kind), static_cast<unsigned long long>(counted),
+                  static_cast<unsigned long long>(budget));
+      EXPECT_LE(counted, budget) << instance.label << " " << to_cstring(kind);
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+}  // namespace
+}  // namespace pamr

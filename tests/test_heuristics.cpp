@@ -3,10 +3,13 @@
 // heuristics must beat XY or find solutions XY cannot.
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "pamr/opt/split_router.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/rng.hpp"
+#include "paper_instances.hpp"
 
 namespace pamr {
 namespace {
@@ -205,6 +208,57 @@ TEST(Heuristics, InversePowerIsZeroOnFailure) {
   EXPECT_DOUBLE_EQ(result.inverse_power(), 0.0);
   // The failed routing is still materialized (useful for diagnosis).
   EXPECT_TRUE(result.routing.has_value());
+}
+
+/// FNV-1a over every routed link id (with each path's length as a
+/// separator), then the validity flag and the bits of the power.
+std::uint64_t routing_hash(const RouteResult& result) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const CommRouting& comm : result.routing->per_comm) {
+    for (const RoutedFlow& flow : comm.flows) {
+      mix(flow.path.links.size());
+      for (const LinkId link : flow.path.links) mix(static_cast<std::uint64_t>(link));
+    }
+  }
+  mix(result.valid ? 1 : 0);
+  mix(std::bit_cast<std::uint64_t>(result.power));
+  return hash;
+}
+
+TEST(Heuristics, RoutingsArePinnedOnPaperInstances) {
+  // Every base router on three §6 instances (tests/paper_instances.hpp),
+  // hashed over its link ids and power bits. TB, SG and XY have no
+  // reference mode to be differenced against, so these pins are what
+  // holds their routings fixed. Values recorded before the routers' inner
+  // loops went heap-free. Rows follow paper::instances(); columns
+  // follow all_base_routers() (XY, SG, IG, TB, XYI, PR).
+  constexpr std::uint64_t kPins[3][6] = {
+      {0xd06ce03321fea161, 0xa68d9659207b6718, 0xfd69fbbbe83579e5, 0xa36ba6b291a58e09,
+       0x1dd1e2cb775594a7, 0x10b8675c31749389},
+      {0xc151689e02c4d212, 0xec7dc609792fe2dc, 0xfb84aedcdb14e468, 0x15559215d9668018,
+       0x3e41a8e876da23c9, 0xf14a9bba48877e02},
+      {0x9ec100315d2e1fa4, 0xb5ecd350c4429963, 0x7ca893488f459989, 0x25aad6b1fd23ff5b,
+       0x3078e744b1d2ae2f, 0x2b4c518496a3bd79},
+  };
+  const std::vector<paper::Instance> instances = paper::instances();
+  ASSERT_EQ(instances.size(), 3u);
+  const std::vector<RouterKind> kinds = all_base_routers();
+  for (std::size_t row = 0; row < instances.size(); ++row) {
+    const paper::Instance& instance = instances[row];
+    for (std::size_t col = 0; col < kinds.size(); ++col) {
+      const RouteResult result =
+          make_router(kinds[col])->route(instance.mesh, instance.comms, instance.model);
+      ASSERT_TRUE(result.routing.has_value());
+      EXPECT_EQ(routing_hash(result), kPins[row][col])
+          << instance.label << " " << to_cstring(kinds[col]);
+    }
+  }
 }
 
 TEST(Heuristics, RouterFactoryNamesMatch) {

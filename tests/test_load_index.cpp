@@ -189,17 +189,6 @@ TEST(LoadIndex, RetiredLinksAreNeverReturned) {
   EXPECT_NO_THROW(index.check_invariants(loads));
 }
 
-TEST(LoadIndex, MemberListsKeepInsertionOrder) {
-  const Mesh mesh(2, 2);
-  LinkLoads loads(mesh);
-  LoadIndex index(mesh.num_links(), loads);
-  index.add_member(LinkId{1}, 4);
-  index.add_member(LinkId{1}, 0);
-  index.add_member(LinkId{1}, 2);
-  EXPECT_EQ(index.members(LinkId{1}), (std::vector<std::uint32_t>{4, 0, 2}));
-  EXPECT_TRUE(index.members(LinkId{0}).empty());
-}
-
 // -------------------------------------------------------------- counters --
 
 TEST(LoadIndex, CountersArePinnedOnPaperInstances) {

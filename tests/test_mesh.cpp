@@ -2,7 +2,12 @@
 // (paper §3.3) and the monotone communication rectangles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "pamr/mesh/diagonal.hpp"
 #include "pamr/mesh/mesh.hpp"
@@ -195,30 +200,114 @@ TEST(CommRect, ReversedOrientation) {
   }
 }
 
+/// The rectangle's cells at depth t, found by brute force over the mesh and
+/// ordered by ascending row offset from the source.
+std::vector<Coord> brute_cells_at_depth(const Mesh& mesh, const CommRect& rect,
+                                        std::int32_t t) {
+  std::vector<Coord> cells;
+  for (std::int32_t index = 0; index < mesh.num_cores(); ++index) {
+    const Coord c = mesh.core_coord(index);
+    if (rect.depth(c) == t) cells.push_back(c);
+  }
+  std::sort(cells.begin(), cells.end(), [&](Coord x, Coord y) {
+    return std::abs(x.u - rect.src().u) < std::abs(y.u - rect.src().u);
+  });
+  return cells;
+}
+
+/// The in-rectangle steps out of `c` from raw mesh links: the quadrant's
+/// vertical direction first, then its horizontal one.
+std::vector<CommRect::Step> brute_steps(const Mesh& mesh, const CommRect& rect, Coord c) {
+  std::vector<CommRect::Step> steps;
+  if (!rect.contains(c)) return steps;
+  const QuadrantSteps dirs = quadrant_steps(rect.quadrant());
+  for (const LinkDir dir : {dirs.vertical, dirs.horizontal}) {
+    const LinkId link = mesh.link_from(c, dir);
+    if (link != kInvalidLink && rect.contains(step(c, dir))) {
+      steps.push_back({link, step(c, dir)});
+    }
+  }
+  return steps;
+}
+
 TEST(CommRect, DepthLevelsPartitionTheRectangle) {
   const Mesh mesh(6, 6);
   const CommRect rect(mesh, {1, 4}, {4, 0});  // SW, du=3, dv=4
   std::size_t cells = 0;
   for (std::int32_t t = 0; t <= rect.length(); ++t) {
-    const auto at_depth = rect.cells_at_depth(t);
+    const auto at_depth = brute_cells_at_depth(mesh, rect, t);
     EXPECT_EQ(static_cast<std::int32_t>(at_depth.size()), rect.width_at_depth(t));
-    for (const Coord c : at_depth) EXPECT_EQ(rect.depth(c), t);
     cells += at_depth.size();
   }
   EXPECT_EQ(cells, static_cast<std::size_t>((rect.du() + 1) * (rect.dv() + 1)));
 }
 
-TEST(CommRect, CutSizesAndAllLinks) {
+TEST(CommRect, CutSizesCoverEveryLink) {
   const Mesh mesh(6, 6);
   const CommRect rect(mesh, {0, 0}, {2, 3});
+  std::set<LinkId> links;
   std::size_t total = 0;
   for (std::int32_t t = 0; t < rect.length(); ++t) {
-    EXPECT_EQ(static_cast<std::int32_t>(rect.cut_links(t).size()), rect.cut_size(t));
-    total += rect.cut_links(t).size();
+    std::int32_t visited = 0;
+    rect.visit_cut(t, [&](Coord, const CommRect::Step& s) {
+      ++visited;
+      links.insert(s.link);
+    });
+    EXPECT_EQ(visited, rect.cut_size(t));
+    total += static_cast<std::size_t>(visited);
   }
-  EXPECT_EQ(rect.all_links().size(), total);
+  EXPECT_EQ(links.size(), total);  // the cuts are disjoint
   // Rectangle link count: du*(dv+1) vertical + dv*(du+1) horizontal.
   EXPECT_EQ(total, static_cast<std::size_t>(2 * 4 + 3 * 3));
+  std::int32_t outside = 0;
+  rect.visit_cut(-1, [&](Coord, const CommRect::Step&) { ++outside; });
+  rect.visit_cut(rect.length(), [&](Coord, const CommRect::Step&) { ++outside; });
+  EXPECT_EQ(outside, 0);
+}
+
+TEST(CommRect, CutVisitAndStepsMatchCellByCellConstruction) {
+  // IG's CutCache slot layout and PR's member order are the cut order: cells
+  // by ascending row offset, each cell's steps vertical first. Every
+  // ordered pair on two meshes, against a construction from raw mesh links.
+  for (const auto& [p, q] : {std::pair{5, 4}, std::pair{8, 8}}) {
+    const Mesh mesh(p, q);
+    for (std::int32_t s = 0; s < mesh.num_cores(); ++s) {
+      for (std::int32_t k = 0; k < mesh.num_cores(); ++k) {
+        const Coord src = mesh.core_coord(s);
+        const Coord snk = mesh.core_coord(k);
+        const CommRect rect(mesh, src, snk);
+        const std::string label = to_string(src) + "->" + to_string(snk);
+        for (std::int32_t index = 0; index < mesh.num_cores(); ++index) {
+          const Coord c = mesh.core_coord(index);
+          const auto expected = brute_steps(mesh, rect, c);
+          const CommRect::Steps steps = rect.next_steps(c);
+          ASSERT_EQ(steps.size(), expected.size()) << label << " at " << to_string(c);
+          for (std::size_t i = 0; i < steps.size(); ++i) {
+            EXPECT_EQ(steps[i].link, expected[i].link) << label;
+            EXPECT_EQ(steps[i].to, expected[i].to) << label;
+          }
+        }
+        for (std::int32_t t = -1; t <= rect.length(); ++t) {
+          std::vector<std::pair<Coord, CommRect::Step>> expected;
+          for (const Coord cell : brute_cells_at_depth(mesh, rect, t)) {
+            if (t == rect.length()) break;  // the sink starts no cut
+            for (const auto& st : brute_steps(mesh, rect, cell)) expected.emplace_back(cell, st);
+          }
+          std::vector<std::pair<Coord, CommRect::Step>> visited;
+          rect.visit_cut(t, [&](Coord from, const CommRect::Step& st) {
+            visited.emplace_back(from, st);
+          });
+          ASSERT_EQ(visited.size(), expected.size()) << label << " t=" << t;
+          for (std::size_t i = 0; i < visited.size(); ++i) {
+            EXPECT_EQ(visited[i].first, expected[i].first) << label << " t=" << t;
+            EXPECT_EQ(visited[i].second.link, expected[i].second.link) << label << " t=" << t;
+            EXPECT_EQ(visited[i].second.to, expected[i].second.to) << label << " t=" << t;
+          }
+          EXPECT_EQ(static_cast<std::int32_t>(visited.size()), rect.cut_size(t));
+        }
+      }
+    }
+  }
 }
 
 TEST(CommRect, DegenerateLine) {
@@ -237,14 +326,16 @@ TEST(CommRect, SingleCell) {
   const CommRect rect(mesh, {1, 1}, {1, 1});
   EXPECT_EQ(rect.length(), 0);
   EXPECT_TRUE(rect.next_steps({1, 1}).empty());
-  EXPECT_TRUE(rect.all_links().empty());
+  std::int32_t visited = 0;
+  rect.visit_cut(0, [&](Coord, const CommRect::Step&) { ++visited; });
+  EXPECT_EQ(visited, 0);
 }
 
 TEST(CommRect, NextStepsStayInRectangleAndAdvanceDepth) {
   const Mesh mesh(8, 8);
   const CommRect rect(mesh, {6, 5}, {2, 1});  // NW quadrant
   for (std::int32_t t = 0; t < rect.length(); ++t) {
-    for (const Coord c : rect.cells_at_depth(t)) {
+    for (const Coord c : brute_cells_at_depth(mesh, rect, t)) {
       const auto steps = rect.next_steps(c);
       EXPECT_FALSE(steps.empty());
       for (const auto& s : steps) {
