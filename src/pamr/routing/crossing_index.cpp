@@ -23,12 +23,11 @@ void erase_unordered(std::vector<std::uint32_t>& list, std::uint32_t value) {
 
 CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
     : mesh_(&mesh),
-      members_(static_cast<std::size_t>(mesh.num_links())),
-      slots_(static_cast<std::size_t>(mesh.num_links())),
+      entries_(static_cast<std::size_t>(mesh.num_links())),
       visitors_(static_cast<std::size_t>(mesh.num_cores())),
       comm_stamp_(paths.size(), 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
       core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0) {
-  std::vector<std::uint32_t> link_count(members_.size(), 0);
+  std::vector<std::uint32_t> link_count(entries_.size(), 0);
   std::vector<std::uint32_t> core_count(visitors_.size(), 0);
   for (std::size_t ci = 0; ci < paths.size(); ++ci) {
     for (const LinkId link : paths.links(ci)) ++link_count[static_cast<std::size_t>(link)];
@@ -36,9 +35,8 @@ CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
       ++core_count[static_cast<std::size_t>(mesh.core_index(core))];
     }
   }
-  for (std::size_t link = 0; link < members_.size(); ++link) {
-    members_[link].reserve(link_count[link]);
-    slots_[link].reserve(link_count[link]);
+  for (std::size_t link = 0; link < entries_.size(); ++link) {
+    entries_[link].reserve(link_count[link]);
   }
   for (std::size_t core = 0; core < visitors_.size(); ++core) {
     visitors_[core].reserve(core_count[core]);
@@ -46,10 +44,9 @@ CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
   for (std::size_t ci = 0; ci < paths.size(); ++ci) {
     const auto comm = static_cast<std::uint32_t>(ci);
     for (const LinkId link : paths.links(ci)) {
-      auto& list = members_[static_cast<std::size_t>(link)];
-      PAMR_ASSERT(list.empty() || list.back() < comm);  // registration order
-      list.push_back(comm);
-      slots_[static_cast<std::size_t>(link)].emplace_back();
+      auto& list = entries_[static_cast<std::size_t>(link)];
+      PAMR_ASSERT(list.empty() || list.back().comm < comm);  // registration order
+      list.push_back(Entry{Slot{}, comm});
     }
     for (const Coord core : paths.cores(ci)) {
       visitors_[static_cast<std::size_t>(mesh.core_index(core))].push_back(comm);
@@ -63,23 +60,23 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
   obs::bump(obs::Metric::kXyiIndexRewrites);
   ++epoch_;
   comm_stamp_[comm] = epoch_;
-  // Member + eval-slot lists stay parallel and sorted by communication:
-  // shifts over short contiguous lists beat node containers here.
+  // Entry lists stay sorted by communication: shifts over short contiguous
+  // lists beat node containers here. A new member starts with a stale slot.
+  const auto find_member = [&](std::vector<Entry>& list, std::uint32_t value) {
+    return std::lower_bound(list.begin(), list.end(), value,
+                            [](const Entry& e, std::uint32_t c) { return e.comm < c; });
+  };
   const auto erase_member = [&](LinkId link, std::uint32_t value) {
-    auto& list = members_[static_cast<std::size_t>(link)];
-    const auto at = std::lower_bound(list.begin(), list.end(), value);
-    PAMR_ASSERT(at != list.end() && *at == value);
-    auto& slots = slots_[static_cast<std::size_t>(link)];
-    slots.erase(slots.begin() + (at - list.begin()));
+    auto& list = entries_[static_cast<std::size_t>(link)];
+    const auto at = find_member(list, value);
+    PAMR_ASSERT(at != list.end() && at->comm == value);
     list.erase(at);
   };
   const auto insert_member = [&](LinkId link, std::uint32_t value) {
-    auto& list = members_[static_cast<std::size_t>(link)];
-    const auto at = std::lower_bound(list.begin(), list.end(), value);
-    PAMR_ASSERT(at == list.end() || *at != value);
-    auto& slots = slots_[static_cast<std::size_t>(link)];
-    slots.emplace(slots.begin() + (at - list.begin()));
-    list.insert(at, value);
+    auto& list = entries_[static_cast<std::size_t>(link)];
+    const auto at = find_member(list, value);
+    PAMR_ASSERT(at == list.end() || at->comm != value);
+    list.insert(at, Entry{Slot{}, value});
   };
   for (std::size_t k = 0; k + 1 < before.size(); ++k) {
     if (before[k] == after[k] && before[k + 1] == after[k + 1]) continue;
@@ -96,17 +93,17 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
     visitors_[static_cast<std::size_t>(mesh_->core_index(after[k]))].push_back(comm);
   }
 #if PAMR_CHECK_LEVEL >= 2
-  // Paranoid: the rewritten window's member lists must still be strictly
-  // ascending and parallel to their eval slots — the ascending walk is what
-  // reproduces the reference candidate scan's tie-breaks bit for bit.
+  // Paranoid: the rewritten window's entry lists must still be strictly
+  // ascending — the ascending walk is what reproduces the reference
+  // candidate scan's tie-breaks bit for bit.
   for (std::size_t k = 0; k + 1 < after.size(); ++k) {
     const auto idx = static_cast<std::size_t>(mesh_->link_between(after[k], after[k + 1]));
-    const std::vector<std::uint32_t>& list = members_[idx];
-    PAMR_INVARIANT("crossing-index", list.size() == slots_[idx].size(),
-                   "member and eval-slot lists diverged");
+    const std::vector<Entry>& list = entries_[idx];
     PAMR_INVARIANT("crossing-index",
-                   std::is_sorted(list.begin(), list.end()) &&
-                       std::adjacent_find(list.begin(), list.end()) == list.end(),
+                   std::adjacent_find(list.begin(), list.end(),
+                                      [](const Entry& a, const Entry& b) {
+                                        return a.comm >= b.comm;
+                                      }) == list.end(),
                    "member list is not strictly ascending after a rewrite");
   }
 #endif
@@ -137,8 +134,8 @@ void CrossingIndex::note_load_change(LinkId link) {
     const Coord from = step(info.from, lane);
     const LinkId shifted = mesh_->link_from(from, info.dir);
     if (shifted == kInvalidLink) continue;
-    for (const std::uint32_t comm : members_[static_cast<std::size_t>(shifted)]) {
-      comm_stamp_[comm] = epoch_;
+    for (const Entry& entry : entries_[static_cast<std::size_t>(shifted)]) {
+      comm_stamp_[entry.comm] = epoch_;
     }
   }
 }

@@ -7,16 +7,16 @@
 // scratch every round: a scan of every communication's full path per hot
 // link, re-done from the top of the link order after every move.
 //
-// CrossingIndex maintains three things under applied moves:
+// CrossingIndex maintains two things under applied moves:
 //
-//   * per-link member lists — the communications whose *current* path
-//     crosses the link, kept sorted by communication index so a walk
+//   * per-link entry lists — one entry per communication whose *current*
+//     path crosses the link, kept sorted by communication index so a walk
 //     reproduces the reference's ascending-ci candidate scan (and its
-//     first-candidate tie-break) exactly;
+//     first-candidate tie-break) exactly. Each entry carries that member's
+//     evaluation slot: its best candidate rotation and the epoch it was
+//     computed at;
 //   * per-core visitor lists — the communications whose path visits the
-//     core, which is the reverse mapping needed for dirty stamping (below);
-//   * per-(link, member) evaluation slots — each member's best candidate
-//     rotation and the epoch it was computed at.
+//     core, which is the reverse mapping needed for dirty stamping (below).
 //
 // A slot is reused only while it is provably exact. Evaluating a hot link
 // L reads, per crossing communication c: c's path (the rotation windows)
@@ -54,20 +54,22 @@ class CrossingIndex {
     std::uint64_t stamp = 0;
   };
 
+  /// One member of a link's list: the crossing communication and its slot.
+  struct Entry {
+    Slot slot;
+    std::uint32_t comm;
+  };
+
   /// Registers every communication's initial path, in increasing index
-  /// order so member lists start out sorted. Each list is sized exactly by
+  /// order so entry lists start out sorted. Each list is sized exactly by
   /// a count pass first.
   CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths);
 
-  /// Communications whose current path crosses `link`, ascending.
-  [[nodiscard]] const std::vector<std::uint32_t>& members(LinkId link) const {
-    return members_[static_cast<std::size_t>(link)];
-  }
-
-  /// Evaluation slots parallel to members(link), writable by the caller,
-  /// which refreshes a stale slot and stamps it with epoch().
-  [[nodiscard]] std::vector<Slot>& slots(LinkId link) {
-    return slots_[static_cast<std::size_t>(link)];
+  /// One entry per communication whose current path crosses `link`,
+  /// ascending by comm. Slots are writable by the caller, which refreshes a
+  /// stale slot and stamps it with epoch().
+  [[nodiscard]] std::span<Entry> entries(LinkId link) {
+    return entries_[static_cast<std::size_t>(link)];
   }
 
   /// True iff the slot (belonging to `comm`) still reflects the current
@@ -97,8 +99,7 @@ class CrossingIndex {
 
   const Mesh* mesh_;
   std::uint64_t epoch_ = 1;                            ///< applied-move counter
-  std::vector<std::vector<std::uint32_t>> members_;    ///< link → crossing comms, sorted
-  std::vector<std::vector<Slot>> slots_;               ///< parallel to members_
+  std::vector<std::vector<Entry>> entries_;            ///< link → crossing comms, sorted
   std::vector<std::vector<std::uint32_t>> visitors_;   ///< core → visiting comms
   std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
   std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch

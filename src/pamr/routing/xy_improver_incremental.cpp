@@ -116,11 +116,9 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
     // tie-break — reusing stamp-fresh slots and recomputing stale ones.
     xyi::Candidate best;
     std::size_t best_comm = comms.size();
-    const auto& member_list = crossings.members(hot);
-    auto& slots = crossings.slots(hot);
-    for (std::size_t m = 0; m < member_list.size(); ++m) {
-      const std::uint32_t ci = member_list[m];
-      CrossingIndex::Slot& slot = slots[m];
+    for (CrossingIndex::Entry& entry : crossings.entries(hot)) {
+      const std::uint32_t ci = entry.comm;
+      CrossingIndex::Slot& slot = entry.slot;
       if (crossings.slot_fresh(slot, ci)) {
         ++n_hits;
 #if PAMR_CHECK_LEVEL >= 2

@@ -1,6 +1,7 @@
 // Wall-clock timing for the experiment harness (the paper reports heuristic
-// runtimes: "24 ms for XYI, 38 ms for PR" — bench/micro_heuristics
-// regenerates that row).
+// runtimes: "24 ms for XYI, 38 ms for PR" — bench/table_summary regenerates
+// that row from these timers, and perfbench's routing.<P>.us_per_call times
+// each policy on the paper's 8×8 instances).
 #pragma once
 
 #include <chrono>

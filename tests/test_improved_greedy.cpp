@@ -114,7 +114,7 @@ TEST(ImprovedGreedyDifferential, HeavyOverloadIsBitIdentical) {
 }
 
 TEST(ImprovedGreedyDifferential, SustainedOverloadAtScaleIsBitIdentical) {
-  // The 32×32/nc=2000 benchmark shape scaled for CI: enough communications
+  // The overloaded 32×32/nc=2000 shape scaled for CI: enough communications
   // per link that loads stay far past capacity through the whole pass.
   const Mesh mesh(10, 10);
   Rng rng(0x5CA1E);

@@ -336,7 +336,7 @@ TEST(PathRemoverDifferential, HeavyOverloadIsBitIdentical) {
 }
 
 TEST(PathRemoverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
-  // The 32×32/nc=2000 benchmark shape scaled for CI: many overlapping
+  // The overloaded 32×32/nc=2000 shape scaled for CI: many overlapping
   // rectangles per link mean long removal runs with repeated prunes per
   // communication and long histories of near-equal loads in the LoadIndex.
   const Mesh mesh(10, 10);

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
+#include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/path.hpp"
 #include "pamr/routing/routers.hpp"
@@ -90,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(Shapes, XyImproverDifferentialSweep,
                          });
 
 TEST(XyImproverDifferential, ScaledMeshIsBitIdentical) {
-  // 32×32 — the matrix's largest mesh; nc kept moderate because the
-  // reference side re-sorts all 3968 links per move.
+  // 32×32; nc kept moderate because the reference side re-sorts all 3968
+  // links per move.
   const Mesh mesh(32, 32);
   for (const std::uint64_t seed : {1ull, 0xBEEFull}) {
     for (const std::int32_t nc : {40, 100}) {
@@ -142,7 +143,7 @@ TEST(XyImproverDifferential, HeavyOverloadIsBitIdentical) {
 }
 
 TEST(XyImproverDifferential, SustainedOverloadAtScaleIsBitIdentical) {
-  // The 32×32/nc=2000 benchmark shape scaled for CI: enough communications
+  // The overloaded 32×32/nc=2000 shape scaled for CI: enough communications
   // per corridor that hot links stay far past capacity for most of the
   // descent, so candidate_delta runs through LoadCost's penalty branch
   // rather than the discrete fast path.
@@ -161,6 +162,40 @@ TEST(XyImproverDifferential, StructuredTrafficIsBitIdentical) {
     expect_identical(instance.spec.make_mesh(), instance.comms, instance.label,
                      instance.spec.make_model());
   }
+}
+
+// ----------------------------------------------------------- count guard --
+
+TEST(XyImproverCountGuard, Mesh16WorkloadCountsArePinned) {
+  // A regression to a full rescan per move shows up here as a count, not as
+  // a slow run: 16×16, nc=500, weights 100–1500 (the old route16/*/500
+  // timing workload). Moves and PR removals are decisions, so they are
+  // pinned exactly; slot misses may only fall below the value recorded
+  // when the guard was added.
+  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
+  const Mesh mesh(16, 16);
+  Rng rng(0xBEEF);
+  UniformWorkload spec;
+  spec.num_comms = 500;
+  spec.weight_lo = 100.0;
+  spec.weight_hi = 1500.0;
+  const CommSet comms = generate_uniform(mesh, spec, rng);
+  const PowerModel model = PowerModel::paper_discrete();
+
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::reset();
+  const RouteResult xyi = XYImproverRouter().route(mesh, comms, model);
+  const std::uint64_t misses = obs::snapshot().counter(obs::Metric::kXyiEvalMisses);
+  obs::reset();
+  (void)PathRemoverRouter().route(mesh, comms, model);
+  const std::uint64_t removals = obs::snapshot().counter(obs::Metric::kPrRemovals);
+  obs::reset();
+  obs::set_enabled(was_enabled);
+
+  EXPECT_EQ(xyi.local_search.moves, 1725u);
+  EXPECT_EQ(removals, 5658u);
+  EXPECT_LE(misses, 480847u);
 }
 
 // ------------------------------------------------------------ edge cases --
