@@ -36,7 +36,7 @@ enum class Metric : std::uint32_t {
   // -------------------------------------------- unit-scoped counters --
   kRouteCalls,            ///< Router::route / topo::route_on invocations
   kXyiMoves,              ///< accepted moves across both XYI loops
-  kXyiEvalHits,           ///< CrossingIndex slots reused (stamp-fresh)
+  kXyiEvalHits,           ///< CrossingIndex slots reused (read-set fresh)
   kXyiEvalMisses,         ///< CrossingIndex slot misses (genuine re-evaluation)
   kXyiIndexRewrites,      ///< CrossingIndex::apply_rewrite calls
   kPrRemovals,            ///< PR removals applied (both loops)

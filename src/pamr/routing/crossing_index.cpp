@@ -1,45 +1,23 @@
 #include "pamr/routing/crossing_index.hpp"
 
 #include <algorithm>
-#include <array>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/util/assert.hpp"
 
 namespace pamr {
 
-namespace {
-
-/// Unordered visitor lists: order is irrelevant for stamping, so removal is
-/// a swap with the back.
-void erase_unordered(std::vector<std::uint32_t>& list, std::uint32_t value) {
-  const auto at = std::find(list.begin(), list.end(), value);
-  PAMR_ASSERT(at != list.end());
-  *at = list.back();
-  list.pop_back();
-}
-
-}  // namespace
-
 CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
     : mesh_(&mesh),
       entries_(static_cast<std::size_t>(mesh.num_links())),
-      visitors_(static_cast<std::size_t>(mesh.num_cores())),
       comm_stamp_(paths.size(), 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
-      core_mark_(static_cast<std::size_t>(mesh.num_cores()), 0) {
+      link_epoch_(static_cast<std::size_t>(mesh.num_links()), 0) {
   std::vector<std::uint32_t> link_count(entries_.size(), 0);
-  std::vector<std::uint32_t> core_count(visitors_.size(), 0);
   for (std::size_t ci = 0; ci < paths.size(); ++ci) {
     for (const LinkId link : paths.links(ci)) ++link_count[static_cast<std::size_t>(link)];
-    for (const Coord core : paths.cores(ci)) {
-      ++core_count[static_cast<std::size_t>(mesh.core_index(core))];
-    }
   }
   for (std::size_t link = 0; link < entries_.size(); ++link) {
     entries_[link].reserve(link_count[link]);
-  }
-  for (std::size_t core = 0; core < visitors_.size(); ++core) {
-    visitors_[core].reserve(core_count[core]);
   }
   for (std::size_t ci = 0; ci < paths.size(); ++ci) {
     const auto comm = static_cast<std::uint32_t>(ci);
@@ -47,9 +25,6 @@ CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
       auto& list = entries_[static_cast<std::size_t>(link)];
       PAMR_ASSERT(list.empty() || list.back().comm < comm);  // registration order
       list.push_back(Entry{Slot{}, comm});
-    }
-    for (const Coord core : paths.cores(ci)) {
-      visitors_[static_cast<std::size_t>(mesh.core_index(core))].push_back(comm);
     }
   }
 }
@@ -86,12 +61,6 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
     erase_member(removed, comm);
     insert_member(added, comm);
   }
-  for (std::size_t k = 0; k < before.size(); ++k) {
-    if (before[k] == after[k]) continue;
-    erase_unordered(visitors_[static_cast<std::size_t>(mesh_->core_index(before[k]))],
-                    comm);
-    visitors_[static_cast<std::size_t>(mesh_->core_index(after[k]))].push_back(comm);
-  }
 #if PAMR_CHECK_LEVEL >= 2
   // Paranoid: the rewritten window's entry lists must still be strictly
   // ascending — the ascending walk is what reproduces the reference
@@ -107,37 +76,6 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
                    "member list is not strictly ascending after a rewrite");
   }
 #endif
-}
-
-void CrossingIndex::stamp_core(Coord core) {
-  const auto idx = static_cast<std::size_t>(mesh_->core_index(core));
-  if (core_mark_[idx] == epoch_) return;  // already stamped under this move
-  core_mark_[idx] = epoch_;
-  for (const std::uint32_t comm : visitors_[idx]) comm_stamp_[comm] = epoch_;
-}
-
-void CrossingIndex::note_load_change(LinkId link) {
-  // The exact reader set of load(link), per the file comment's geometry:
-  //   * paths crossing the link itself (a removed-link term) — covered by
-  //     the endpoint visitors below;
-  //   * paths crossing a core of the link (the moved crossing step enters
-  //     or leaves the path there) — the endpoint visitors;
-  //   * paths one lane over whose shifted run would land on the link — the
-  //     members of the two lane-parallel links.
-  const LinkInfo& info = mesh_->link(link);
-  stamp_core(info.from);
-  stamp_core(info.to);
-  const auto lane_dirs = info.horizontal()
-                             ? std::array<LinkDir, 2>{LinkDir::kNorth, LinkDir::kSouth}
-                             : std::array<LinkDir, 2>{LinkDir::kEast, LinkDir::kWest};
-  for (const LinkDir lane : lane_dirs) {
-    const Coord from = step(info.from, lane);
-    const LinkId shifted = mesh_->link_from(from, info.dir);
-    if (shifted == kInvalidLink) continue;
-    for (const Entry& entry : entries_[static_cast<std::size_t>(shifted)]) {
-      comm_stamp_[entry.comm] = epoch_;
-    }
-  }
 }
 
 }  // namespace pamr

@@ -7,33 +7,29 @@
 // scratch every round: a scan of every communication's full path per hot
 // link, re-done from the top of the link order after every move.
 //
-// CrossingIndex maintains two things under applied moves:
+// CrossingIndex keeps per-link entry lists under applied moves: one entry
+// per communication whose *current* path crosses the link, sorted by
+// communication index so a walk reproduces the reference's ascending-ci
+// candidate scan (and its first-candidate tie-break) exactly. Each entry
+// carries that member's evaluation slot: its best candidate rotation, the
+// epoch it was computed at, and the links that evaluation read.
 //
-//   * per-link entry lists — one entry per communication whose *current*
-//     path crosses the link, kept sorted by communication index so a walk
-//     reproduces the reference's ascending-ci candidate scan (and its
-//     first-candidate tie-break) exactly. Each entry carries that member's
-//     evaluation slot: its best candidate rotation and the epoch it was
-//     computed at;
-//   * per-core visitor lists — the communications whose path visits the
-//     core, which is the reverse mapping needed for dirty stamping (below).
+// A slot is reused only while it is provably exact. Evaluating hot link L
+// for a crossing communication c (xyi::best_candidate) is a pure function
+// of c's path, its weight and the loads of the links it costs, and it
+// reports those links itself. So the slot is fresh while c's path has not
+// been rewritten since the slot's epoch (c's comm stamp) and none of its
+// read links has changed load since then (each link's epoch). Re-evaluating
+// a fresh slot would recompute from identical inputs, so its cached
+// candidate is still exact.
 //
-// A slot is reused only while it is provably exact. Evaluating a hot link
-// L reads, per crossing communication c: c's path (the rotation windows)
-// and the loads of the candidate removed/added links. A candidate
-// rotation's links are exactly (i) removed steps, which lie on c's path,
-// (ii) the shifted run, whose links are one-lane parallels of path steps,
-// and (iii) the moved crossing step, which has one endpoint on c's path.
-// Inverting that: when the load of link ℓ changes, the communications whose
-// cached evaluations could have read it are the visitors of ℓ's two
-// endpoint cores (covers i and iii) plus the members of ℓ's two
-// lane-parallel links (covers ii). Each such communication gets the
-// current epoch as its dirty stamp, as does a communication whose own path
-// is rewritten; a slot computed at or after its communication's dirty
-// stamp would recompute from identical inputs, so its cached candidate is
-// still exact.
+// The read lists live in one pool. A re-evaluation of an unrewritten path
+// reads the same links, so it overwrites its slot's range in place; only a
+// first evaluation (or one after a rewrite that changed the list's length)
+// appends.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -47,11 +43,14 @@ namespace pamr {
 class CrossingIndex {
  public:
   /// Memoized per-(link, member) evaluation: the member's best candidate
-  /// rotation (+inf when it has none) as of epoch `stamp`. Stamp 0 = never
-  /// computed (epochs start at 1).
+  /// rotation (+inf when it has none) as of epoch `stamp`, and the range of
+  /// the read pool holding the links it read. Stamp 0 = never computed
+  /// (epochs start at 1).
   struct Slot {
     xyi::Candidate best;
     std::uint64_t stamp = 0;
+    std::uint32_t read_begin = 0;
+    std::uint32_t read_size = 0;
   };
 
   /// One member of a link's list: the crossing communication and its slot.
@@ -67,42 +66,64 @@ class CrossingIndex {
 
   /// One entry per communication whose current path crosses `link`,
   /// ascending by comm. Slots are writable by the caller, which refreshes a
-  /// stale slot and stamps it with epoch().
+  /// stale slot through refresh().
   [[nodiscard]] std::span<Entry> entries(LinkId link) {
     return entries_[static_cast<std::size_t>(link)];
   }
 
   /// True iff the slot (belonging to `comm`) still reflects the current
-  /// state: computed at or after the comm's dirty stamp. Stamp 0 (never
-  /// computed) is always stale because comm stamps start at 1.
+  /// state: computed at or after the comm's last rewrite, and no link it
+  /// read changed load since. Stamp 0 (never computed) is always stale
+  /// because comm stamps start at 1.
   [[nodiscard]] bool slot_fresh(const Slot& slot, std::uint32_t comm) const {
-    return slot.stamp >= comm_stamp_[comm];
+    if (slot.stamp < comm_stamp_[comm]) return false;
+    const auto first = reads_.begin() + slot.read_begin;
+    return std::all_of(first, first + slot.read_size, [&](LinkId link) {
+      return link_epoch_[static_cast<std::size_t>(link)] <= slot.stamp;
+    });
   }
 
-  /// The stamp for slots recomputed now.
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
+  /// The links a fresh slot's evaluation read.
+  [[nodiscard]] std::span<const LinkId> reads(const Slot& slot) const {
+    return {reads_.data() + slot.read_begin, slot.read_size};
+  }
+
+  /// Recomputes a stale slot now: `evaluate(reads)` returns the candidate
+  /// and appends the links it read to `reads` (xyi::best_candidate's
+  /// contract).
+  template <class Evaluate>
+  void refresh(Slot& slot, Evaluate&& evaluate) {
+    const std::size_t begin = reads_.size();
+    slot.best = evaluate(reads_);
+    const auto size = static_cast<std::uint32_t>(reads_.size() - begin);
+    if (size == slot.read_size) {
+      std::copy(reads_.begin() + static_cast<std::ptrdiff_t>(begin), reads_.end(),
+                reads_.begin() + slot.read_begin);
+      reads_.resize(begin);
+    } else {
+      slot.read_begin = static_cast<std::uint32_t>(begin);
+      slot.read_size = size;
+    }
+    slot.stamp = epoch_;
+  }
 
   /// A move rewrote `comm`'s path from `before` to `after` (same length,
-  /// shared prefix/suffix): advances the move epoch, stamps `comm` dirty and
-  /// re-indexes exactly the changed window's links and cores.
+  /// shared prefix/suffix): advances the move epoch, stamps `comm` and
+  /// re-indexes exactly the changed window's links.
   void apply_rewrite(std::uint32_t comm, std::span<const Coord> before,
                      std::span<const Coord> after);
 
-  /// The stored load of `link` changed under the current move: stamps every
-  /// communication whose path passes within one hop of it (the set whose
-  /// cached evaluations could have read this load — see file comment).
-  /// Call after apply_rewrite for each link whose value actually changed.
-  void note_load_change(LinkId link);
+  /// The stored load of `link` changed under the current move. Call after
+  /// apply_rewrite for each link whose value actually changed.
+  void note_load_change(LinkId link) { link_epoch_[static_cast<std::size_t>(link)] = epoch_; }
 
  private:
-  void stamp_core(Coord core);
-
   const Mesh* mesh_;
-  std::uint64_t epoch_ = 1;                            ///< applied-move counter
-  std::vector<std::vector<Entry>> entries_;            ///< link → crossing comms, sorted
-  std::vector<std::vector<std::uint32_t>> visitors_;   ///< core → visiting comms
-  std::vector<std::uint64_t> comm_stamp_;              ///< comm → epoch last dirtied
-  std::vector<std::uint64_t> core_mark_;               ///< scratch: core stamped this epoch
+  std::uint64_t epoch_ = 1;                  ///< applied-move counter
+  std::vector<std::vector<Entry>> entries_;  ///< link → crossing comms, sorted
+  std::vector<std::uint64_t> comm_stamp_;    ///< comm → epoch of its last rewrite
+  std::vector<std::uint64_t> link_epoch_;    ///< link → epoch of its last load change
+  std::vector<LinkId> reads_;                ///< every slot's read links
 };
 
 }  // namespace pamr

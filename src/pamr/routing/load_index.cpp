@@ -19,15 +19,13 @@ LinkRanks::LinkRanks(std::int32_t num_links)
   std::iota(rank_.begin(), rank_.end(), std::int64_t{0});
 }
 
-const std::vector<LinkId>& LinkRanks::update(const TouchLog& log,
+const std::vector<LinkId>& LinkRanks::update(std::span<const LoadChange> changes,
                                              const LinkLoads& loads) {
   obs::bump(obs::Metric::kLoadIndexReorders);
   changed_.clear();
   risers_.clear();
   fallers_.clear();
-  for (std::size_t i = 0; i < log.links.size(); ++i) {
-    const LinkId link = log.links[i];
-    const double before = log.before[i];
+  for (const auto [link, before] : changes) {
     const double now = loads.load(link);
     if (now == before) continue;
     changed_.push_back(link);
@@ -96,8 +94,8 @@ void LoadIndex::retire(LinkId link) {
   refix(link, Node{kEmptyLoad, 0, kInvalidLink});
 }
 
-void LoadIndex::reorder(const TouchLog& log, const LinkLoads& loads) {
-  for (const LinkId link : ranks_.update(log, loads)) {
+void LoadIndex::reorder(std::span<const LoadChange> changes, const LinkLoads& loads) {
+  for (const LinkId link : ranks_.update(changes, loads)) {
     if (!is_retired(link)) refix(link, leaf_key(link, loads));
   }
 #if PAMR_CHECK_LEVEL >= 2
@@ -140,10 +138,11 @@ LoadOrder::LoadOrder(std::int32_t num_links, const LinkLoads& loads)
   merge_scratch_.reserve(order_.size());
 }
 
-const std::vector<LinkId>& LoadOrder::reorder(const TouchLog& log, const LinkLoads& loads) {
+const std::vector<LinkId>& LoadOrder::reorder(std::span<const LoadChange> changes,
+                                              const LinkLoads& loads) {
   // Unchanged links keep their loads and ranks, so they are still in
   // (load, rank) order; merge the re-sorted changed links into them.
-  const std::vector<LinkId>& changed = ranks_.update(log, loads);
+  const std::vector<LinkId>& changed = ranks_.update(changes, loads);
   const auto precedes = [&](LinkId a, LinkId b) { return ranks_.precedes(a, b, loads); };
   resort_scratch_.assign(changed.begin(), changed.end());
   std::sort(resort_scratch_.begin(), resort_scratch_.end(), precedes);

@@ -50,9 +50,17 @@
 //     after every move (about 29 links deep on the paper's 8×8 regime). A
 //     step merges the re-sorted changed links back into the unchanged
 //     ones, O(L + K log K).
+//
+// Both take a step's changes as one list of LoadChange records (link, load
+// before the step). PR's one-pass re-spread visits each link of the moved
+// communication once, so it records a link only when its stored double
+// changed. An XYI move touches shared links twice (-w, then +w), so XYI
+// keeps first touches in a TouchLog and lets the update skip the links
+// whose load came back unchanged.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pamr/mesh/mesh.hpp"
@@ -60,15 +68,24 @@
 
 namespace pamr {
 
-/// First-touch snapshots of stored link loads across one incremental update
-/// (a PR removal, an XYI move), so the indexes re-rank exactly the links
-/// whose stored double actually changed — including the ulp-sized
-/// perturbations a -w/+w round trip can leave on a link both the old and new
-/// state touch (IEEE addition is not associative, and the reference loops'
-/// next sort sees the perturbed bits) — and know which way each one moved.
+/// One stored link load that changed across an incremental update (a PR
+/// removal, an XYI move): the link and its load before the update. This is
+/// the one input both indexes re-rank from; the rank rule needs the old
+/// load to know which way the link moved.
+struct LoadChange {
+  LinkId link;
+  double before;
+};
+
+/// First-touch snapshots of stored link loads across one XYI move, whose
+/// -w/+w round trip touches a link of the shared prefix and suffix twice.
+/// Only the first touch is kept, so `changes` holds each link once with its
+/// load before the move, including links the round trip left unchanged or
+/// shifted by an ulp (IEEE addition is not associative, and the reference
+/// loop's next sort sees the perturbed bits); the indexes skip the
+/// unchanged ones.
 struct TouchLog {
-  std::vector<LinkId> links;
-  std::vector<double> before;
+  std::vector<LoadChange> changes;
   std::vector<char> seen;  ///< indexed by LinkId
 
   explicit TouchLog(std::size_t num_links) : seen(num_links, 0) {}
@@ -76,14 +93,12 @@ struct TouchLog {
   void record(LinkId link, double load) {
     if (seen[static_cast<std::size_t>(link)] != 0) return;
     seen[static_cast<std::size_t>(link)] = 1;
-    links.push_back(link);
-    before.push_back(load);
+    changes.push_back({link, load});
   }
 
   void clear() {
-    for (const LinkId link : links) seen[static_cast<std::size_t>(link)] = 0;
-    links.clear();
-    before.clear();
+    for (const LoadChange& change : changes) seen[static_cast<std::size_t>(change.link)] = 0;
+    changes.clear();
   }
 };
 
@@ -105,10 +120,11 @@ class LinkRanks {
     return rank(a) < rank(b);
   }
 
-  /// Applies the rise→back / fall→front rule to every logged link whose
-  /// stored load now differs from its snapshot, and returns those links in
-  /// log order (valid until the next call).
-  const std::vector<LinkId>& update(const TouchLog& log, const LinkLoads& loads);
+  /// Applies the rise→back / fall→front rule to every listed link whose
+  /// stored load now differs from its `before`, and returns those links in
+  /// list order (valid until the next call).
+  const std::vector<LinkId>& update(std::span<const LoadChange> changes,
+                                    const LinkLoads& loads);
 
  private:
   struct Mover {
@@ -145,11 +161,11 @@ class LoadIndex {
     return tree_[leaves_ + static_cast<std::size_t>(link)].link == kInvalidLink;
   }
 
-  /// Re-ranks the links whose stored load changed across `log` and re-fixes
-  /// their tree paths. Exactly equivalent to the seed's stable_sort of the
+  /// Re-ranks the listed links whose stored load changed and re-fixes their
+  /// tree paths. Exactly equivalent to the seed's stable_sort of the
   /// persistent order vector by the new loads. At PAMR_CHECK_LEVEL >= 2
   /// every call re-verifies the whole tree against `loads` (O(L)).
-  void reorder(const TouchLog& log, const LinkLoads& loads);
+  void reorder(std::span<const LoadChange> changes, const LinkLoads& loads);
 
   /// Verifies every tree node against the current loads: each leaf holds
   /// its own link's current (load, rank) key or nothing (retired), and each
@@ -193,12 +209,13 @@ class LoadOrder {
   [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
   [[nodiscard]] LinkId link_at(std::size_t at) const { return order_[at]; }
 
-  /// Re-ranks the links whose stored load changed across `log` and merges
-  /// them back into the order. Exactly equivalent to the seed's stable_sort
+  /// Re-ranks the listed links whose stored load changed and merges them
+  /// back into the order. Exactly equivalent to the seed's stable_sort
   /// of the persistent order vector by the new loads. Returns the changed
-  /// links in log order (valid until the next call). At PAMR_CHECK_LEVEL >=
+  /// links in list order (valid until the next call). At PAMR_CHECK_LEVEL >=
   /// 2 every call re-verifies the whole order against `loads` (O(L)).
-  const std::vector<LinkId>& reorder(const TouchLog& log, const LinkLoads& loads);
+  const std::vector<LinkId>& reorder(std::span<const LoadChange> changes,
+                                     const LinkLoads& loads);
 
   /// Verifies that the order is a permutation of the links in strict
   /// (load desc, rank asc) order. Throws pamr::InvariantError (category

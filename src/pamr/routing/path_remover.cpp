@@ -35,12 +35,18 @@
 //     cut, cuts only shrink, and membership only dies, so such a link can
 //     never yield a removal again.
 //
-// Both clean up after a removal with the same full reachability sweep
-// (CommStates::prune). Both order removals identically — most-loaded link
-// first with the seed's stable-history tie-break (see load_index.hpp),
-// heaviest communication first with ties by original index — and keep the
-// load array bit-identical at every decision point (see
-// apply_spread_tracked), so the routings they produce are bit-identical.
+// They clean up after a removal differently. The reference takes the
+// communication's spread off, runs a full forward/backward reachability
+// sweep (CommStates::prune) and spreads it back. The incremental mode
+// drops dead links by a degree-count cascade from the removed link
+// (CommStates::remove_cascading), which reaches the same fixed point, and
+// re-spreads in one pass that does each link's -old/+new share additions
+// in the reference's order and reports only the loads that changed
+// (CommStates::respread). Both order removals identically — most-loaded
+// link first with the seed's stable-history tie-break (see
+// load_index.hpp), heaviest communication first with ties by original
+// index — and keep the load array bit-identical at every decision point,
+// so the routings they produce are bit-identical.
 #include <algorithm>
 #include <numeric>
 #include <span>
@@ -57,7 +63,8 @@ namespace pamr {
 
 namespace {
 
-/// Reusable reachability buffers for CommStates::prune: cells are marked
+/// Reusable reachability buffers for CommStates::prune (the reference mode
+/// and the incremental mode's paranoid cascade check): cells are marked
 /// with the current epoch instead of re-allocating (and re-zeroing) two
 /// per-core vectors on every removal, as the seed did.
 struct PruneScratch {
@@ -74,6 +81,9 @@ struct PruneScratch {
 /// link store, one per depth t; a cut only ever shrinks in place, keeping
 /// the order of its survivors (cells by ascending row offset, vertical step
 /// first — CommRect::visit_cut order). `allowed` is one nc × L byte array.
+/// The incremental mode also keeps each cell's in- and out-degree within
+/// its communication's DAG, one flat array with communication i's cell
+/// (a, b) at cell_base_[i] + a·(dv+1) + b.
 class CommStates {
  public:
   CommStates(const Mesh& mesh, const CommSet& comms)
@@ -81,9 +91,24 @@ class CommStates {
         allowed_(comms.size() * num_links_, 0) {
     rects_.reserve(comms.size());
     depth_base_.reserve(comms.size() + 1);
+    cell_base_.reserve(comms.size());
+    std::size_t max_length = 0;
+    std::size_t max_cells = 0;
     for (std::size_t i = 0; i < comms.size(); ++i) {
       const CommRect& rect = rects_.emplace_back(mesh, comms[i].src, comms[i].snk);
       depth_base_.push_back(cuts_.size());
+      max_length = std::max(max_length, static_cast<std::size_t>(rect.length()));
+      max_cells = std::max(max_cells,
+                           static_cast<std::size_t>((rect.du() + 1) * (rect.dv() + 1)));
+      // The full rectangle: every cell steps along both axes while it can.
+      cell_base_.push_back(degrees_.size());
+      for (std::int32_t a = 0; a <= rect.du(); ++a) {
+        for (std::int32_t b = 0; b <= rect.dv(); ++b) {
+          degrees_.push_back(Degree{static_cast<std::uint8_t>((a > 0) + (b > 0)),
+                                    static_cast<std::uint8_t>((a < rect.du()) +
+                                                              (b < rect.dv()))});
+        }
+      }
       for (std::int32_t t = 0; t < rect.length(); ++t) {
         const auto begin = static_cast<std::uint32_t>(links_.size());
         rect.visit_cut(t, [&](Coord, const CommRect::Step& step) {
@@ -94,6 +119,9 @@ class CommStates {
       }
     }
     depth_base_.push_back(cuts_.size());
+    old_sizes_.reserve(max_length);
+    // A cascade queues a cell at most twice: once per degree reaching zero.
+    pending_.reserve(2 * max_cells);
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return rects_.size(); }
@@ -125,40 +153,111 @@ class CommStates {
     }
   }
 
-  /// apply_spread plus first-touch snapshots into `log`. The arithmetic —
-  /// cut iteration order, shares, signs — is exactly apply_spread's: the
-  /// incremental mode must reproduce the reference's floating-point state
-  /// bit for bit (IEEE addition is not associative, so even an unchanged
-  /// cut's -share/+share round trip can perturb a stored load by an ulp,
-  /// and the reference's next sort sees the perturbed value).
-  void apply_spread_tracked(std::size_t i, double weight, LinkLoads& loads,
-                            TouchLog& log) const {
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      PAMR_ASSERT(cuts_[d].size != 0);
-      const double share = weight / static_cast<double>(cuts_[d].size);
-      for (const LinkId link : range_links(d)) {
-        log.record(link, loads.load(link));
-        loads.add(link, share);
-      }
-    }
-  }
-
   /// Disallows `link` and drops it from cut t of communication i, keeping
-  /// the order of the rest.
+  /// the order of the rest; the dropped link moves to just past the cut's
+  /// new end.
   void remove(std::size_t i, std::int32_t t, LinkId link) {
     allowed_[i * num_links_ + static_cast<std::size_t>(link)] = 0;
     Range& range = cuts_[depth_base_[i] + static_cast<std::size_t>(t)];
     LinkId* const first = links_.data() + range.begin;
-    LinkId* const last = std::remove(first, first + range.size, link);
-    range.size = static_cast<std::uint32_t>(last - first);
+    LinkId* const last = first + range.size;
+    LinkId* const at = std::find(first, last, link);
+    PAMR_ASSERT(at != last);
+    std::rotate(at, at + 1, last);
+    --range.size;
+  }
+
+  /// The incremental removal: remembers communication i's cut sizes for
+  /// respread(), removes `link` from cut t, then drops every link that no
+  /// longer lies on a src→snk path. The DAG had no such link before, so
+  /// one only appears where a degree reaches zero: a cell other than snk
+  /// left without out-links loses its in-links, and a cell other than src
+  /// left without in-links loses its out-links. The fixed point of that
+  /// cascade is the fixed point of prune()'s reachability sweep: every
+  /// surviving link's tail reaches back to src and its head forward to
+  /// snk along surviving links. Dropped links keep the cut order of the
+  /// rest (remove()).
+  void remove_cascading(std::size_t i, std::int32_t t, LinkId link, const Mesh& mesh) {
+    const CommRect& rect = rects_[i];
+    old_sizes_.clear();
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      old_sizes_.push_back(cuts_[d].size);
+    }
+    const Cell src{0, 0};
+    const Cell snk{rect.du(), rect.dv()};
+    Degree* const degree = degrees_.data() + cell_base_[i];
+    const auto at = [&](Cell c) -> Degree& {
+      return degree[static_cast<std::size_t>(c.a * (snk.b + 1) + c.b)];
+    };
+    const char* const allowed = allowed_.data() + i * num_links_;
+    // Drops the link from cell `from` one step along `step` if it exists and
+    // is still allowed, and queues each endpoint whose degree it empties.
+    const auto drop = [&](Cell from, Cell step) {
+      const Cell to{from.a + step.a, from.b + step.b};
+      if (from.a < 0 || from.b < 0 || to.a > snk.a || to.b > snk.b) return;
+      const LinkId dropped =
+          mesh.link_between_unchecked(rect.cell(from.a, from.b), rect.cell(to.a, to.b));
+      if (allowed[static_cast<std::size_t>(dropped)] == 0) return;
+      remove(i, from.a + from.b, dropped);
+      if (--at(from).out == 0) pending_.push_back(from);
+      if (--at(to).in == 0) pending_.push_back(to);
+    };
+    const LinkInfo& info = mesh.link(link);
+    Cell from{};
+    const bool inside = rect.cell_offsets(info.from, from.a, from.b);
+    PAMR_ASSERT(inside && from.a + from.b == t);
+    drop(from, rect.cell(from.a + 1, from.b) == info.to ? Cell{1, 0} : Cell{0, 1});
+    while (!pending_.empty()) {
+      const Cell c = pending_.back();
+      pending_.pop_back();
+      const Degree deg = at(c);
+      for (const Cell step : {Cell{1, 0}, Cell{0, 1}}) {
+        // No way on to snk: the links into c are dead. No way in from src:
+        // the links out of c are dead.
+        if (deg.out == 0 && c != snk) drop({c.a - step.a, c.b - step.b}, step);
+        if (deg.in == 0 && c != src) drop(c, step);
+      }
+    }
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      PAMR_ASSERT_MSG(cuts_[d].size != 0, "cascade emptied a cut — connectivity broken");
+    }
+  }
+
+  /// The re-spread after remove_cascading(), in one pass over communication
+  /// i's DAG as it was before (the remembered cut sizes; the dropped links
+  /// sit right after each cut's survivors). Each link gives back its old
+  /// share -weight/m_old and, if it survived, takes the new share
+  /// weight/m_new: per link the same two additions, in the same order, as
+  /// apply_spread(-weight) on the old DAG followed by apply_spread(weight)
+  /// on the new one, so the stored doubles come out bit-identical. Appends
+  /// (link, before) for each link whose stored load changed; each link lies
+  /// in one cut, so no link is listed twice.
+  void respread(std::size_t i, double weight, LinkLoads& loads,
+                std::vector<LoadChange>& changes) const {
+    PAMR_ASSERT(old_sizes_.size() == depth_base_[i + 1] - depth_base_[i]);
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      const std::uint32_t old_size = old_sizes_[d - depth_base_[i]];
+      const std::uint32_t new_size = cuts_[d].size;
+      const double give = -weight / static_cast<double>(old_size);
+      const double take = weight / static_cast<double>(new_size);
+      const LinkId* const first = links_.data() + cuts_[d].begin;
+      for (std::uint32_t k = 0; k < old_size; ++k) {
+        const LinkId link = first[k];
+        const double before = loads.load(link);
+        loads.add(link, give);
+        if (k < new_size) loads.add(link, take);
+        if (loads.load(link) != before) changes.push_back({link, before});
+      }
+    }
   }
 
   /// Rebuilds communication i's cuts from `allowed`, dropping links that
   /// are not on any surviving src→snk path (forward ∩ backward
-  /// reachability over depths).
-  void prune(std::size_t i, const Mesh& mesh, PruneScratch& scratch) {
+  /// reachability over depths). Returns the number of links dropped.
+  std::size_t prune(std::size_t i, const Mesh& mesh, PruneScratch& scratch) {
     const CommRect& rect = rects_[i];
-    if (rect.length() == 0) return;
+    if (rect.length() == 0) return 0;
+    std::size_t dropped = 0;
     const std::size_t first = depth_base_[i];
     const std::size_t last = depth_base_[i + 1];
     const std::uint64_t epoch = ++scratch.epoch;
@@ -198,11 +297,13 @@ class CommStates {
           links_[keep++] = link;
         } else {
           allowed[static_cast<std::size_t>(link)] = 0;
+          ++dropped;
         }
       }
       range.size = keep - range.begin;
       PAMR_ASSERT_MSG(range.size != 0, "prune emptied a cut — connectivity broken");
     }
+    return dropped;
   }
 
   /// Extracts communication i's unique remaining path once single-path.
@@ -235,12 +336,30 @@ class CommStates {
     return {links_.data() + cuts_[d].begin, cuts_[d].size};
   }
 
+  /// In- and out-degree of one cell within its communication's DAG.
+  struct Degree {
+    std::uint8_t in;
+    std::uint8_t out;
+  };
+
+  /// Offsets (a, b) of a cell from its communication's src (CommRect).
+  struct Cell {
+    std::int32_t a;
+    std::int32_t b;
+
+    friend bool operator==(const Cell&, const Cell&) = default;
+  };
+
   std::size_t num_links_;
   std::vector<CommRect> rects_;
   std::vector<std::size_t> depth_base_;  ///< comm → first depth range; nc + 1 entries
   std::vector<Range> cuts_;              ///< (comm, depth) → its links in links_
   std::vector<LinkId> links_;            ///< every cut, comm-major then depth
   std::vector<char> allowed_;            ///< comm × link, 1 = usable
+  std::vector<std::size_t> cell_base_;   ///< comm → its first cell in degrees_
+  std::vector<Degree> degrees_;          ///< (comm, cell) → degrees in its DAG
+  std::vector<std::uint32_t> old_sizes_; ///< scratch: cut sizes before a removal
+  std::vector<Cell> pending_;            ///< scratch: the cascade's worklist
 };
 
 /// Per-link membership lists for the incremental mode, in one CSR array:
@@ -336,8 +455,10 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   LoadIndex index(mesh.num_links(), loads);
 
   std::size_t active = count_multi_path(states);
+  std::vector<LoadChange> changes;
+#if PAMR_CHECK_LEVEL >= 2
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
-  TouchLog log(static_cast<std::size_t>(mesh.num_links()));
+#endif
   std::size_t removals = 0;
 
   const std::size_t none = states.size();
@@ -378,13 +499,15 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     PAMR_ASSERT_MSG(link != kInvalidLink,
                     "no removable link found while communications remain multi-path");
 
-    const double weight = comms[chosen].weight;
-    states.apply_spread_tracked(chosen, -weight, loads, log);
-    states.remove(chosen, depth, link);
-    states.prune(chosen, mesh, scratch);
-    states.apply_spread_tracked(chosen, weight, loads, log);
-    index.reorder(log, loads);
-    log.clear();
+    states.remove_cascading(chosen, depth, link, mesh);
+#if PAMR_CHECK_LEVEL >= 2
+    // Paranoid: the cascade must reach prune()'s fixed point.
+    PAMR_INVARIANT("pr-cascade", states.prune(chosen, mesh, scratch) == 0,
+                   "the degree cascade left a link that is on no src→snk path");
+#endif
+    states.respread(chosen, comms[chosen].weight, loads, changes);
+    index.reorder(changes, loads);
+    changes.clear();
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
     if (states.is_single_path(chosen)) --active;

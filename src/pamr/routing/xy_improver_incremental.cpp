@@ -19,12 +19,12 @@
 //     current path crosses it, in ascending order — the reference's scan
 //     order — and is patched per move from the rewritten window only.
 //   * dirty-move memoization: each member's best candidate rotation is
-//     cached per (link, member) slot and reused while the member's comm
-//     stamp says no load it could have read changed and its path was not
-//     rewritten. The stamp rule makes the cache exact, not heuristic — see
-//     crossing_index.hpp for the argument. The windowed allocation-free
-//     evaluation itself is xy_moves.hpp's best_candidate, pinned against
-//     the seed arithmetic by the differential suite.
+//     cached per (link, member) slot with the links its evaluation read,
+//     and reused while the member's path was not rewritten and none of
+//     those links changed load. That makes the cache exact, not heuristic —
+//     see crossing_index.hpp for the argument. The windowed evaluation
+//     itself is xy_moves.hpp's best_candidate, pinned against the seed
+//     arithmetic by the differential suite.
 //
 // Load arithmetic follows the reference exactly: a move subtracts the
 // weight from every old-path link and adds it to every new-path link, so
@@ -33,8 +33,10 @@
 // The per-link `cost_now` table (exactly cost(load(link)), refreshed for
 // the links a move changed) is transparent for the same reason: it holds
 // the very double a cold evaluation computes.
+#include <algorithm>
 #include <bit>
 #include <span>
+#include <vector>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/crossing_index.hpp"
@@ -97,14 +99,18 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   std::uint64_t n_misses = 0;
 
   // One member's best candidate rotation across the hot link, evaluated
-  // from the current paths and loads.
-  const auto evaluate = [&](const LinkInfo& hot_info, std::uint32_t ci) {
+  // from the current paths and loads; the links it read go to `reads`.
+  const auto evaluate = [&](const LinkInfo& hot_info, std::uint32_t ci,
+                            std::vector<LinkId>& reads) {
     const std::span<const Coord> cores = paths.cores(ci);
     return xyi::best_candidate(mesh, cores, paths.links(ci),
                                xyi::known_crossing_position(cores, hot_info),
                                !hot_info.horizontal(), comms[ci].weight, loads, cost,
-                               cost_now);
+                               cost_now, reads);
   };
+#if PAMR_CHECK_LEVEL >= 2
+  std::vector<LinkId> check_reads;
+#endif
 
   std::size_t at = 0;
   while (at < index.size() && moves < cap) {
@@ -113,7 +119,7 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
     const LinkInfo& hot_info = mesh.link(hot);
 
     // Ascending-member scan with strict < — the reference's order and
-    // tie-break — reusing stamp-fresh slots and recomputing stale ones.
+    // tie-break — reusing fresh slots and recomputing stale ones.
     xyi::Candidate best;
     std::size_t best_comm = comms.size();
     for (CrossingIndex::Entry& entry : crossings.entries(hot)) {
@@ -123,15 +129,21 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
         ++n_hits;
 #if PAMR_CHECK_LEVEL >= 2
         // Paranoid: a reused slot must match a from-scratch evaluation bit
-        // for bit.
+        // for bit, and that evaluation must read the links it recorded.
+        check_reads.clear();
+        const xyi::Candidate fresh = evaluate(hot_info, ci, check_reads);
+        const std::span<const LinkId> recorded = crossings.reads(slot);
         PAMR_INVARIANT("xyi-slot-cache",
-                       same_candidate(evaluate(hot_info, ci), slot.best),
+                       same_candidate(fresh, slot.best) &&
+                           std::equal(check_reads.begin(), check_reads.end(),
+                                      recorded.begin(), recorded.end()),
                        "cached candidate diverged from a fresh evaluation");
 #endif
       } else {
         ++n_misses;
-        slot.best = evaluate(hot_info, ci);
-        slot.stamp = crossings.epoch();
+        crossings.refresh(slot, [&](std::vector<LinkId>& reads) {
+          return evaluate(hot_info, ci, reads);
+        });
       }
       if (slot.best.delta < best.delta) {
         best = slot.best;
@@ -158,7 +170,7 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
       ++moves;
       obs::bump(obs::Metric::kXyiMoves);
       crossings.apply_rewrite(static_cast<std::uint32_t>(best_comm), old_cores, cores);
-      for (const LinkId link : index.reorder(log, loads)) {
+      for (const LinkId link : index.reorder(log.changes, loads)) {
         crossings.note_load_change(link);
         cost_now[static_cast<std::size_t>(link)] = cost(loads.load(link));
       }

@@ -52,11 +52,13 @@ CandidateBounds candidate_bounds(std::span<const Coord> cores, std::size_t i,
 /// through the unchecked lookup — every window core of a monotone staircase
 /// permutation stays inside the source/sink rectangle, so the full
 /// adjacency checks can never fire. Neither shortcut changes a bit of the
-/// accumulated delta.
+/// accumulated delta. Both links of every costed step are appended to
+/// `reads`: they are the only loads the delta depends on.
 double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
                        std::span<const LinkId> links, std::size_t j, std::size_t i,
                        bool forward, double weight, const LinkLoads& loads,
-                       const LoadCost& cost, std::span<const double> cost_now) {
+                       const LoadCost& cost, std::span<const double> cost_now,
+                       std::vector<LinkId>& reads) {
   const Coord dj{cores[j + 1].u - cores[j].u, cores[j + 1].v - cores[j].v};
   const Coord di{cores[i + 1].u - cores[i].u, cores[i + 1].v - cores[i].v};
   // Indexing the dense value span directly reads each changed link's load
@@ -72,6 +74,8 @@ double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
     const LinkId removed = links[k];
     const LinkId added = mesh.link_between_unchecked(after_k, after_k1);
     if (removed != added) {
+      reads.push_back(removed);
+      reads.push_back(added);
       const double removed_load = load_values[static_cast<std::size_t>(removed)];
       const double added_load = load_values[static_cast<std::size_t>(added)];
       delta += cost(removed_load - weight) - cost_now[static_cast<std::size_t>(removed)];
@@ -192,11 +196,12 @@ std::size_t crossing_position(const std::vector<Coord>& cores, const LinkInfo& h
 Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                          std::span<const LinkId> links, std::size_t pos,
                          bool hot_vertical, double weight, const LinkLoads& loads,
-                         const LoadCost& cost, std::span<const double> cost_now) {
+                         const LoadCost& cost, std::span<const double> cost_now,
+                         std::vector<LinkId>& reads) {
   Candidate best;
   auto consider = [&](std::size_t j, std::size_t i, bool forward) {
-    const double delta =
-        candidate_delta(mesh, cores, links, j, i, forward, weight, loads, cost, cost_now);
+    const double delta = candidate_delta(mesh, cores, links, j, i, forward, weight, loads,
+                                         cost, cost_now, reads);
     if (delta < best.delta) {
       best = Candidate{delta, static_cast<std::uint32_t>(j),
                        static_cast<std::uint32_t>(i), forward};

@@ -146,11 +146,17 @@ void consider_crossing(const Mesh& mesh, const LinkInfo& hot_info,
 /// ids (links[k] joins cores[k] and cores[k+1], also caller-maintained) so
 /// the removed side of each step is an array read instead of an adjacency
 /// lookup.
+///
+/// Appends to `reads` the removed and the added link of every window step
+/// it costs: exactly the loads (and `cost_now` entries) the result depends
+/// on. Which steps are costed depends only on `cores` and `pos`, so for an
+/// unchanged path the appended list is the same every time.
 [[nodiscard]] Candidate best_candidate(const Mesh& mesh, std::span<const Coord> cores,
                                        std::span<const LinkId> links, std::size_t pos,
                                        bool hot_vertical, double weight,
                                        const LinkLoads& loads, const LoadCost& cost,
-                                       std::span<const double> cost_now);
+                                       std::span<const double> cost_now,
+                                       std::vector<LinkId>& reads);
 
 /// Materializes a finite candidate: writes the rewritten core sequence
 /// into `out` (same size as `cores`, no aliasing).

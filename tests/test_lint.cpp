@@ -364,13 +364,13 @@ TEST(ParanoidLoadIndex, ReorderSweepsAutomaticallyUnderParanoidBuilds) {
   if (compiled_check_level() >= 2) {
     // Paranoid library builds (sanitizer CI) sweep after every reorder; an
     // empty log leaves the stale order in place, so the sweep must throw.
-    EXPECT_THROW(index.reorder(empty, loads), InvariantError);
-    EXPECT_THROW(order.reorder(empty, loads), InvariantError);
+    EXPECT_THROW(index.reorder(empty.changes, loads), InvariantError);
+    EXPECT_THROW(order.reorder(empty.changes, loads), InvariantError);
   } else {
     // Default builds skip the automatic sweep — reorder accepts the stale
     // order (the direct sweep above is how it would be caught).
-    EXPECT_NO_THROW(index.reorder(empty, loads));
-    EXPECT_NO_THROW(order.reorder(empty, loads));
+    EXPECT_NO_THROW(index.reorder(empty.changes, loads));
+    EXPECT_NO_THROW(order.reorder(empty.changes, loads));
   }
 }
 
@@ -393,7 +393,7 @@ TEST(ParanoidLoadIndex, StaleTreeNodeBelowTheTopIsCaughtUnderParanoidBuilds) {
   loads.add(0, 1.0);
   if (compiled_check_level() >= 2) {
     try {
-      index.reorder(log, loads);
+      index.reorder(log.changes, loads);
       FAIL() << "stale winner-tree node passed the paranoid sweep";
     } catch (const InvariantError& e) {
       EXPECT_EQ(e.category(), "load-index");
@@ -403,7 +403,7 @@ TEST(ParanoidLoadIndex, StaleTreeNodeBelowTheTopIsCaughtUnderParanoidBuilds) {
           << e.what();
     }
   } else {
-    EXPECT_NO_THROW(index.reorder(log, loads));
+    EXPECT_NO_THROW(index.reorder(log.changes, loads));
     EXPECT_THROW(index.check_invariants(loads), InvariantError);
   }
 }
@@ -420,8 +420,8 @@ TEST(ParanoidLoadIndex, ReorderKeepsInvariantsOnHonestUpdates) {
   TouchLog log(4);
   log.record(3, loads.load(3));
   loads.add(3, 10.0);          // link 3 becomes the hottest...
-  index.reorder(log, loads);   // ...and reorder is told about it
-  order.reorder(log, loads);
+  index.reorder(log.changes, loads);   // ...and reorder is told about it
+  order.reorder(log.changes, loads);
   EXPECT_NO_THROW(index.check_invariants(loads));
   EXPECT_NO_THROW(order.check_invariants(loads));
   EXPECT_EQ(index.top(), 3);

@@ -88,7 +88,7 @@ TEST(LoadIndex, ReorderMatchesRepeatedStableSort) {
                                : loads.load(static_cast<LinkId>(rng.below(num_links)));
       set_load(loads, log, link, value);
     }
-    order.reorder(log, loads);
+    order.reorder(log.changes, loads);
     log.clear();
     stable_resort(model_order, loads);
     ASSERT_EQ(order_of(order), model_order) << "round " << round;
@@ -131,7 +131,7 @@ TEST(LoadIndex, TopAndRetireMatchRepeatedStableSort) {
                         : std::max(0.0, loads.load(link) - share());
         set_load(loads, log, link, value);
       }
-      index.reorder(log, loads);
+      index.reorder(log.changes, loads);
       log.clear();
       stable_resort(model_order, loads);
 
@@ -179,7 +179,7 @@ TEST(LoadIndex, RetiredLinksAreNeverReturned) {
   EXPECT_EQ(index.top(), top - 1);
   TouchLog log(num_links);
   set_load(loads, log, top, 100.0);
-  index.reorder(log, loads);
+  index.reorder(log.changes, loads);
   EXPECT_EQ(index.top(), top - 1);
 
   for (LinkId l = 0; l < mesh.num_links(); ++l) {
