@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "pamr/obs/obs.hpp"
+#include "pamr/routing/infeasibility.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/sim/sim_stats.hpp"
 #include "pamr/topo/topo_router.hpp"
@@ -37,6 +38,27 @@ SimSample probe_with_simulator(const Mesh& mesh, const CommSet& comms,
 InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
                             const PowerModel& model, const sim::SimConfig* sim_config) {
   std::array<HeuristicSample, kNumBaseRouters> base;
+  // Malformed input throws here, as it would in the first Router::route.
+  check_comm_set(mesh, comms);
+  bool certified = false;
+  {
+    const obs::PhaseScope phase(obs::Metric::kPhaseCertificate);
+    certified = no_feasible_manhattan_routing(mesh, comms, model);
+  }
+  if (certified) {
+    obs::bump(obs::Metric::kRouteCertifiedInfeasible);
+#if PAMR_CHECK_LEVEL >= 2
+    for (const RouterKind kind : all_base_routers()) {
+      PAMR_INVARIANT("infeasibility-certificate",
+                     !make_router(kind)->route(mesh, comms, model).valid,
+                     "a policy routed an instance certified infeasible");
+    }
+#endif
+    // Every policy would fail: six invalid samples, no simulation probe.
+    InstanceSample sample = make_instance_sample(base);
+    sample.certified = true;
+    return sample;
+  }
   // The BEST routing (lowest power among valid policies) doubles as the
   // simulation probe's subject, so keep it while the scalars are folded.
   Routing best_routing;

@@ -1,7 +1,10 @@
 // Runs the six base policies on one instance and folds the outcome into the
-// campaign's scalar samples. Routers are constructed once per call — they
-// are stateless, but constructing them here keeps the runner trivially
-// thread-safe (the campaign calls it from every pool worker).
+// campaign's scalar samples. An instance the infeasibility certificate
+// (routing/infeasibility.hpp) proves unroutable is not routed: every policy
+// would fail it, so its sample is six failures, marked `certified`.
+// Routers are constructed once per call — they are stateless, but
+// constructing them here keeps the runner trivially thread-safe (the
+// campaign calls it from every pool worker).
 //
 // With a sim::SimConfig the runner additionally drives the cycle-level NoC
 // simulator on the instance's BEST routing (open-loop injection: the
@@ -25,15 +28,17 @@ namespace exp {
 /// some policy produced a valid routing (the probe needs a routing to
 /// program — the per-point sim stats' count() reveals how many instances
 /// qualified). Deterministic in all arguments, including sim_config->seed.
+/// Throws std::logic_error on a malformed set (check_comm_set).
 [[nodiscard]] InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model,
                                           const sim::SimConfig* sim_config = nullptr);
 
 /// Topology-generic variant: the six policy analogues via topo::route_on.
 /// No simulation probe (the cycle simulator is rect-only; ScenarioSpec
-/// rejects sim=on for other topologies at parse time). On the rectangular
-/// topology this produces the exact samples of the Mesh overload — route_on
-/// delegates to the original routers.
+/// rejects sim=on for other topologies at parse time) and no certificate:
+/// every instance is routed. On the rectangular topology this produces the
+/// validity and power of the Mesh overload — route_on delegates to the
+/// original routers.
 [[nodiscard]] InstanceSample run_instance(const topo::Topology& topology,
                                           const CommSet& comms,
                                           const PowerModel& model);

@@ -54,7 +54,7 @@ void PointAggregate::add(const InstanceSample& sample) {
         best_inverse > 0.0 ? heuristic.inverse_power() / best_inverse : 0.0;
     normalized_inverse[s].add(normalized);
     inverse_power[s].add(heuristic.inverse_power());
-    elapsed_ms[s].add(heuristic.elapsed_ms);
+    if (!sample.certified) elapsed_ms[s].add(heuristic.elapsed_ms);
     if (!heuristic.valid) ++failures[s];
   }
   if (best.valid && best.power > 0.0) {

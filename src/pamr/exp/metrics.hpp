@@ -49,6 +49,9 @@ struct SimSample {
 struct InstanceSample {
   std::array<HeuristicSample, kNumSeries> series;  ///< six policies + BEST
   SimSample sim;                                   ///< open-loop injection probe
+  /// Proven infeasible before routing: every series failed, none ran, so
+  /// the zero elapsed times are not runtimes.
+  bool certified = false;
 };
 
 [[nodiscard]] InstanceSample make_instance_sample(
@@ -58,7 +61,7 @@ struct InstanceSample {
 struct PointAggregate {
   std::array<RunningStats, kNumSeries> normalized_inverse;  ///< per series
   std::array<std::size_t, kNumSeries> failures{};
-  std::array<RunningStats, kNumSeries> elapsed_ms;
+  std::array<RunningStats, kNumSeries> elapsed_ms;  ///< routed instances only
   std::array<RunningStats, kNumSeries> inverse_power;  ///< absolute 1/P (0 on failure)
   RunningStats static_fraction;  ///< static/total of BEST, valid instances only
   // Simulation probe aggregates (instances where the probe ran only; their
@@ -72,6 +75,10 @@ struct PointAggregate {
   void merge(const PointAggregate& other);
 
   [[nodiscard]] double failure_ratio(std::size_t series) const;
+  /// Instances certified infeasible, i.e. not routed.
+  [[nodiscard]] std::size_t certified() const noexcept {
+    return instances - elapsed_ms[kBestSeries].count();
+  }
 };
 
 // -- Wire form --------------------------------------------------------------

@@ -70,6 +70,9 @@ enum class Metric : std::uint32_t {
   // ------------------------ unit-scoped counters (appended, see above) --
   kSimRouterCycles,       ///< router-cycles the simulator evaluated (idle ones skipped)
   kSimFlitHops,           ///< flits the simulator moved across a mesh link
+  kRouteCertifiedInfeasible,  ///< instances exp::run_instance proved infeasible, unrouted
+  // ------------------------- wall-clock timers (appended, see above) --
+  kPhaseCertificate,      ///< the infeasibility certificate of one instance
   kMetricCount,
 };
 
@@ -134,6 +137,8 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"phase.dist.campaign", Kind::kTimer, Scope::kWall},
     {"sim.router_cycles", Kind::kCounter, Scope::kUnit},
     {"sim.flit_hops", Kind::kCounter, Scope::kUnit},
+    {"route.certified_infeasible", Kind::kCounter, Scope::kUnit},
+    {"phase.certificate", Kind::kTimer, Scope::kWall},
 };
 
 inline constexpr const MetricInfo& info(Metric m) noexcept {

@@ -41,6 +41,12 @@ using suitetest::read_file;
 constexpr const char* kScenarioName = "fig7a_small";
 constexpr std::int32_t kTrials = 6;
 constexpr std::size_t kChunk = 4;
+// Instances of the test campaign (fig7a_small, kTrials per point, default
+// seed) that exp::run_instance certifies infeasible and does not route.
+constexpr std::uint64_t kCertified = 25;
+// At the paranoid check level, run_instance still routes each certified
+// instance to cross-check the certificate, so the router counters see it.
+constexpr std::uint64_t kCrossChecked = PAMR_CHECK_LEVEL >= 2 ? kCertified : 0;
 
 const scenario::Scenario& test_scenario() {
   return scenario::ScenarioRegistry::builtin().at(kScenarioName);
@@ -130,15 +136,19 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
 
   EXPECT_EQ(snap.counter(Metric::kSuiteInstances), instances);
   EXPECT_EQ(snap.counter(Metric::kSuiteUnits), points * units_per_point);
-  // exp::run_instance routes each instance through the six base routers.
-  EXPECT_EQ(snap.counter(Metric::kRouteCalls), 6 * instances);
+  // exp::run_instance routes each instance through the six base routers,
+  // except those the infeasibility certificate rejects up front.
+  EXPECT_EQ(snap.counter(Metric::kRouteCertifiedInfeasible), kCertified);
+  const std::uint64_t routed = instances - kCertified + kCrossChecked;
+  EXPECT_EQ(snap.counter(Metric::kRouteCalls), 6 * routed);
+  EXPECT_EQ(snap.timer_calls(Metric::kPhaseCertificate), instances);
   EXPECT_EQ(snap.counter(Metric::kSimProbes), 0u) << "fig7a_small is not a sim scenario";
   EXPECT_GT(snap.counter(Metric::kIgCutBounds), 0u);
 
   // One histogram sample per XYI / PR route call; sums tie to the counters.
-  EXPECT_EQ(snap.hist_count(Metric::kXyiMovesPerCall), instances);
+  EXPECT_EQ(snap.hist_count(Metric::kXyiMovesPerCall), routed);
   EXPECT_EQ(snap.hist_sum(Metric::kXyiMovesPerCall), snap.counter(Metric::kXyiMoves));
-  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), instances);
+  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), routed);
   EXPECT_EQ(snap.hist_sum(Metric::kPrRemovalsPerCall), snap.counter(Metric::kPrRemovals));
 
   // The timer side is wall clock, but the call counts are deterministic.
@@ -485,7 +495,13 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
   const std::uint64_t instances =
       test_scenario().points.size() * static_cast<std::uint64_t>(kTrials);
   EXPECT_NE(report.find("\"route.calls\": {\"scope\": \"unit\", \"value\": " +
-                        std::to_string(6 * instances) + "}"),
+                        std::to_string(6 * (instances - kCertified + kCrossChecked)) +
+                        "}"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"route.certified_infeasible\": {\"scope\": \"unit\", "
+                        "\"value\": " +
+                        std::to_string(kCertified) + "}"),
             std::string::npos)
       << report;
   const std::string resumed_report = read_file(resume_dir + "/report.json");
