@@ -64,9 +64,18 @@ InstanceSample run_instance(const Mesh& mesh, const CommSet& comms,
   Routing best_routing;
   bool have_best = false;
   double best_power = 0.0;
+  // The sample reads only validity, power and a valid routing, so each
+  // policy may stop at its first certain overload (RouteGoal::kVerdict).
   const auto kinds = all_base_routers();
   for (std::size_t h = 0; h < kinds.size(); ++h) {
-    RouteResult result = make_router(kinds[h])->route(mesh, comms, model);
+    const auto router = make_router(kinds[h]);
+    RouteResult result = router->route(mesh, comms, model, RouteGoal::kVerdict);
+#if PAMR_CHECK_LEVEL >= 2
+    if (!result.routing.has_value()) {
+      PAMR_INVARIANT("fail-fast", !result.valid && !router->route(mesh, comms, model).valid,
+                     "a policy stopped early on an instance its complete routing fits");
+    }
+#endif
     base[h].valid = result.valid;
     base[h].power = result.power;
     base[h].static_power = result.breakdown.static_part;

@@ -1,7 +1,10 @@
 // Runs the six base policies on one instance and folds the outcome into the
 // campaign's scalar samples. An instance the infeasibility certificate
 // (routing/infeasibility.hpp) proves unroutable is not routed: every policy
-// would fail it, so its sample is six failures, marked `certified`.
+// would fail it, so its sample is six failures, marked `certified`. The
+// others are routed with RouteGoal::kVerdict: a failing policy may stop at
+// its first certain overload, since the sample never reads an invalid
+// routing.
 // Routers are constructed once per call — they are stateless, but
 // constructing them here keeps the runner trivially thread-safe (the
 // campaign calls it from every pool worker).

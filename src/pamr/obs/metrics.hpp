@@ -73,6 +73,8 @@ enum class Metric : std::uint32_t {
   kRouteCertifiedInfeasible,  ///< instances exp::run_instance proved infeasible, unrouted
   // ------------------------- wall-clock timers (appended, see above) --
   kPhaseCertificate,      ///< the infeasibility certificate of one instance
+  // ------------------------ unit-scoped counters (appended, see above) --
+  kRouteStoppedEarly,     ///< RouteGoal::kVerdict calls stopped at a certain overload
   kMetricCount,
 };
 
@@ -139,6 +141,7 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"sim.flit_hops", Kind::kCounter, Scope::kUnit},
     {"route.certified_infeasible", Kind::kCounter, Scope::kUnit},
     {"phase.certificate", Kind::kTimer, Scope::kWall},
+    {"route.stopped_early", Kind::kCounter, Scope::kUnit},
 };
 
 inline constexpr const MetricInfo& info(Metric m) noexcept {

@@ -46,7 +46,7 @@ Path uniform_random_path(const CommRect& rect, Rng& rng) {
 }  // namespace
 
 RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                   const PowerModel& model) const {
+                                        const PowerModel& model, RouteGoal) const {
   const WallTimer timer;
   if (comms.empty()) {
     return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());

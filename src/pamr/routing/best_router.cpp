@@ -9,11 +9,12 @@
 namespace pamr {
 
 RouteResult BestRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                              const PowerModel& model) const {
+                                   const PowerModel& model, RouteGoal) const {
   const WallTimer timer;
   RouteResult best;
   for (const RouterKind kind : all_base_routers()) {
-    RouteResult result = make_router(kind)->route(mesh, comms, model);
+    // BEST keeps valid results only, so its policies need only the verdict.
+    RouteResult result = make_router(kind)->route(mesh, comms, model, RouteGoal::kVerdict);
     if (!result.valid) continue;
     if (!best.valid || result.power < best.power) best = std::move(result);
   }

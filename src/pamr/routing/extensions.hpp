@@ -37,7 +37,8 @@ class RipUpRerouteRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   RipUpOptions options_;
@@ -59,7 +60,8 @@ class AnnealingRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   AnnealingOptions options_;

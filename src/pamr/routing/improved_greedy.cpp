@@ -33,6 +33,11 @@
 //     cut (same cells, same step predicates, same vertical-then-horizontal
 //     order), so the windowed min chain and the ascending-depth summation
 //     replay the reference's arithmetic double for double.
+//
+// Under RouteGoal::kVerdict both modes stop at the first hop whose link's
+// committed weight is certainly over capacity. The committed weights are
+// kept apart from `loads` (CommitLedger), since `loads` also carries the
+// spreads of communications not yet committed, which fall back off.
 #include <limits>
 
 #include "pamr/mesh/rectangle.hpp"
@@ -192,17 +197,20 @@ class CutCache {
 }  // namespace
 
 RouteResult ImprovedGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                             const PowerModel& model) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model);
+                                             const PowerModel& model,
+                                             RouteGoal goal) const {
+  return mode_ == Mode::kReference ? route_reference(mesh, comms, model, goal)
+                                   : route_incremental(mesh, comms, model, goal);
 }
 
 RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
                                                     const CommSet& comms,
-                                                    const PowerModel& model) const {
+                                                    const PowerModel& model,
+                                                    RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model);
   LinkLoads loads(mesh);
+  CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
   std::vector<Path> paths(comms.size());
 
   // Phase 1: virtual pre-routing of everything.
@@ -256,6 +264,7 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
         }
       }
       loads.add(chosen->link, comm.weight);
+      if (ledger.overloads(chosen->link, comm.weight)) return stopped(timer.elapsed_ms());
       cache.reload(chosen->link, loads, cost);
       path.links.push_back(chosen->link);
       at = chosen->to;
@@ -268,10 +277,12 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
 
 RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
                                                   const CommSet& comms,
-                                                  const PowerModel& model) const {
+                                                  const PowerModel& model,
+                                                  RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model);
   LinkLoads loads(mesh);
+  CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
   std::vector<Path> paths(comms.size());
 
   // Phase 1: virtual pre-routing of everything.
@@ -311,6 +322,7 @@ RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
         }
       }
       loads.add(chosen->link, comm.weight);
+      if (ledger.overloads(chosen->link, comm.weight)) return stopped(timer.elapsed_ms());
       path.links.push_back(chosen->link);
       at = chosen->to;
     }

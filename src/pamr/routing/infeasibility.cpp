@@ -10,9 +10,6 @@ namespace pamr {
 
 namespace {
 
-/// Relative margin by which a limit must be exceeded to count (see header).
-constexpr double kMargin = 1e-9;
-
 // Allowed first-/last-hop directions of a communication, as a bit mask.
 constexpr unsigned kEastBit = 1;
 constexpr unsigned kWestBit = 2;
@@ -21,14 +18,17 @@ constexpr unsigned kNorthBit = 8;
 constexpr std::size_t kNumMasks = 16;
 
 struct Limits {
-  double link;   ///< cap·(1 + margin): the most one link may carry
-  double heavy;  ///< link / 2: two weights above it never share a link
+  OverloadLimit link;  ///< the most one link may carry
+  double heavy;        ///< half of it: two weights above it never share a link
+
+  explicit Limits(const PowerModel& model) noexcept
+      : link(model), heavy(0.5 * link.per_link()) {}
 
   /// True when `weight` (of which `heavies` are heavy) cannot fit on
   /// `links` links.
   [[nodiscard]] bool exceeded(double weight, std::int32_t heavies,
                               std::int32_t links) const noexcept {
-    return weight > static_cast<double>(links) * link || heavies > links;
+    return link.exceeded(weight, links) || heavies > links;
   }
 };
 
@@ -154,8 +154,7 @@ unsigned direction_mask(const Communication& comm) noexcept {
 
 bool no_feasible_manhattan_routing(const Mesh& mesh, const CommSet& comms,
                                    const PowerModel& model) {
-  const double cap = model.capacity() + PowerModel::kFeasibilityTolerance;
-  const Limits limits{cap * (1.0 + kMargin), 0.5 * cap * (1.0 + kMargin)};
+  const Limits limits(model);
 
   thread_local Scratch s;
   // Vertical cuts separate columns (q−1 of them, one lane per row);
@@ -180,7 +179,7 @@ bool no_feasible_manhattan_routing(const Mesh& mesh, const CommSet& comms,
     return cores + static_cast<std::size_t>(mesh.core_index(comm.snk));
   };
   for (const Communication& comm : comms) {
-    if (comm.weight > limits.link) return true;  // (c)
+    if (limits.link.exceeded(comm.weight)) return true;  // (c)
     const bool heavy = comm.weight > limits.heavy;
     const Coord src = comm.src;
     const Coord snk = comm.snk;

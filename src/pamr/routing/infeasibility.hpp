@@ -32,13 +32,54 @@
 //
 // The certificate is incomplete by design: false means "not proven
 // infeasible", never "feasible".
+//
+// The same margin decides the routers' fail-fast (RouteGoal::kVerdict in
+// router.hpp): XY, SG, IG, TB and PR stop as soon as the weight committed
+// to one link exceeds OverloadLimit. Committed weight only grows, and the
+// committed communications keep that link in their final paths, so the
+// complete routing's load on it is at least the committed sum. That sum is
+// again a sum of positive weights, within a relative m·2⁻⁵³ of its exact
+// value, so the validator's own sum of the final load exceeds cap too.
 #pragma once
+
+#include <cstdint>
+#include <limits>
 
 #include "pamr/comm/communication.hpp"
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/power/power_model.hpp"
 
 namespace pamr {
+
+/// The capacity test of the certificate and of fail-fast: a load is over
+/// capacity beyond rounding doubt when it exceeds
+/// cap = capacity() + kFeasibilityTolerance by the relative margin 1e-9.
+class OverloadLimit {
+ public:
+  static constexpr double kMargin = 1e-9;
+
+  explicit OverloadLimit(const PowerModel& model) noexcept
+      : per_link_((model.capacity() + PowerModel::kFeasibilityTolerance) *
+                  (1.0 + kMargin)) {}
+
+  /// A limit no load exceeds.
+  [[nodiscard]] static OverloadLimit none() noexcept {
+    return OverloadLimit(std::numeric_limits<double>::infinity());
+  }
+
+  /// True when `load` cannot fit on `links` links.
+  [[nodiscard]] bool exceeded(double load, std::int32_t links = 1) const noexcept {
+    return load > static_cast<double>(links) * per_link_;
+  }
+
+  /// The most one link may carry: cap·(1 + margin).
+  [[nodiscard]] double per_link() const noexcept { return per_link_; }
+
+ private:
+  explicit OverloadLimit(double per_link) noexcept : per_link_(per_link) {}
+
+  double per_link_;
+};
 
 /// True only when one of the conditions (a)–(c) above fails, i.e. no
 /// single-path Manhattan routing of `comms` keeps every link within

@@ -18,6 +18,7 @@
 
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/power/power_model.hpp"
+#include "pamr/routing/infeasibility.hpp"
 #include "pamr/routing/routing.hpp"
 #include "pamr/util/assert.hpp"
 
@@ -62,6 +63,32 @@ class LinkLoads {
 
  private:
   std::vector<double> loads_;
+};
+
+/// The weight a router has committed to each link, for the fail-fast of
+/// RouteGoal::kVerdict (router.hpp). IG and PR keep it apart from their
+/// working loads, which also carry virtual spreads that later fall off; XY
+/// keeps no working loads at all. An inactive ledger allocates and records
+/// nothing.
+class CommitLedger {
+ public:
+  CommitLedger(const Mesh& mesh, const PowerModel& model, bool active)
+      : active_(active), limit_(model), committed_(active ? mesh.num_links() : 0) {}
+
+  [[nodiscard]] bool active() const noexcept { return active_; }
+
+  /// Commits `weight` to `link`; true when the link is now certainly over
+  /// capacity. Always false when inactive.
+  [[nodiscard]] bool overloads(LinkId link, double weight) {
+    if (!active_) return false;
+    committed_.add(link, weight);
+    return limit_.exceeded(committed_.load(link));
+  }
+
+ private:
+  bool active_;
+  OverloadLimit limit_;
+  LinkLoads committed_;
 };
 
 /// Loads induced by a complete routing.

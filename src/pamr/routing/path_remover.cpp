@@ -47,6 +47,15 @@
 // load_index.hpp), heaviest communication first with ties by original
 // index — and keep the load array bit-identical at every decision point,
 // so the routings they produce are bit-identical.
+//
+// Under RouteGoal::kVerdict a communication counts as committed to a link
+// once its cut holding that link is down to one link: cuts only shrink and
+// never empty, so the link stays on its final path. Straight-line
+// communications start that way. After each removal, both modes commit
+// the cuts it shrank to one link, in depth order (the incremental mode
+// inside respread()), and stop once a link's committed weight is certainly
+// over capacity; the same removals in the same order make them stop at the
+// same removal.
 #include <algorithm>
 #include <numeric>
 #include <span>
@@ -153,6 +162,40 @@ class CommStates {
     }
   }
 
+  /// Commits every cut that holds one link to it, communications in index
+  /// order; true when a link is then certainly over capacity.
+  [[nodiscard]] bool commit_singletons(const CommSet& comms, CommitLedger& ledger) const {
+    for (std::size_t i = 0; i < size(); ++i) {
+      for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+        if (cuts_[d].size == 1 && ledger.overloads(links_[cuts_[d].begin], comms[i].weight)) {
+          return true;
+        }
+      }
+    }
+    return false;
+  }
+
+  /// Remembers communication i's cut sizes before a removal, for
+  /// respread() and commit_shrunk().
+  void remember_sizes(std::size_t i) {
+    old_sizes_.clear();
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      old_sizes_.push_back(cuts_[d].size);
+    }
+  }
+
+  /// The reference mode's commit after a removal: communication i to each
+  /// cut the removal shrank to one link, in depth order as respread() does;
+  /// true when a link is then certainly over capacity.
+  [[nodiscard]] bool commit_shrunk(std::size_t i, double weight, CommitLedger& ledger) const {
+    PAMR_ASSERT(old_sizes_.size() == depth_base_[i + 1] - depth_base_[i]);
+    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
+      if (cuts_[d].size != 1 || old_sizes_[d - depth_base_[i]] == 1) continue;
+      if (ledger.overloads(links_[cuts_[d].begin], weight)) return true;
+    }
+    return false;
+  }
+
   /// Disallows `link` and drops it from cut t of communication i, keeping
   /// the order of the rest; the dropped link moves to just past the cut's
   /// new end.
@@ -167,22 +210,19 @@ class CommStates {
     --range.size;
   }
 
-  /// The incremental removal: remembers communication i's cut sizes for
-  /// respread(), removes `link` from cut t, then drops every link that no
-  /// longer lies on a src→snk path. The DAG had no such link before, so
-  /// one only appears where a degree reaches zero: a cell other than snk
-  /// left without out-links loses its in-links, and a cell other than src
-  /// left without in-links loses its out-links. The fixed point of that
+  /// The incremental removal: remembers communication i's cut sizes,
+  /// removes `link` from cut t, then drops every link that no longer lies
+  /// on a src→snk path. The DAG had no such link before, so one only
+  /// appears where a degree reaches zero: a cell other than snk left
+  /// without out-links loses its in-links, and a cell other than src left
+  /// without in-links loses its out-links. The fixed point of that
   /// cascade is the fixed point of prune()'s reachability sweep: every
   /// surviving link's tail reaches back to src and its head forward to
   /// snk along surviving links. Dropped links keep the cut order of the
   /// rest (remove()).
   void remove_cascading(std::size_t i, std::int32_t t, LinkId link, const Mesh& mesh) {
     const CommRect& rect = rects_[i];
-    old_sizes_.clear();
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      old_sizes_.push_back(cuts_[d].size);
-    }
+    remember_sizes(i);
     const Cell src{0, 0};
     const Cell snk{rect.du(), rect.dv()};
     Degree* const degree = degrees_.data() + cell_base_[i];
@@ -231,16 +271,23 @@ class CommStates {
   /// apply_spread(-weight) on the old DAG followed by apply_spread(weight)
   /// on the new one, so the stored doubles come out bit-identical. Appends
   /// (link, before) for each link whose stored load changed; each link lies
-  /// in one cut, so no link is listed twice.
-  void respread(std::size_t i, double weight, LinkLoads& loads,
-                std::vector<LoadChange>& changes) const {
+  /// in one cut, so no link is listed twice. In the same pass it commits
+  /// each cut shrunk to one link, like commit_shrunk(); returns true when
+  /// a link is then certainly over capacity.
+  [[nodiscard]] bool respread(std::size_t i, double weight, LinkLoads& loads,
+                              std::vector<LoadChange>& changes,
+                              CommitLedger& ledger) const {
     PAMR_ASSERT(old_sizes_.size() == depth_base_[i + 1] - depth_base_[i]);
+    bool overloaded = false;
     for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
       const std::uint32_t old_size = old_sizes_[d - depth_base_[i]];
       const std::uint32_t new_size = cuts_[d].size;
       const double give = -weight / static_cast<double>(old_size);
       const double take = weight / static_cast<double>(new_size);
       const LinkId* const first = links_.data() + cuts_[d].begin;
+      if (new_size == 1 && old_size != 1 && !overloaded) {
+        overloaded = ledger.overloads(first[0], weight);
+      }
       for (std::uint32_t k = 0; k < old_size; ++k) {
         const LinkId link = first[k];
         const double before = loads.load(link);
@@ -249,6 +296,7 @@ class CommStates {
         if (loads.load(link) != before) changes.push_back({link, before});
       }
     }
+    return overloaded;
   }
 
   /// Rebuilds communication i's cuts from `allowed`, dropping links that
@@ -436,17 +484,27 @@ std::vector<Path> extract_paths(const Mesh& mesh, const CommStates& states) {
 }  // namespace
 
 RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model);
+                                          const PowerModel& model, RouteGoal goal) const {
+  return mode_ == Mode::kReference ? route_reference(mesh, comms, model, goal)
+                                   : route_incremental(mesh, comms, model, goal);
 }
 
 RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                                                  const CommSet& comms,
-                                                 const PowerModel& model) const {
+                                                 const PowerModel& model,
+                                                 RouteGoal goal) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
   CommStates states = make_states(mesh, comms, loads);
+  CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
+  std::size_t removals = 0;
+  // A stopped call still samples its removals, so the histogram sums to
+  // pr.removals.
+  const auto stop = [&] {
+    obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
+    return stopped(timer.elapsed_ms());
+  };
+  if (ledger.active() && states.commit_singletons(comms, ledger)) return stop();
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link").
@@ -459,7 +517,6 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
 #if PAMR_CHECK_LEVEL >= 2
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
 #endif
-  std::size_t removals = 0;
 
   const std::size_t none = states.size();
   while (active > 0) {
@@ -505,11 +562,11 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
     PAMR_INVARIANT("pr-cascade", states.prune(chosen, mesh, scratch) == 0,
                    "the degree cascade left a link that is on no src→snk path");
 #endif
-    states.respread(chosen, comms[chosen].weight, loads, changes);
-    index.reorder(changes, loads);
-    changes.clear();
     ++removals;
     obs::bump(obs::Metric::kPrRemovals);
+    if (states.respread(chosen, comms[chosen].weight, loads, changes, ledger)) return stop();
+    index.reorder(changes, loads);
+    changes.clear();
     if (states.is_single_path(chosen)) --active;
   }
 
@@ -520,10 +577,18 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
 }
 
 RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& comms,
-                                               const PowerModel& model) const {
+                                               const PowerModel& model,
+                                               RouteGoal goal) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
   CommStates states = make_states(mesh, comms, loads);
+  CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
+  std::size_t removals = 0;
+  const auto stop = [&] {
+    obs::sample(obs::Metric::kPrRemovalsPerCall, removals);
+    return stopped(timer.elapsed_ms());
+  };
+  if (ledger.active() && states.commit_singletons(comms, ledger)) return stop();
 
   // Heaviest-first candidate order within a link (paper: "the largest
   // communication that uses this link").
@@ -534,7 +599,6 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
 
   std::size_t active = count_multi_path(states);
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
-  std::size_t removals = 0;
 
   while (active > 0) {
     std::stable_sort(order.begin(), order.end(), [&loads](LinkId a, LinkId b) {
@@ -554,11 +618,15 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
         if (states.cut(index, t).size() < 2) continue;
 
         states.apply_spread(index, -comms[index].weight, loads);
+        states.remember_sizes(index);
         states.remove(index, t, link);
         states.prune(index, mesh, scratch);
         states.apply_spread(index, comms[index].weight, loads);
         ++removals;
         obs::bump(obs::Metric::kPrRemovals);
+        if (ledger.active() && states.commit_shrunk(index, comms[index].weight, ledger)) {
+          return stop();
+        }
         if (states.is_single_path(index)) --active;
         removed = true;
         break;

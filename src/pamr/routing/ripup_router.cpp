@@ -13,7 +13,7 @@
 namespace pamr {
 
 RouteResult RipUpRerouteRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                      const PowerModel& model) const {
+                                           const PowerModel& model, RouteGoal) const {
   const WallTimer timer;
   const LoadCost cost(model);
   LinkLoads loads(mesh);

@@ -26,11 +26,11 @@ std::vector<RouterKind> all_base_routers() {
 }
 
 RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
-                          const PowerModel& model) const {
+                          const PowerModel& model, RouteGoal goal) const {
   check_comm_set(mesh, comms);
   obs::bump(obs::Metric::kRouteCalls);
   const obs::PhaseScope phase(obs::route_phase(name()));
-  return route_impl(mesh, comms, model);
+  return route_impl(mesh, comms, model, goal);
 }
 
 RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
@@ -51,6 +51,17 @@ RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
     result.breakdown = *breakdown;
   }
   result.routing = std::move(routing);
+  return result;
+}
+
+OverloadLimit Router::stop_limit(const PowerModel& model, RouteGoal goal) noexcept {
+  return goal == RouteGoal::kVerdict ? OverloadLimit(model) : OverloadLimit::none();
+}
+
+RouteResult Router::stopped(double elapsed_ms) {
+  obs::bump(obs::Metric::kRouteStoppedEarly);
+  RouteResult result;
+  result.elapsed_ms = elapsed_ms;
   return result;
 }
 

@@ -16,7 +16,8 @@ class XYRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 /// SG — simple greedy (§5.1): communications by decreasing weight, path
@@ -28,7 +29,8 @@ class SimpleGreedyRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 /// IG — improved greedy (§5.2): virtual diagonal-spread pre-routing, then
@@ -55,13 +57,14 @@ class ImprovedGreedyRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const;
+                                              const PowerModel& model, RouteGoal goal) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model) const;
+                                            const PowerModel& model, RouteGoal goal) const;
 
   Mode mode_;
 };
@@ -74,7 +77,8 @@ class TwoBendRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 /// Test/diagnostic hook for XYImproverRouter: while attached, both modes
@@ -110,7 +114,8 @@ class XYImproverRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
@@ -145,26 +150,29 @@ class PathRemoverRouter final : public Router {
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 
  private:
   [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const;
+                                              const PowerModel& model, RouteGoal goal) const;
   [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model) const;
+                                            const PowerModel& model, RouteGoal goal) const;
 
   Mode mode_;
 };
 
-/// BEST (§6): runs all six base policies and returns the valid result with
-/// the lowest power (elapsed time is the sum over all of them).
+/// BEST (§6): runs all six base policies, asking each for the verdict only
+/// (RouteGoal::kVerdict), and returns the valid result with the lowest
+/// power (elapsed time is the sum over all of them).
 class BestRouter final : public Router {
  public:
   [[nodiscard]] const char* name() const noexcept override { return "BEST"; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
-                                       const PowerModel& model) const override;
+                                       const PowerModel& model,
+                                       RouteGoal goal) const override;
 };
 
 }  // namespace pamr

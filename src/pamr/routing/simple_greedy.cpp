@@ -10,7 +10,8 @@
 // "diagonal" tie-break compares the (unnormalized) distance of the candidate
 // next core to the straight src→snk segment via the cross product; a final
 // tie (symmetric geometry) prefers the vertical step, which keeps the
-// policy deterministic.
+// policy deterministic. A hop is committed as soon as it is chosen, so
+// under RouteGoal::kVerdict the first certain overload ends the call.
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
@@ -36,9 +37,10 @@ std::int64_t diagonal_deviation(Coord src, Coord snk, Coord c) noexcept {
 }  // namespace
 
 RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                      const PowerModel& model) const {
-  (void)model;  // SG looks only at loads, not at powers.
+                                           const PowerModel& model, RouteGoal goal) const {
+  // SG's choices look only at loads, not at powers.
   const WallTimer timer;
+  const OverloadLimit limit = stop_limit(model, goal);
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 
@@ -69,6 +71,7 @@ RouteResult SimpleGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comm
         }
       }
       loads.add(chosen->link, comm.weight);
+      if (limit.exceeded(loads.load(chosen->link))) return stopped(timer.elapsed_ms());
       path.links.push_back(chosen->link);
       at = chosen->to;
     }

@@ -11,6 +11,9 @@
 //     path, m = v_src the YX-with-trailing-horizontal = VH path);
 //   * V-H-V with an interior turning row — (Δu − 1) more.
 // Total Δv + 1 + Δu − 1 = Δu + Δv, matching the paper's count.
+//
+// The winner is committed whole, so under RouteGoal::kVerdict the first
+// certain overload it causes ends the call.
 #include <limits>
 
 #include "pamr/routing/link_loads.hpp"
@@ -82,9 +85,10 @@ void for_each_two_bend(Coord src, Coord snk, Visit&& visit) {
 }  // namespace
 
 RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                 const PowerModel& model) const {
+                                      const PowerModel& model, RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model);
+  const OverloadLimit limit = stop_limit(model, goal);
   LinkLoads loads(mesh);
   std::vector<Path> paths(comms.size());
 
@@ -113,11 +117,15 @@ RouteResult TwoBendRouter::route_impl(const Mesh& mesh, const CommSet& comms,
     path.src = comm.src;
     path.snk = comm.snk;
     path.links.reserve(static_cast<std::size_t>(manhattan_distance(comm.src, comm.snk)));
+    bool overloaded = false;
     walk_staircase(comm.src, comm.snk, best.horizontal_first, best.turn,
                    [&](Coord from, Coord to) {
-                     path.links.push_back(mesh.link_between(from, to));
+                     const LinkId link = mesh.link_between(from, to);
+                     path.links.push_back(link);
+                     loads.add(link, comm.weight);
+                     overloaded = overloaded || limit.exceeded(loads.load(link));
                    });
-    loads.add_path(path, comm.weight);
+    if (overloaded) return stopped(timer.elapsed_ms());
   }
 
   return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),

@@ -37,8 +37,10 @@
 
 namespace pamr {
 
+// XYI never stops early: its moves take load off links, so a committed
+// overload can still be repaired.
 RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                         const PowerModel& model) const {
+                                         const PowerModel& model, RouteGoal) const {
   return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
                                    : route_incremental(mesh, comms, model);
 }

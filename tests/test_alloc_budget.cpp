@@ -3,7 +3,8 @@
 // This binary replaces every global operator new/delete form with a
 // malloc-backed one that counts allocations while a window is open; the
 // window covers exactly one Router::route() call. Each default-mode router
-// must stay within 4·nc + 4·L + 32 allocations per call: a handful of
+// must stay within 4·nc + 4·L + 32 allocations per call, under either
+// RouteGoal: a handful of
 // buffers per communication (its routed path and flow list) and per link,
 // plus a constant. Inner loops that build a vector per cell, cut,
 // candidate or move blow through that budget within a few communications.
@@ -124,17 +125,25 @@ TEST(AllocBudget, RoutersStayWithinBudgetOnPaperInstances) {
     const std::uint64_t nc = instance.comms.size();
     const auto links = static_cast<std::uint64_t>(instance.mesh.num_links());
     const std::uint64_t budget = 4 * nc + 4 * links + 32;
-    for (const RouterKind kind : all_base_routers()) {
-      const auto router = make_router(kind);
-      RouteResult result;
-      const std::uint64_t counted = allocations_in(
-          [&] { result = router->route(instance.mesh, instance.comms, instance.model); });
-      ASSERT_TRUE(result.routing.has_value());
-      std::printf("  %-34s nc=%-4llu %-3s %6llu allocations (budget %llu)\n",
-                  instance.label.c_str(), static_cast<unsigned long long>(nc),
-                  to_cstring(kind), static_cast<unsigned long long>(counted),
-                  static_cast<unsigned long long>(budget));
-      EXPECT_LE(counted, budget) << instance.label << " " << to_cstring(kind);
+    for (const RouteGoal goal : {RouteGoal::kRouting, RouteGoal::kVerdict}) {
+      const bool verdict = goal == RouteGoal::kVerdict;
+      for (const RouterKind kind : all_base_routers()) {
+        const auto router = make_router(kind);
+        RouteResult result;
+        const std::uint64_t counted = allocations_in([&] {
+          result = router->route(instance.mesh, instance.comms, instance.model, goal);
+        });
+        // Only a verdict call may come back without a routing, and only
+        // as a failure.
+        ASSERT_TRUE(result.routing.has_value() || (verdict && !result.valid));
+        std::printf("  %-34s nc=%-4llu %-3s %-7s %6llu allocations (budget %llu)%s\n",
+                    instance.label.c_str(), static_cast<unsigned long long>(nc),
+                    to_cstring(kind), verdict ? "verdict" : "routing",
+                    static_cast<unsigned long long>(counted),
+                    static_cast<unsigned long long>(budget),
+                    result.routing.has_value() ? "" : ", stopped");
+        EXPECT_LE(counted, budget) << instance.label << " " << to_cstring(kind);
+      }
     }
   }
   obs::set_enabled(was_enabled);

@@ -47,6 +47,14 @@ constexpr std::uint64_t kCertified = 25;
 // At the paranoid check level, run_instance still routes each certified
 // instance to cross-check the certificate, so the router counters see it.
 constexpr std::uint64_t kCrossChecked = PAMR_CHECK_LEVEL >= 2 ? kCertified : 0;
+// Route calls of the test campaign that stop at a certain overload
+// (RouteGoal::kVerdict), in all and of PR alone. At the paranoid check
+// level, run_instance routes each of them again to completion to
+// cross-check the stop, and the router counters see that too.
+constexpr std::uint64_t kStopped = 130;
+constexpr std::uint64_t kStoppedPr = 5;
+constexpr std::uint64_t kReRouted = PAMR_CHECK_LEVEL >= 2 ? kStopped : 0;
+constexpr std::uint64_t kReRoutedPr = PAMR_CHECK_LEVEL >= 2 ? kStoppedPr : 0;
 
 const scenario::Scenario& test_scenario() {
   return scenario::ScenarioRegistry::builtin().at(kScenarioName);
@@ -140,7 +148,8 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
   // except those the infeasibility certificate rejects up front.
   EXPECT_EQ(snap.counter(Metric::kRouteCertifiedInfeasible), kCertified);
   const std::uint64_t routed = instances - kCertified + kCrossChecked;
-  EXPECT_EQ(snap.counter(Metric::kRouteCalls), 6 * routed);
+  EXPECT_EQ(snap.counter(Metric::kRouteCalls), 6 * routed + kReRouted);
+  EXPECT_EQ(snap.counter(Metric::kRouteStoppedEarly), kStopped);
   EXPECT_EQ(snap.timer_calls(Metric::kPhaseCertificate), instances);
   EXPECT_EQ(snap.counter(Metric::kSimProbes), 0u) << "fig7a_small is not a sim scenario";
   EXPECT_GT(snap.counter(Metric::kIgCutBounds), 0u);
@@ -148,7 +157,8 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
   // One histogram sample per XYI / PR route call; sums tie to the counters.
   EXPECT_EQ(snap.hist_count(Metric::kXyiMovesPerCall), routed);
   EXPECT_EQ(snap.hist_sum(Metric::kXyiMovesPerCall), snap.counter(Metric::kXyiMoves));
-  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), routed);
+  // A stopped PR call samples the removals it made.
+  EXPECT_EQ(snap.hist_count(Metric::kPrRemovalsPerCall), routed + kReRoutedPr);
   EXPECT_EQ(snap.hist_sum(Metric::kPrRemovalsPerCall), snap.counter(Metric::kPrRemovals));
 
   // The timer side is wall clock, but the call counts are deterministic.
@@ -495,13 +505,18 @@ TEST_F(ObsTest, TelemetryFlagsLeaveResultBytesIdentical) {
   const std::uint64_t instances =
       test_scenario().points.size() * static_cast<std::uint64_t>(kTrials);
   EXPECT_NE(report.find("\"route.calls\": {\"scope\": \"unit\", \"value\": " +
-                        std::to_string(6 * (instances - kCertified + kCrossChecked)) +
+                        std::to_string(6 * (instances - kCertified + kCrossChecked) +
+                                       kReRouted) +
                         "}"),
             std::string::npos)
       << report;
   EXPECT_NE(report.find("\"route.certified_infeasible\": {\"scope\": \"unit\", "
                         "\"value\": " +
                         std::to_string(kCertified) + "}"),
+            std::string::npos)
+      << report;
+  EXPECT_NE(report.find("\"route.stopped_early\": {\"scope\": \"unit\", \"value\": " +
+                        std::to_string(kStopped) + "}"),
             std::string::npos)
       << report;
   const std::string resumed_report = read_file(resume_dir + "/report.json");

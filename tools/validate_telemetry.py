@@ -6,7 +6,9 @@
     validate_telemetry.py trace <trace.json>     # --trace-out output
 
 report: enforces the "pamr-metrics/1" schema — every value an integer,
-every counter/histogram tagged with a known scope, bucket sums consistent.
+every counter/histogram tagged with a known scope, bucket sums consistent,
+and route.stopped_early (route calls that stopped at a certain overload) a
+unit counter no larger than route.calls.
 
 trace: enforces the Chrome trace-event contract the repo's writer promises —
 every B matched by an E with the same name in its (pid, tid) lane, lanes
@@ -66,6 +68,12 @@ def validate_report(path):
         expect(isinstance(entry, dict), f"counter {name} is not an object")
         expect(entry.get("scope") in SCOPES, f"counter {name} has bad scope")
         expect(is_uint(entry.get("value")), f"counter {name} value is not an integer")
+    stopped = counters.get("route.stopped_early")
+    if stopped is not None:
+        expect(stopped["scope"] == "unit", "route.stopped_early is not unit-scoped")
+        calls = counters.get("route.calls", {}).get("value", 0)
+        expect(stopped["value"] <= calls,
+               f"route.stopped_early {stopped['value']} exceeds route.calls {calls}")
 
     histograms = doc.get("histograms")
     expect(isinstance(histograms, dict), "histograms section missing")
