@@ -1,5 +1,8 @@
 #include "pamr/routing/router.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
@@ -33,18 +36,20 @@ RouteResult Router::route(const Mesh& mesh, const CommSet& comms,
   return route_impl(mesh, comms, model, goal);
 }
 
-RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
-                           const PowerModel& model, Routing routing,
-                           double elapsed_ms) {
-  RouteResult result;
-  result.elapsed_ms = elapsed_ms;
-  // All §5 heuristics are single-path; multi-path callers go through the
-  // opt/ layer which validates with its own s. Structure must always hold —
-  // a structurally broken routing is a bug, not a "failure".
+namespace {
+
+// All §5 heuristics are single-path; multi-path callers go through the
+// opt/ layer which validates with its own s. Structure must always hold —
+// a structurally broken routing is a bug, not a "failure".
+void assert_structure(const Mesh& mesh, const CommSet& comms, const Routing& routing) {
   const ValidationResult structure = validate_structure(mesh, comms, routing, 1);
   PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
+}
 
-  const LinkLoads loads = loads_of_routing(mesh, routing);
+RouteResult evaluated(const PowerModel& model, Routing routing, const LinkLoads& loads,
+                      double elapsed_ms) {
+  RouteResult result;
+  result.elapsed_ms = elapsed_ms;
   if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
     result.valid = true;
     result.power = breakdown->total;
@@ -52,6 +57,26 @@ RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
   }
   result.routing = std::move(routing);
   return result;
+}
+
+}  // namespace
+
+RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
+                           const PowerModel& model, Routing routing,
+                           double elapsed_ms) {
+  assert_structure(mesh, comms, routing);
+  const LinkLoads loads = loads_of_routing(mesh, routing);
+  return evaluated(model, std::move(routing), loads, elapsed_ms);
+}
+
+RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
+                           const PowerModel& model, Routing routing,
+                           const LinkLoads& loads, double elapsed_ms) {
+  assert_structure(mesh, comms, routing);
+  PAMR_INVARIANT("finish-loads",
+                 std::ranges::equal(loads.values(), loads_of_routing(mesh, routing).values()),
+                 "handed link loads differ from the routing's own sums");
+  return evaluated(model, std::move(routing), loads, elapsed_ms);
 }
 
 OverloadLimit Router::stop_limit(const PowerModel& model, RouteGoal goal) noexcept {

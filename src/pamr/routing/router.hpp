@@ -26,6 +26,8 @@
 
 namespace pamr {
 
+class LinkLoads;
+
 enum class RouterKind : std::uint8_t { kXY = 0, kSG, kIG, kTB, kXYI, kPR, kBest };
 
 inline constexpr std::size_t kNumBaseRouters = 6;  // all but kBest
@@ -95,6 +97,13 @@ class Router {
   [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model, Routing routing,
                                           double elapsed_ms);
+
+  /// The same epilogue for a caller that already holds the routing's link
+  /// loads, summed in loads_of_routing's order (one path per flow, in
+  /// communication order), so power comes out bit-identical.
+  [[nodiscard]] static RouteResult finish(const Mesh& mesh, const CommSet& comms,
+                                          const PowerModel& model, Routing routing,
+                                          const LinkLoads& loads, double elapsed_ms);
 
   /// The committed load above which a call stops: OverloadLimit(model)
   /// under RouteGoal::kVerdict, a limit nothing reaches otherwise.

@@ -21,8 +21,13 @@ RouteResult XYRouter::route_impl(const Mesh& mesh, const CommSet& comms,
       if (ledger.overloads(link, comm.weight)) return stopped(timer.elapsed_ms());
     }
   }
-  return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)),
-                timer.elapsed_ms());
+  Routing routing = make_single_path_routing(comms, std::move(paths));
+  // A ledger that saw every path holds the routing's loads, summed in
+  // loads_of_routing's order.
+  if (ledger.active()) {
+    return finish(mesh, comms, model, std::move(routing), ledger.loads(), timer.elapsed_ms());
+  }
+  return finish(mesh, comms, model, std::move(routing), timer.elapsed_ms());
 }
 
 }  // namespace pamr

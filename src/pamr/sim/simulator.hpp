@@ -4,15 +4,15 @@
 // flow-controlled mesh, and an overloaded routing does not.
 //
 // Each (communication, path) pair is a subflow with its own leaky-bucket
-// source. Packets are fixed-length flit trains; a flit carries its hop
-// index into its path, which names its output port at every node, so the
-// routers hold no routing tables.
+// source. Packets are fixed-length flit trains; a flit carries its index
+// into one flat table of every subflow's ports, which names its output
+// port at every node, so the routers hold no routing tables.
 //
 // Cycle structure (two-phase update so link traversal is simultaneous
 // across the mesh): per router, per output port, a round-robin arbiter
 // picks one mesh input whose head flit routes there; mesh outputs
 // additionally need a free slot (credit) in the downstream input buffer,
-// measured against the start-of-cycle snapshot. If no mesh input wants an
+// measured against its start-of-cycle occupancy. If no mesh input wants an
 // output, the co-located source queues whose first hop uses it compete for
 // injection (per-subflow virtual injection channels — no head-of-line
 // blocking between flows sharing a source). Winning flits are staged and
@@ -20,12 +20,25 @@
 // delivers every head flit that has reached its sink (ejection is not a
 // modeled resource).
 //
-// Only routers with work are evaluated: a router holding no flit and no
-// queued packet at its sources is skipped for the cycle, which is exact
-// because arrivals are staged. An evaluated router reads its four head
-// flits once into per-output request masks; a pop clears the winner's bit
-// and files the head it uncovered, which may still take a later output or
-// the local drain in the same cycle, but not an earlier output.
+// The loop's work scales with the flits in flight, not with the mesh:
+// - An active-router bitset (one 64-bit word per 64 cores) holds the
+//   routers with a buffered flit or a queued packet. An arrival or a
+//   generated packet sets a router's bit; its own step clears it once it
+//   is left with neither. This is exact because arrivals are staged.
+// - Each input buffer caches its head flit's output port, and each router
+//   a 4-bit mask of its non-empty inputs, so the per-output request masks
+//   come from set bits without reading a flit. A pop clears the winner's
+//   bit and files the head it uncovered, which may still take a later
+//   output or the local drain in the same cycle, but not an earlier one.
+// - Outputs are visited through a pending mask: the requested outputs
+//   plus, while packets are queued, the outputs the node's sources inject
+//   into, recomputed after each output for the later ones.
+// - Credits are read from per-buffer `full` flags that keep the
+//   start-of-cycle state; a buffer popped while full is re-checked after
+//   the arrivals commit.
+// At PAMR_CHECK_LEVEL >= 2 the "sim-state" invariant re-derives the
+// active set, the non-empty masks, the head ports and the full flags from
+// the buffers and queues after every cycle.
 //
 // A valid routing keeps every source queue bounded and delivers ≈ 100 % of
 // offered traffic; an overloaded link shows up as utilization pinned at

@@ -11,12 +11,17 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "pamr/obs/obs.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/scenario/registry.hpp"
+#include "pamr/scenario/work_list.hpp"
 #include "pamr/sim/simulator.hpp"
+#include "pamr/util/assert.hpp"
 #include "pamr/util/rng.hpp"
 
 namespace pamr {
@@ -231,13 +236,15 @@ TEST(Simulate, RejectsStructurallyInvalidInput) {
 
 
 // ---------------------------------------------------------------- pins --
-// Every SimStats field of a fixed battery, recorded from the table-routed
-// simulator this loop replaced. A mismatch prints the case's actual row in
-// the table's own syntax.
+// Every SimStats field of a fixed battery, recorded from earlier cycle
+// loops: the table-routed simulator for most rows, and the loop that
+// scanned every node for wide/9x8. A mismatch prints the case's actual row
+// in the table's own syntax.
 
 struct PinCase {
   std::string name;
-  std::int32_t side = 0;  ///< square mesh
+  std::int32_t p = 0;  ///< mesh rows
+  std::int32_t q = 0;  ///< mesh columns
   CommSet comms;
   Routing routing;
   SimConfig config;
@@ -249,7 +256,7 @@ PinCase single_path_case(std::int32_t side) {
   const Mesh mesh(side, side);
   const std::int32_t last = side - 1;
   PinCase c;
-  c.side = side;
+  c.p = c.q = side;
   c.comms = {{{0, 0}, {last, last}, 1500.0},
              {{last, 0}, {0, last}, 1300.0},
              {{0, last}, {last, 0}, 900.0},
@@ -265,7 +272,7 @@ PinCase split_case(std::int32_t side) {
   const Mesh mesh(side, side);
   const std::int32_t last = side - 1;
   PinCase c;
-  c.side = side;
+  c.p = c.q = side;
   c.comms = {{{0, 0}, {last, last}, 2600.0}, {{last, 0}, {0, last}, 2000.0}};
   c.routing.per_comm.resize(2);
   c.routing.per_comm[0].flows = {{xy_path(mesh, {0, 0}, {last, last}), 1400.0},
@@ -298,7 +305,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(4, 4);
     PinCase c;
     c.name = "overloaded/4";
-    c.side = 4;
+    c.p = c.q = 4;
     c.comms = {{{0, 0}, {3, 3}, 2600.0}, {{0, 0}, {3, 3}, 2600.0}};
     c.routing = make_single_path_routing(
         c.comms, {xy_path(mesh, {0, 0}, {3, 3}), xy_path(mesh, {0, 0}, {3, 3})});
@@ -315,7 +322,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(4, 4);
     PinCase c;
     c.name = "merge/4/d" + std::to_string(depth);
-    c.side = 4;
+    c.p = c.q = 4;
     c.comms = {{{0, 0}, {3, 2}, 2000.0}, {{0, 0}, {0, 2}, 800.0}, {{0, 3}, {2, 2}, 2000.0}};
     c.routing = make_single_path_routing(
         c.comms, {xy_path(mesh, {0, 0}, {3, 2}), xy_path(mesh, {0, 0}, {0, 2}),
@@ -332,7 +339,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(2, 2);
     PinCase c;
     c.name = "ring/2";
-    c.side = 2;
+    c.p = c.q = 2;
     c.comms = {{{0, 0}, {1, 1}, 1600.0},
                {{0, 1}, {1, 0}, 1600.0},
                {{1, 1}, {0, 0}, 1600.0},
@@ -353,7 +360,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(16, 16);
     PinCase c;
     c.name = "sparse/16";
-    c.side = 16;
+    c.p = c.q = 16;
     c.comms = {{{0, 0}, {15, 15}, 1200.0}, {{15, 0}, {0, 15}, 900.0}, {{0, 15}, {15, 3}, 300.0}};
     c.routing = make_single_path_routing(
         c.comms, {xy_path(mesh, {0, 0}, {15, 15}), yx_path(mesh, {15, 0}, {0, 15}),
@@ -368,7 +375,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(8, 8);
     PinCase c;
     c.name = "trickle/8/d" + std::to_string(depth);
-    c.side = 8;
+    c.p = c.q = 8;
     c.comms = {{{0, 0}, {7, 7}, 100.0}};
     c.routing = make_single_path_routing(c.comms, {xy_path(mesh, {0, 0}, {7, 7})});
     c.config.cycles = 3000;
@@ -386,7 +393,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(3, 3);
     PinCase c;
     c.name = "uncover/3/p" + std::to_string(packet);
-    c.side = 3;
+    c.p = c.q = 3;
     c.comms = {{{1, 0}, {1, 2}, 1800.0}, {{1, 0}, {2, 1}, 1200.0}, {{0, 1}, {1, 2}, 1800.0}};
     c.routing = make_single_path_routing(
         c.comms, {xy_path(mesh, {1, 0}, {1, 2}), xy_path(mesh, {1, 0}, {2, 1}),
@@ -404,7 +411,7 @@ std::vector<PinCase> pin_cases() {
     const Mesh mesh(4, 4);
     PinCase c;
     c.name = "overloaded/4/d1";
-    c.side = 4;
+    c.p = c.q = 4;
     c.comms = {{{0, 0}, {3, 3}, 2600.0}, {{0, 0}, {3, 3}, 2600.0}, {{0, 0}, {3, 0}, 900.0}};
     c.routing = make_single_path_routing(
         c.comms, {xy_path(mesh, {0, 0}, {3, 3}), xy_path(mesh, {0, 0}, {3, 3}),
@@ -412,6 +419,32 @@ std::vector<PinCase> pin_cases() {
     c.config.cycles = 3000;
     c.config.warmup = 500;
     c.config.buffer_depth = 1;
+    cases.push_back(std::move(c));
+  }
+  {
+    // A 9x8 mesh has 72 cores, so the routers span two 64-bit words of
+    // any per-core bitset. Core 63 is (7,7) and core 64 is (8,0); every
+    // flow starts, ends or passes through one of them. The third and
+    // fifth flows share the links (6,7)->(7,7)->(8,7)->(8,6) and
+    // oversubscribe them (3.6 > 3.5 Gb/s).
+    const Mesh mesh(9, 8);
+    PinCase c;
+    c.name = "wide/9x8";
+    c.p = 9;
+    c.q = 8;
+    c.comms = {{{7, 7}, {8, 0}, 1400.0},
+               {{8, 0}, {7, 7}, 1200.0},
+               {{6, 7}, {8, 5}, 1500.0},
+               {{8, 3}, {6, 0}, 1100.0},
+               {{0, 7}, {8, 6}, 2100.0}};
+    c.routing = make_single_path_routing(
+        c.comms, {xy_path(mesh, {7, 7}, {8, 0}), yx_path(mesh, {8, 0}, {7, 7}),
+                  path_from_cores(mesh, {{6, 7}, {7, 7}, {8, 7}, {8, 6}, {8, 5}}),
+                  path_from_cores(mesh, {{8, 3}, {8, 2}, {8, 1}, {8, 0}, {7, 0}, {6, 0}}),
+                  yx_path(mesh, {0, 7}, {8, 6})});
+    c.config.cycles = 3000;
+    c.config.warmup = 500;
+    c.config.buffer_depth = 2;
     cases.push_back(std::move(c));
   }
   return cases;
@@ -693,6 +726,12 @@ const std::vector<Pin> kPins = {
      {{1856, 626, 624, 156, 0x41261ca000000000ULL, 1478},
       {1856, 624, 626, 156, 0x41263b9000000000ULL, 1480},
       {644, 642, 642, 161, 0x40ae200000000000ULL, 3}}},
+    {"wide/9x8", 36283, 0xd81a6b3b4eb0cab1ULL,
+     {{1000, 1000, 1000, 250, 0x40c28e0000000000ULL, 1},
+      {856, 860, 856, 214, 0x40c1fe0000000000ULL, 0},
+      {1072, 1000, 1000, 250, 0x40fdf2c000000000ULL, 86},
+      {784, 784, 786, 197, 0x40b3f70000000000ULL, 0},
+      {1500, 1500, 1500, 375, 0x40cec30000000000ULL, 2}}},
 };
 // clang-format on
 
@@ -701,7 +740,7 @@ TEST(Simulate, StatsMatchParentPins) {
   ASSERT_EQ(kPins.size(), cases.size()) << "rows to pin:\n" << [&] {
     std::string rows;
     for (const PinCase& c : cases) {
-      const Mesh mesh(c.side, c.side);
+      const Mesh mesh(c.p, c.q);
       rows += row_of(pin_of(c.name.c_str(),
                             sim::simulate(mesh, c.comms, c.routing, c.config))) + "\n";
     }
@@ -710,13 +749,96 @@ TEST(Simulate, StatsMatchParentPins) {
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const PinCase& c = cases[i];
     ASSERT_EQ(c.name, kPins[i].name);
-    const Mesh mesh(c.side, c.side);
+    const Mesh mesh(c.p, c.q);
     const Pin actual =
         pin_of(kPins[i].name, sim::simulate(mesh, c.comms, c.routing, c.config));
     const bool same = actual.subflows == kPins[i].subflows &&
                       actual.link_busy_total == kPins[i].link_busy_total &&
                       actual.link_busy_fnv == kPins[i].link_busy_fnv;
     EXPECT_TRUE(same) << "actual " << row_of(actual);
+  }
+}
+
+// Paranoid builds re-derive the loop's cached state (active-router set,
+// non-empty masks, head ports, full flags) from the buffers and queues
+// after every cycle and throw on the "sim-state" invariant if any of it
+// went stale. Run the whole battery through that check.
+TEST(Simulate, CachedStateSurvivesThePinBatteryUnderParanoidBuilds) {
+  if (compiled_check_level() < 2) GTEST_SKIP() << "sim-state is a level-2 invariant";
+  for (const PinCase& c : pin_cases()) {
+    const Mesh mesh(c.p, c.q);
+    try {
+      (void)sim::simulate(mesh, c.comms, c.routing, c.config);
+    } catch (const InvariantError& e) {
+      ADD_FAILURE() << c.name << ": " << e.category() << ": " << e.what();
+    }
+  }
+}
+
+// ------------------------------------------------------- counter pins --
+// sim.router_cycles and sim.flit_hops of three probes, recorded from the
+// simulator that scanned every node each cycle. A loop that evaluates a
+// router without work, or skips one with work, moves router_cycles even
+// where every SimStats field still matches.
+
+struct CounterPin {
+  const char* name;
+  std::uint64_t probes, router_cycles, flit_hops;
+};
+
+CounterPin count_probe(const char* name, const std::function<void()>& probe) {
+  obs::set_enabled(true);
+  obs::reset();
+  probe();
+  const obs::Snapshot snap = obs::snapshot();
+  obs::set_enabled(false);
+  obs::reset();
+  return {name, snap.counter(obs::Metric::kSimProbes),
+          snap.counter(obs::Metric::kSimRouterCycles),
+          snap.counter(obs::Metric::kSimFlitHops)};
+}
+
+TEST(Simulate, CountersMatchParentPins) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
+  std::vector<CounterPin> actual;
+  const std::vector<PinCase> cases = pin_cases();
+  for (const char* name : {"sparse/16", "trickle/8/d1"}) {
+    const auto it = std::find_if(cases.begin(), cases.end(),
+                                 [&](const PinCase& c) { return c.name == name; });
+    ASSERT_NE(it, cases.end()) << name;
+    const Mesh mesh(it->p, it->q);
+    actual.push_back(count_probe(
+        name, [&] { (void)sim::simulate(mesh, it->comms, it->routing, it->config); }));
+  }
+  {
+    // The first instance of injection_sweep's 1.25x point, probed exactly
+    // as a campaign unit probes it (BEST routing, seeded SimConfig).
+    const scenario::Scenario& sweep =
+        scenario::ScenarioRegistry::builtin().at("injection_sweep");
+    const std::size_t point = 4;
+    ASSERT_EQ(sweep.points[point].x, 1.25);
+    const scenario::ScenarioSpec& spec = sweep.points[point].spec;
+    const Mesh mesh = spec.make_mesh();
+    const PowerModel model = spec.make_model();
+    actual.push_back(count_probe("injection_sweep/1.25", [&] {
+      (void)scenario::run_unit_instances(mesh, model, spec, 0, 1, 1, sweep.default_seed,
+                                         point);
+    }));
+  }
+  const std::vector<CounterPin> expected = {
+      {"sparse/16", 0, 60552, 60527},
+      {"trickle/8/d1", 0, 1323, 1176},
+      {"injection_sweep/1.25", 1, 100590, 96501},
+  };
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    const CounterPin& a = actual[i];
+    const CounterPin& e = expected[i];
+    EXPECT_EQ(std::string(a.name), std::string(e.name));
+    EXPECT_TRUE(a.probes == e.probes && a.router_cycles == e.router_cycles &&
+                a.flit_hops == e.flit_hops)
+        << "actual {\"" << a.name << "\", " << a.probes << ", " << a.router_cycles << ", "
+        << a.flit_hops << "},";
   }
 }
 
