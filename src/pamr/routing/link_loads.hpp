@@ -67,9 +67,8 @@ class LinkLoads {
 
 /// The weight a router has committed to each link, for the fail-fast of
 /// RouteGoal::kVerdict (router.hpp). IG and PR keep it apart from their
-/// working loads, which also carry virtual spreads that later fall off; XY
-/// keeps no working loads at all and hands the ledger's to Router::finish.
-/// An inactive ledger allocates and records nothing.
+/// working loads, which also carry virtual spreads that later fall off. An
+/// inactive ledger allocates and records nothing.
 class CommitLedger {
  public:
   CommitLedger(const Mesh& mesh, const PowerModel& model, bool active)
@@ -84,9 +83,6 @@ class CommitLedger {
     committed_.add(link, weight);
     return limit_.exceeded(committed_.load(link));
   }
-
-  /// Every weight committed so far, per link (empty when inactive).
-  [[nodiscard]] const LinkLoads& loads() const noexcept { return committed_; }
 
  private:
   bool active_;

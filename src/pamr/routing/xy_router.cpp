@@ -10,24 +10,21 @@ namespace pamr {
 RouteResult XYRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                  const PowerModel& model, RouteGoal goal) const {
   const WallTimer timer;
-  // Under kVerdict each path is committed as it is drawn.
-  CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
+  const OverloadLimit limit = stop_limit(model, goal);
+  // One path per communication, in communication order: the order of
+  // loads_of_routing, so finish() gets the same sums bit for bit.
+  LinkLoads loads(mesh);
   std::vector<Path> paths;
   paths.reserve(comms.size());
   for (const Communication& comm : comms) {
     const Path& path = paths.emplace_back(xy_path(mesh, comm.src, comm.snk));
-    if (!ledger.active()) continue;
     for (const LinkId link : path.links) {
-      if (ledger.overloads(link, comm.weight)) return stopped(timer.elapsed_ms());
+      loads.add(link, comm.weight);
+      if (limit.exceeded(loads.load(link))) return stopped(timer.elapsed_ms());
     }
   }
-  Routing routing = make_single_path_routing(comms, std::move(paths));
-  // A ledger that saw every path holds the routing's loads, summed in
-  // loads_of_routing's order.
-  if (ledger.active()) {
-    return finish(mesh, comms, model, std::move(routing), ledger.loads(), timer.elapsed_ms());
-  }
-  return finish(mesh, comms, model, std::move(routing), timer.elapsed_ms());
+  return finish(mesh, comms, model, make_single_path_routing(comms, std::move(paths)), loads,
+                timer.elapsed_ms());
 }
 
 }  // namespace pamr

@@ -21,7 +21,6 @@
 #include "pamr/scenario/registry.hpp"
 #include "pamr/scenario/work_list.hpp"
 #include "pamr/sim/simulator.hpp"
-#include "pamr/util/assert.hpp"
 #include "pamr/util/rng.hpp"
 
 namespace pamr {
@@ -735,6 +734,10 @@ const std::vector<Pin> kPins = {
 };
 // clang-format on
 
+// Paranoid builds (PAMR_CHECK_LEVEL >= 2) also re-derive the loop's cached
+// state (active-router set, non-empty masks, head ports, full flags) after
+// every cycle and throw on the "sim-state" invariant if any went stale, so
+// this runs the whole battery through that check too.
 TEST(Simulate, StatsMatchParentPins) {
   const std::vector<PinCase> cases = pin_cases();
   ASSERT_EQ(kPins.size(), cases.size()) << "rows to pin:\n" << [&] {
@@ -756,22 +759,6 @@ TEST(Simulate, StatsMatchParentPins) {
                       actual.link_busy_total == kPins[i].link_busy_total &&
                       actual.link_busy_fnv == kPins[i].link_busy_fnv;
     EXPECT_TRUE(same) << "actual " << row_of(actual);
-  }
-}
-
-// Paranoid builds re-derive the loop's cached state (active-router set,
-// non-empty masks, head ports, full flags) from the buffers and queues
-// after every cycle and throw on the "sim-state" invariant if any of it
-// went stale. Run the whole battery through that check.
-TEST(Simulate, CachedStateSurvivesThePinBatteryUnderParanoidBuilds) {
-  if (compiled_check_level() < 2) GTEST_SKIP() << "sim-state is a level-2 invariant";
-  for (const PinCase& c : pin_cases()) {
-    const Mesh mesh(c.p, c.q);
-    try {
-      (void)sim::simulate(mesh, c.comms, c.routing, c.config);
-    } catch (const InvariantError& e) {
-      ADD_FAILURE() << c.name << ": " << e.category() << ": " << e.what();
-    }
   }
 }
 
