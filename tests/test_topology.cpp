@@ -435,6 +435,84 @@ TEST(TopoRouter, AnaloguesAreDeterministicAndOrdered) {
   }
 }
 
+/// FNV-1a over every routed link id (with each path's length as a
+/// separator), then the validity flag and the bits of the power; a result
+/// without a routing (BEST with no valid base result) hashes only the last
+/// two.
+std::uint64_t routing_hash(const RouteResult& result) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  if (result.routing.has_value()) {
+    for (const CommRouting& comm : result.routing->per_comm) {
+      for (const RoutedFlow& flow : comm.flows) {
+        mix(flow.path.links.size());
+        for (const LinkId link : flow.path.links) mix(static_cast<std::uint64_t>(link));
+      }
+    }
+  }
+  mix(result.valid ? 1 : 0);
+  mix(std::bit_cast<std::uint64_t>(result.power));
+  return hash;
+}
+
+TEST(TopoRouter, RoutingsArePinned) {
+  // Every policy analogue plus BEST on torus and diag instances, hashed over
+  // link ids and power bits. Run-twice, thread-count and driver
+  // differentials cannot see a change that moves every answer the same
+  // way; these pins can. The weight scales put light rows (every policy
+  // valid) next to loaded ones (some or all fail). Columns follow
+  // all_base_routers() (XY, SG, IG, TB, XYI, PR), then BEST.
+  struct PinCase {
+    TopoKind kind;
+    std::int32_t p, q, n;
+    double scale;
+    std::uint64_t pins[7];
+  };
+  const PinCase cases[] = {
+      {TopoKind::kTorus, 6, 6, 24, 1.0,
+       {0xbdd4de7a85841e9c, 0xcc56f3e3e70246ab, 0xcaa31e8eb37378fa,
+        0x989f9c0b4e2846b4, 0x91f8d49c429ed8c1, 0x09196eea6a62e59d, 0x91f8d49c429ed8c1}},
+      {TopoKind::kTorus, 5, 4, 30, 2.0,
+       {0xd251a962f3917c96, 0x535ae6da661c94ee, 0x535ae6da661c94ee,
+        0x535ae6da661c94ee, 0x04a86ccdd40ab96e, 0x04a86ccdd40ab96e, 0x535ae6da661c94ee}},
+      {TopoKind::kTorus, 8, 8, 48, 2.25,
+       {0x9afc99074c113641, 0x56f4a91396a845be, 0xde876b9dcc4baf09,
+        0x29749d7be4b87789, 0xf9ae0db3bbbdc550, 0xf9b4b2bd679f84c3, 0xf9ae0db3bbbdc550}},
+      {TopoKind::kTorus, 8, 8, 48, 3.0,
+       {0x9afc99074c113641, 0x02b653c266dfc1c1, 0x03b8cef5f84a760d,
+        0xd0db7f4e27fb1c15, 0xba02315f28af3311, 0x6398e82c32fa04f9, 0x88201fb960ff6465}},
+      {TopoKind::kDiag, 6, 6, 24, 1.0,
+       {0x8529afef0d789ec9, 0x26dddc86d2d18db3, 0x9c27f0876e2395da,
+        0x6f1a62ab8d03cbaf, 0xe1272057ecbafc1b, 0x2815d265f790f48a, 0x2815d265f790f48a}},
+      {TopoKind::kDiag, 4, 5, 20, 2.5,
+       {0x7f126390f0b64528, 0x7f126390f0b64528, 0x7f126390f0b64528,
+        0x7f126390f0b64528, 0x6685e716dd93fa38, 0x63db23c3099bc201, 0x6685e716dd93fa38}},
+      {TopoKind::kDiag, 8, 8, 48, 3.0,
+       {0x23248a0e1d991a4c, 0xdbd5f1307bf47cee, 0x58c58f1f18efb858,
+        0x936235dfdfb452cc, 0xa0f6f1905e4513ec, 0xb6f0ef560495fb5c, 0xa0f6f1905e4513ec}},
+  };
+  const PowerModel model = PowerModel::paper_discrete();
+  std::vector<RouterKind> kinds = all_base_routers();
+  kinds.push_back(RouterKind::kBest);
+  for (const PinCase& pin : cases) {
+    const auto topology = make_topology(pin.kind, pin.p, pin.q);
+    CommSet comms = small_workload(pin.p, pin.q, pin.n);
+    for (Communication& comm : comms) comm.weight *= pin.scale;
+    for (std::size_t col = 0; col < kinds.size(); ++col) {
+      const RouteResult result = route_on(*topology, kinds[col], comms, model);
+      EXPECT_EQ(routing_hash(result), pin.pins[col])
+          << to_cstring(pin.kind) << " " << pin.p << "x" << pin.q << " x"
+          << pin.scale << " " << to_cstring(kinds[col]) << " valid=" << result.valid
+          << " hash=0x" << std::hex << routing_hash(result);
+    }
+  }
+}
+
 TEST(TopoRouter, MalformedInputThrowsForEveryTopology) {
   const PowerModel model = PowerModel::paper_discrete();
   for (const TopoKind kind : {TopoKind::kRect, TopoKind::kTorus, TopoKind::kDiag}) {
