@@ -26,6 +26,11 @@ namespace dist {
 
 namespace {
 
+/// Replacement workers allowed beyond the initial N before the campaign
+/// aborts: a fixed base plus a few per worker.
+constexpr std::size_t kBaseRespawns = 16;
+constexpr std::size_t kRespawnsPerWorker = 4;
+
 [[noreturn]] void throw_errno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -178,8 +183,7 @@ CampaignOutcome run_campaign(const CampaignPlan& plan,
   obs::bump(obs::Metric::kDistUnitsResumeSkipped, journaled.size());
 
   const std::size_t max_spawns =
-      options.workers +
-      (options.max_respawns != 0 ? options.max_respawns : 16 + 4 * options.workers);
+      options.workers + kBaseRespawns + kRespawnsPerWorker * options.workers;
   std::size_t spawns = 0;
   std::uint64_t dispatched_new = 0;
 

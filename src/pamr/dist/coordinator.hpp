@@ -31,9 +31,6 @@ struct CoordinatorOptions {
   /// Checkpoint/test hook: dispatch at most this many new units, then stop
   /// cleanly (journal intact, exit incomplete). 0 = no limit.
   std::uint64_t max_units = 0;
-  /// Replacement workers allowed beyond the initial N before the campaign
-  /// aborts. 0 = default (16 + 4 * workers).
-  std::size_t max_respawns = 0;
 };
 
 struct CampaignOutcome {

@@ -32,7 +32,6 @@ class ResultMerger {
 
   [[nodiscard]] bool complete() const noexcept { return have_ == parts_.size(); }
   [[nodiscard]] std::size_t units_total() const noexcept { return parts_.size(); }
-  [[nodiscard]] std::size_t units_have() const noexcept { return have_; }
 
   /// The parsed partial of one recorded unit (for streaming rows).
   [[nodiscard]] const exp::PointAggregate& partial(std::uint64_t unit_id) const;

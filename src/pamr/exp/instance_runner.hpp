@@ -36,12 +36,11 @@ namespace exp {
                                           const PowerModel& model,
                                           const sim::SimConfig* sim_config = nullptr);
 
-/// Topology-generic variant: the six policy analogues via topo::route_on.
-/// No simulation probe (the cycle simulator is rect-only; ScenarioSpec
-/// rejects sim=on for other topologies at parse time) and no certificate:
-/// every instance is routed. On the rectangular topology this produces the
-/// validity and power of the Mesh overload — route_on delegates to the
-/// original routers.
+/// Topology variant (torus, diag): the six policy analogues via
+/// topo::route_on. No simulation probe (the cycle simulator is rect-only;
+/// ScenarioSpec rejects sim=on for other topologies at parse time) and no
+/// certificate: every instance is routed. topo=rect instances take the
+/// Mesh overload above.
 [[nodiscard]] InstanceSample run_instance(const topo::Topology& topology,
                                           const CommSet& comms,
                                           const PowerModel& model);

@@ -46,8 +46,10 @@ void assert_structure(const Mesh& mesh, const CommSet& comms, const Routing& rou
   PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
 }
 
-RouteResult evaluated(const PowerModel& model, Routing routing, const LinkLoads& loads,
-                      double elapsed_ms) {
+}  // namespace
+
+RouteResult evaluated_result(const PowerModel& model, Routing routing,
+                             const LinkLoads& loads, double elapsed_ms) {
   RouteResult result;
   result.elapsed_ms = elapsed_ms;
   if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
@@ -59,14 +61,12 @@ RouteResult evaluated(const PowerModel& model, Routing routing, const LinkLoads&
   return result;
 }
 
-}  // namespace
-
 RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
                            const PowerModel& model, Routing routing,
                            double elapsed_ms) {
   assert_structure(mesh, comms, routing);
   const LinkLoads loads = loads_of_routing(mesh, routing);
-  return evaluated(model, std::move(routing), loads, elapsed_ms);
+  return evaluated_result(model, std::move(routing), loads, elapsed_ms);
 }
 
 RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
@@ -76,7 +76,7 @@ RouteResult Router::finish(const Mesh& mesh, const CommSet& comms,
   PAMR_INVARIANT("finish-loads",
                  std::ranges::equal(loads.values(), loads_of_routing(mesh, routing).values()),
                  "handed link loads differ from the routing's own sums");
-  return evaluated(model, std::move(routing), loads, elapsed_ms);
+  return evaluated_result(model, std::move(routing), loads, elapsed_ms);
 }
 
 OverloadLimit Router::stop_limit(const PowerModel& model, RouteGoal goal) noexcept {

@@ -70,6 +70,13 @@ struct RouteResult {
   }
 };
 
+/// The epilogue step every router shares, on the mesh or on a topology:
+/// validity and power from the model on the routing's link loads, stamped
+/// into a RouteResult that takes the routing. Callers check its structure
+/// first.
+[[nodiscard]] RouteResult evaluated_result(const PowerModel& model, Routing routing,
+                                           const LinkLoads& loads, double elapsed_ms);
+
 class Router {
  public:
   virtual ~Router() = default;

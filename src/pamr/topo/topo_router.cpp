@@ -1,5 +1,7 @@
 #include "pamr/topo/topo_router.hpp"
 
+#include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "pamr/obs/obs.hpp"
@@ -57,8 +59,21 @@ bool path_uses(const Path& path, LinkId link) {
   return false;
 }
 
-void remove_path(LinkLoads& loads, const Path& path, double weight) {
-  for (const LinkId link : path.links) loads.add(link, -weight);
+/// The strict-< argmin every analogue picks with: walks `items` in order
+/// and keeps each one whose key is below the best so far, starting from
+/// `best` at `best_key`. Ties keep the earlier item (or `best`), and an item
+/// keyed +infinity never wins.
+template <class Item, class Key, class Value>
+const Item* argmin(const std::vector<Item>& items, const Key& key,
+                   std::type_identity_t<const Item*> best, Value best_key) {
+  for (const Item& item : items) {
+    const Value candidate = key(item);
+    if (candidate < best_key) {
+      best = &item;
+      best_key = candidate;
+    }
+  }
+  return best;
 }
 
 /// XY analogue: every communication takes its canonical path.
@@ -72,14 +87,19 @@ Routing route_xy(const Topology& topology, const CommSet& comms) {
   return routing;
 }
 
-/// SG analogue: communications by decreasing weight, path built hop by hop
-/// onto the least-loaded next step; ties keep the pinned next_steps order.
-Routing route_sg(const Topology& topology, const CommSet& comms) {
+/// SG and IG analogues: communications by decreasing weight, each path
+/// built hop by hop onto the next step with the least
+/// `key(loads, link, weight)`; ties keep the pinned next_steps order.
+template <class Key>
+Routing route_greedy(const Topology& topology, const CommSet& comms, const Key& key) {
   Routing routing;
   routing.per_comm.resize(comms.size());
   LinkLoads loads(topology.num_links());
   for (const std::size_t idx : order_by_decreasing_weight(comms)) {
     const Communication& comm = comms[idx];
+    const auto step_key = [&](const TopoStep& step) {
+      return key(loads, step.link, comm.weight);
+    };
     Path path;
     path.src = comm.src;
     path.snk = comm.snk;
@@ -87,10 +107,8 @@ Routing route_sg(const Topology& topology, const CommSet& comms) {
     while (at != comm.snk) {
       const std::vector<TopoStep> steps = topology.next_steps(at, comm.snk);
       PAMR_ASSERT(!steps.empty());
-      const TopoStep* best = &steps.front();
-      for (const TopoStep& step : steps) {
-        if (loads.load(step.link) < loads.load(best->link)) best = &step;
-      }
+      const TopoStep* best =
+          argmin(steps, step_key, &steps.front(), step_key(steps.front()));
       path.links.push_back(best->link);
       at = best->to;
     }
@@ -100,45 +118,26 @@ Routing route_sg(const Topology& topology, const CommSet& comms) {
   return routing;
 }
 
-/// IG analogue: like SG but each hop minimizes the penalized LoadCost delta
-/// of carrying the communication; ties go to the least-loaded link, then to
-/// the pinned next_steps order.
+/// SG analogue: each hop onto the least-loaded next step.
+Routing route_sg(const Topology& topology, const CommSet& comms) {
+  return route_greedy(topology, comms,
+                      [](const LinkLoads& loads, LinkId link, double /*weight*/) {
+                        return loads.load(link);
+                      });
+}
+
+/// IG analogue: each hop minimizes the penalized LoadCost delta of carrying
+/// the communication; ties go to the least-loaded link, then to the pinned
+/// next_steps order.
 Routing route_ig(const Topology& topology, const CommSet& comms,
                  const PowerModel& model) {
   const LoadCost cost(model);
-  Routing routing;
-  routing.per_comm.resize(comms.size());
-  LinkLoads loads(topology.num_links());
-  for (const std::size_t idx : order_by_decreasing_weight(comms)) {
-    const Communication& comm = comms[idx];
-    Path path;
-    path.src = comm.src;
-    path.snk = comm.snk;
-    Coord at = comm.src;
-    while (at != comm.snk) {
-      const std::vector<TopoStep> steps = topology.next_steps(at, comm.snk);
-      PAMR_ASSERT(!steps.empty());
-      const auto key = [&](const TopoStep& step) {
-        const double before = loads.load(step.link);
-        return std::pair<double, double>(cost.delta(before, before + comm.weight),
-                                         before);
-      };
-      const TopoStep* best = &steps.front();
-      std::pair<double, double> best_key = key(*best);
-      for (const TopoStep& step : steps) {
-        const std::pair<double, double> candidate = key(step);
-        if (candidate < best_key) {
-          best = &step;
-          best_key = candidate;
-        }
-      }
-      path.links.push_back(best->link);
-      at = best->to;
-    }
-    loads.add_path(path, comm.weight);
-    routing.per_comm[idx].flows.push_back(RoutedFlow{std::move(path), comm.weight});
-  }
-  return routing;
+  return route_greedy(topology, comms,
+                      [&cost](const LinkLoads& loads, LinkId link, double weight) {
+                        const double before = loads.load(link);
+                        return std::pair<double, double>(
+                            cost.delta(before, before + weight), before);
+                      });
 }
 
 /// TB analogue: communications by decreasing weight; the cheapest (LoadCost
@@ -155,15 +154,11 @@ Routing route_tb(const Topology& topology, const CommSet& comms,
     const std::vector<Path> candidates =
         two_change_paths(topology, comm.src, comm.snk);
     PAMR_ASSERT(!candidates.empty());
-    const Path* best = &candidates.front();
-    double best_cost = path_cost(cost, loads, *best, comm.weight);
-    for (const Path& candidate : candidates) {
-      const double candidate_cost = path_cost(cost, loads, candidate, comm.weight);
-      if (candidate_cost < best_cost) {
-        best = &candidate;
-        best_cost = candidate_cost;
-      }
-    }
+    const auto cost_of = [&](const Path& path) {
+      return path_cost(cost, loads, path, comm.weight);
+    };
+    const Path* best =
+        argmin(candidates, cost_of, &candidates.front(), cost_of(candidates.front()));
     loads.add_path(*best, comm.weight);
     routing.per_comm[idx].flows.push_back(RoutedFlow{*best, comm.weight});
   }
@@ -192,20 +187,13 @@ Routing route_xyi(const Topology& topology, const CommSet& comms,
     for (std::size_t i = 0; i < comms.size() && stats.moves < cap; ++i) {
       const Communication& comm = comms[i];
       RoutedFlow& flow = routing.per_comm[i].flows.front();
-      remove_path(loads, flow.path, comm.weight);
-      const double current_cost = path_cost(cost, loads, flow.path, comm.weight);
+      loads.add_path(flow.path, -comm.weight);
+      const auto cost_of = [&](const Path& path) {
+        return path_cost(cost, loads, path, comm.weight);
+      };
       const std::vector<Path> candidates =
           two_change_paths(topology, comm.src, comm.snk);
-      const Path* best = nullptr;
-      double best_cost = current_cost;
-      for (const Path& candidate : candidates) {
-        const double candidate_cost =
-            path_cost(cost, loads, candidate, comm.weight);
-        if (candidate_cost < best_cost) {
-          best = &candidate;
-          best_cost = candidate_cost;
-        }
-      }
+      const Path* best = argmin(candidates, cost_of, nullptr, cost_of(flow.path));
       if (best != nullptr) {
         // Paranoid: an applied move must stay inside the shortest-path
         // family — two_change_paths enumerates only distance-reducing
@@ -251,21 +239,18 @@ Routing route_pr(const Topology& topology, const CommSet& comms,
       const Communication& comm = comms[idx];
       RoutedFlow& flow = routing.per_comm[idx].flows.front();
       if (!path_uses(flow.path, hot)) continue;
-      remove_path(loads, flow.path, comm.weight);
-      const double current_cost = path_cost(cost, loads, flow.path, comm.weight);
-      const Path* best = nullptr;
-      double best_cost = current_cost;
+      loads.add_path(flow.path, -comm.weight);
+      const auto cost_of = [&](const Path& path) {
+        return path_cost(cost, loads, path, comm.weight);
+      };
+      // A candidate through the hot link is keyed +infinity, so it never wins.
+      const auto cost_off_hot = [&](const Path& path) {
+        return path_uses(path, hot) ? std::numeric_limits<double>::infinity()
+                                    : cost_of(path);
+      };
       const std::vector<Path> candidates =
           two_change_paths(topology, comm.src, comm.snk);
-      for (const Path& candidate : candidates) {
-        if (path_uses(candidate, hot)) continue;
-        const double candidate_cost =
-            path_cost(cost, loads, candidate, comm.weight);
-        if (candidate_cost < best_cost) {
-          best = &candidate;
-          best_cost = candidate_cost;
-        }
-      }
+      const Path* best = argmin(candidates, cost_off_hot, nullptr, cost_of(flow.path));
       if (best != nullptr) {
         // Paranoid: a PR move exists to unload the hot link — a replacement
         // path that still crosses it (or leaves the shortest family) means
@@ -288,25 +273,6 @@ Routing route_pr(const Topology& topology, const CommSet& comms,
   return routing;
 }
 
-/// Shared epilogue, the finish() analogue: structure must always hold;
-/// feasibility and power come from the model on the finished loads.
-RouteResult finish(const Topology& topology, const CommSet& comms,
-                   const PowerModel& model, Routing routing, double elapsed_ms) {
-  RouteResult result;
-  result.elapsed_ms = elapsed_ms;
-  const ValidationResult structure = validate_structure(topology, comms, routing, 1);
-  PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
-  LinkLoads loads(topology.num_links());
-  loads.add_routing(routing);
-  if (const auto breakdown = model.breakdown(loads.values()); breakdown.has_value()) {
-    result.valid = true;
-    result.power = breakdown->total;
-    result.breakdown = *breakdown;
-  }
-  result.routing = std::move(routing);
-  return result;
-}
-
 }  // namespace
 
 std::vector<Path> two_change_paths(const Topology& topology, Coord src, Coord snk) {
@@ -320,10 +286,6 @@ std::vector<Path> two_change_paths(const Topology& topology, Coord src, Coord sn
 
 RouteResult route_on(const Topology& topology, RouterKind kind,
                      const CommSet& comms, const PowerModel& model) {
-  if (const Mesh* mesh = topology.as_mesh()) {
-    // Rect: the original policies, bit-identical (LinkIds coincide).
-    return make_router(kind)->route(*mesh, comms, model);
-  }
   check_comm_set(topology, comms);
   if (kind == RouterKind::kBest) {
     obs::bump(obs::Metric::kRouteCalls);
@@ -352,8 +314,14 @@ RouteResult route_on(const Topology& topology, RouterKind kind,
     case RouterKind::kPR: routing = route_pr(topology, comms, model, stats); break;
     case RouterKind::kBest: break;  // handled above
   }
-  RouteResult result =
-      finish(topology, comms, model, std::move(routing), timer.elapsed_ms());
+  const double elapsed_ms = timer.elapsed_ms();
+  // Structure must always hold; feasibility and power come from the model
+  // on the finished loads.
+  const ValidationResult structure = validate_structure(topology, comms, routing, 1);
+  PAMR_ASSERT_MSG(structure.ok, structure.error.c_str());
+  LinkLoads loads(topology.num_links());
+  loads.add_routing(routing);
+  RouteResult result = evaluated_result(model, std::move(routing), loads, elapsed_ms);
   result.local_search = stats;
   return result;
 }

@@ -1,21 +1,19 @@
-// Routing policies over an arbitrary Topology.
+// Routing policies over a Topology (torus, diag).
 //
 // The §5 heuristics were written against the rectangular mesh and its
-// Manhattan-rectangle geometry; this layer gives every RouterKind a meaning
-// on any Topology:
-//
-//  * rect — delegated wholesale to the original routers through
-//    Topology::as_mesh(), so rectangular results stay bit-identical to the
-//    pre-topology code paths (same LinkIds, same routings, same power).
-//  * torus/diag — deterministic topology-generic analogues built from the
-//    Topology primitives (next_steps / canonical_path / distance), with
-//    every tie-break pinned: XY routes canonically; SG walks hop-by-hop onto
-//    the least-loaded next step; IG walks onto the cheapest LoadCost delta;
-//    TB picks the cheapest path among the ≤2-direction-change enumeration;
-//    XYI starts from the canonical routing and re-picks strictly improving
-//    ≤2-change paths per communication; PR unloads the most-loaded link by
-//    rerouting its heaviest crossing communication; BEST keeps the valid
-//    minimum-power result of the six.
+// Manhattan-rectangle geometry, and topo=rect routes with them on `Mesh`
+// directly. This layer gives every RouterKind a deterministic analogue
+// built from the Topology primitives (next_steps / canonical_path /
+// distance), with every tie-break pinned: XY routes canonically; SG walks
+// hop-by-hop onto the least-loaded next step; IG walks onto the cheapest
+// LoadCost delta (one hop walker serves both); TB picks the cheapest path
+// among the ≤2-direction-change enumeration; XYI starts from the canonical
+// routing and re-picks strictly improving ≤2-change paths per
+// communication; PR unloads the most-loaded link by rerouting its heaviest
+// crossing communication; BEST keeps the valid minimum-power result of the
+// six. TB, XYI and PR pick with one strict-< argmin. The input check, the
+// structure check and the power epilogue are routing/'s, shared with the
+// mesh routers.
 #pragma once
 
 #include <vector>
@@ -39,9 +37,7 @@ namespace topo {
 
 /// Routes `comms` on `topology` with the policy analogue of `kind`.
 /// Validates the communication set first (throws std::logic_error on
-/// malformed input); a deterministic function of its arguments. For the
-/// rectangular topology this is exactly make_router(kind)->route on the
-/// wrapped mesh.
+/// malformed input); a deterministic function of its arguments.
 [[nodiscard]] RouteResult route_on(const Topology& topology, RouterKind kind,
                                    const CommSet& comms, const PowerModel& model);
 

@@ -1,35 +1,13 @@
-// The three concrete topologies behind topo::make_topology. Exposed as
-// classes (rather than hidden behind the factory) so tests can pin
-// implementation-specific contracts: rect's LinkId-compatibility with Mesh,
-// the torus tie-break rules, and the diagonal direction table.
+// The concrete topologies behind topo::make_topology. Exposed as classes
+// (rather than hidden behind the factory) so tests can pin
+// implementation-specific contracts: the torus tie-break rules and the
+// diagonal direction table.
 #pragma once
 
 #include "pamr/topo/topology.hpp"
 
 namespace pamr {
 namespace topo {
-
-/// The paper's p×q rectangular mesh. Links are enumerated exactly like
-/// `Mesh` (per core row-major, per direction E, W, S, N), so every LinkId
-/// equals the wrapped Mesh's — routings, loads and paths translate between
-/// the two representations without any remapping, and the router layer can
-/// delegate to the original policies bit-identically (as_mesh()).
-class RectTopology final : public Topology {
- public:
-  RectTopology(std::int32_t p, std::int32_t q);
-
-  [[nodiscard]] std::int32_t distance(Coord a, Coord b) const override;
-  /// Pinned order: the horizontal step first, then the vertical one — so
-  /// the canonical path is the XY path.
-  [[nodiscard]] std::vector<TopoStep> next_steps(Coord at, Coord snk) const override;
-  [[nodiscard]] std::int32_t num_vc_classes() const noexcept override { return 4; }
-  /// Every hop carries the flow's quadrant class (deadlock.hpp's scheme).
-  [[nodiscard]] std::vector<std::int32_t> vc_classes(const Path& path) const override;
-  [[nodiscard]] const Mesh* as_mesh() const noexcept override { return &mesh_; }
-
- private:
-  Mesh mesh_;
-};
 
 /// The p×q torus: the rectangular links plus wraparound on both axes. Links
 /// are enumerated per core (row-major), per direction E, W, S, N — every

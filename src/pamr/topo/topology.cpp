@@ -94,8 +94,11 @@ Path Topology::canonical_path(Coord src, Coord snk) const {
 
 std::unique_ptr<const Topology> make_topology(TopoKind kind, std::int32_t p,
                                               std::int32_t q) {
+  PAMR_CHECK(kind != TopoKind::kRect,
+             "topo=rect has no Topology: route on the Mesh (make_router, "
+             "exp::run_instance(const Mesh&, ...))");
   switch (kind) {
-    case TopoKind::kRect: return std::make_unique<RectTopology>(p, q);
+    case TopoKind::kRect: break;  // rejected above
     case TopoKind::kTorus: return std::make_unique<TorusTopology>(p, q);
     case TopoKind::kDiag: return std::make_unique<DiagTopology>(p, q);
   }

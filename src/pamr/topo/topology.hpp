@@ -1,16 +1,15 @@
-// Topology abstraction over the paper's p×q rectangular mesh.
+// Topologies beyond the paper's p×q rectangular mesh.
 //
-// The routing stack was built against `Mesh` (two unidirectional links per
-// neighbouring pair, row-major link numbering). A `Topology` generalises the
-// parts the suite machinery actually needs — node/link enumeration, neighbor
-// and link lookup, shortest-path membership, canonical (XY-analogue) paths,
-// and the per-hop virtual-channel classes that make the deadlock-freedom
-// argument go through — so the same scenario/exp/dist pipeline can sweep a
-// `topo=rect|torus|diag` axis:
+// The routing stack is built against `Mesh` (two unidirectional links per
+// neighbouring pair, row-major link numbering), and `topo=rect` — the
+// default of the scenario axis — routes on it directly. A `Topology` holds
+// only what differs for the other networks: node/link enumeration, neighbor
+// and link lookup, distances, the per-hop shortest-path continuations whose
+// first element defines the canonical (XY-analogue) path, and the per-hop
+// virtual-channel classes that make the deadlock-freedom argument go
+// through. Validation and the result epilogue come from routing/, so the
+// same scenario/exp/dist pipeline can sweep `topo=rect|torus|diag`:
 //
-//  * rect  — the paper's mesh, wrapping `Mesh` with the *identical* link
-//            numbering (LinkIds coincide), so rectangular behavior stays
-//            bit-identical to the pre-topology code by construction.
 //  * torus — the mesh plus wraparound links on both axes; distances are ring
 //            distances, shortest paths take the minimal direction per axis
 //            with pinned tie-breaks (East/South at exactly half an even
@@ -107,8 +106,8 @@ class Topology {
 
   [[nodiscard]] std::string describe_link(LinkId id) const;
 
-  /// Length of every shortest path from `a` to `b` (Manhattan for rect,
-  /// ring-Manhattan for torus, Chebyshev for diag).
+  /// Length of every shortest path from `a` to `b` (ring-Manhattan for
+  /// torus, Chebyshev for diag).
   [[nodiscard]] virtual std::int32_t distance(Coord a, Coord b) const = 0;
 
   /// All steps from `at` that stay on a shortest path to `snk` (each reduces
@@ -117,30 +116,20 @@ class Topology {
   [[nodiscard]] virtual std::vector<TopoStep> next_steps(Coord at, Coord snk) const = 0;
 
   /// The topology's XY analogue: follow next_steps().front() until the sink.
-  /// rect: exactly xy_path (horizontal first, identical LinkIds); torus:
-  /// minimal-direction XY with the pinned East/South tie-breaks; diag:
-  /// diagonal steps first, then the straight remainder.
+  /// torus: minimal-direction XY with the pinned East/South tie-breaks;
+  /// diag: diagonal steps first, then the straight remainder.
   [[nodiscard]] Path canonical_path(Coord src, Coord snk) const;
-
-  /// True iff `c` lies on some shortest src→snk path.
-  [[nodiscard]] bool on_shortest(Coord src, Coord c, Coord snk) const {
-    return distance(src, c) + distance(c, snk) == distance(src, snk);
-  }
 
   /// Virtual-channel classes for deadlock freedom. Any shortest-path routing
   /// is deadlock-free when hop h of a path runs on VC class vc_classes(path)[h]:
   /// within one class every dependency strictly increases a potential, and
   /// class transitions only move up a fixed class order (see
-  /// topo/validate.hpp's machine check). rect/diag use the 4 quadrant
-  /// classes; the torus uses quadrant × (wrapped-u?, wrapped-v?) = 16 with a
-  /// dateline-style class bump after each wrap link.
+  /// topo/validate.hpp's machine check). diag uses the 4 quadrant classes,
+  /// as routing/deadlock.hpp does on the mesh; the torus uses quadrant ×
+  /// (wrapped-u?, wrapped-v?) = 16 with a dateline-style class bump after
+  /// each wrap link.
   [[nodiscard]] virtual std::int32_t num_vc_classes() const noexcept = 0;
   [[nodiscard]] virtual std::vector<std::int32_t> vc_classes(const Path& path) const = 0;
-
-  /// The wrapped Mesh when this topology is the rectangular one — the hook
-  /// the router layer uses to delegate to the original (bit-identical)
-  /// policies. Null for every other topology.
-  [[nodiscard]] virtual const Mesh* as_mesh() const noexcept { return nullptr; }
 
  protected:
   Topology(TopoKind kind, std::int32_t p, std::int32_t q, std::int32_t num_dirs);
@@ -158,7 +147,8 @@ class Topology {
   std::vector<LinkId> link_of_core_dir_;  // num_cores × num_dirs
 };
 
-/// Builds the named topology; CHECKs positive dimensions.
+/// Builds the named topology; CHECKs positive dimensions. TopoKind::kRect
+/// has no Topology: it CHECK-fails, since rect routes on `Mesh` itself.
 [[nodiscard]] std::unique_ptr<const Topology> make_topology(TopoKind kind,
                                                             std::int32_t p,
                                                             std::int32_t q);

@@ -1,12 +1,11 @@
-// Topology-generic routing validation — the referee behind topo::route_on,
-// mirroring routing/validate.hpp with "Manhattan path" generalised to
-// "shortest path of the topology" (each hop must reduce the distance to the
-// sink by exactly one), plus the machine check for the per-topology
+// Topology-generic routing validation: routing/validate.hpp's structure and
+// comm-set checks instantiated with "shortest path of the topology" (each
+// hop must reduce the distance to the sink by exactly one) in place of
+// "Manhattan path", plus the machine check for the per-topology
 // virtual-channel deadlock-freedom argument.
 #pragma once
 
 #include "pamr/comm/communication.hpp"
-#include "pamr/power/power_model.hpp"
 #include "pamr/routing/routing.hpp"
 #include "pamr/routing/validate.hpp"
 #include "pamr/topo/topology.hpp"
@@ -22,13 +21,6 @@ namespace topo {
                                                   const CommSet& comms,
                                                   const Routing& routing,
                                                   std::size_t max_paths = 1);
-
-/// Structure plus the bandwidth constraint on every link.
-[[nodiscard]] ValidationResult validate_routing(const Topology& topology,
-                                                const CommSet& comms,
-                                                const Routing& routing,
-                                                const PowerModel& model,
-                                                std::size_t max_paths = 1);
 
 /// Input validation for the public boundary (topo::route_on): in-bounds
 /// endpoints, distinct src and snk, finite strictly positive weight. Throws

@@ -202,13 +202,7 @@ bool CsvStreamWriter::append_row(const std::vector<Cell>& row) {
     warned_ = true;
     return false;
   }
-  ++rows_;
   return true;
-}
-
-std::size_t CsvStreamWriter::rows_written() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return rows_;
 }
 
 // ----------------------------------------------------------------- reader --

@@ -77,8 +77,6 @@ class CsvStreamWriter {
   /// Returns false (after logging, once) on I/O failure.
   bool append_row(const std::vector<Cell>& row);
 
-  [[nodiscard]] std::size_t rows_written() const;
-
   void set_double_precision(int precision) noexcept { precision_ = precision; }
 
  private:
@@ -86,7 +84,6 @@ class CsvStreamWriter {
   std::ofstream file_;
   std::string path_;
   std::size_t columns_ = 0;
-  std::size_t rows_ = 0;
   int precision_ = 4;
   bool warned_ = false;
 };

@@ -73,7 +73,6 @@ class Histogram {
 
   void add(double x) noexcept;
 
-  [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
   [[nodiscard]] std::size_t count(std::size_t bin) const;
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
   [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }

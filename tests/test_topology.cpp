@@ -1,9 +1,10 @@
-// Tests for the topology subsystem (src/pamr/topo): rect's bit-identity
-// with Mesh, the torus analytic cross-checks (exact integer equality of the
+// Tests for the topology subsystem (src/pamr/topo): the torus analytic
+// cross-checks (exact integer equality of the
 // BFS distance stats against the closed forms), the pinned torus tie-break
 // rules, per-topology deadlock-freedom (the expanded (link, VC) dependency
 // graph must be acyclic for routed instances and for the adversarial
-// all-East ring), the `topo=` spec axis round-trips and rejections, and the
+// all-East ring), the pinned routings of every policy analogue, the pinned
+// rejection texts, the `topo=` spec axis round-trips and rejections, and the
 // differential-determinism battery (suite_diff.hpp) for torus and diag
 // campaigns: 1-thread == N-thread == 2-worker pamr_dist ==
 // interrupted+resumed, bit for bit.
@@ -60,32 +61,6 @@ TEST(TopoKind, NamesRoundTrip) {
   TopoKind parsed = TopoKind::kDiag;
   EXPECT_FALSE(parse_topo_kind("hexagon", parsed));
   EXPECT_EQ(parsed, TopoKind::kDiag);  // untouched on failure
-}
-
-TEST(RectTopology, LinkIdsCoincideWithMesh) {
-  const RectTopology topology(3, 5);
-  const Mesh mesh(3, 5);
-  ASSERT_EQ(topology.num_links(), mesh.num_links());
-  for (LinkId id = 0; id < mesh.num_links(); ++id) {
-    const TopoLink& ours = topology.link(id);
-    const LinkInfo& theirs = mesh.link(id);
-    EXPECT_EQ(ours.from, theirs.from);
-    EXPECT_EQ(ours.to, theirs.to);
-    EXPECT_EQ(ours.dir, static_cast<std::int32_t>(theirs.dir));
-  }
-}
-
-TEST(RectTopology, CanonicalPathIsTheXyPath) {
-  const RectTopology topology(4, 6);
-  const Mesh mesh(4, 6);
-  for (std::int32_t a = 0; a < mesh.num_cores(); ++a) {
-    for (std::int32_t b = 0; b < mesh.num_cores(); ++b) {
-      const Coord src = mesh.core_coord(a);
-      const Coord snk = mesh.core_coord(b);
-      EXPECT_EQ(topology.canonical_path(src, snk), xy_path(mesh, src, snk));
-      EXPECT_EQ(topology.distance(src, snk), manhattan_distance(src, snk));
-    }
-  }
 }
 
 TEST(TorusTopology, EveryDirectionEverywhere) {
@@ -166,16 +141,6 @@ TEST(TorusTopology, AnalyticDistanceStats) {
   EXPECT_DOUBLE_EQ(stats.average_hops(64), 16384.0 / (64.0 * 63.0));
 }
 
-TEST(RectTopology, DistanceStatsMatchMeshGeometry) {
-  // Independent sanity anchor: the 8x8 mesh diameter is 14 and the ordered-
-  // pair Manhattan total is 2·q·Σ|du|-pairs = p·q·(p²-1)/3·q ... spelled as
-  // the literal 21504 = 2 · 64·63/2 · 16/3 · ... — computed once by hand.
-  const DistanceStats stats = distance_stats(RectTopology(8, 8));
-  EXPECT_EQ(stats.diameter, 14);
-  // Σ over ordered pairs of |Δu| is q²·p·(p²-1)/3; both axes by symmetry.
-  EXPECT_EQ(stats.total_hops, 2 * (64 * 8 * (64 - 1) / 3));
-}
-
 // -- Pinned torus tie-breaks -------------------------------------------------
 
 TEST(TorusTopology, CanonicalTieBreaksArePinned) {
@@ -232,7 +197,7 @@ TEST(TorusTopology, CanonicalTieBreaksArePinned) {
 }
 
 TEST(Topology, NextStepsReduceDistanceByOne) {
-  for (const TopoKind kind : {TopoKind::kRect, TopoKind::kTorus, TopoKind::kDiag}) {
+  for (const TopoKind kind : {TopoKind::kTorus, TopoKind::kDiag}) {
     const auto topology = make_topology(kind, 5, 4);
     for (std::int32_t a = 0; a < topology->num_cores(); ++a) {
       for (std::int32_t b = 0; b < topology->num_cores(); ++b) {
@@ -256,7 +221,7 @@ TEST(Topology, NextStepsReduceDistanceByOne) {
 
 TEST(TopoValidate, RoutedInstancesAreVcDeadlockFree) {
   const PowerModel model = PowerModel::paper_discrete();
-  for (const TopoKind kind : {TopoKind::kRect, TopoKind::kTorus, TopoKind::kDiag}) {
+  for (const TopoKind kind : {TopoKind::kTorus, TopoKind::kDiag}) {
     const auto topology = make_topology(kind, 6, 6);
     const CommSet comms = small_workload(6, 6, 20);
     for (const RouterKind router : all_base_routers()) {
@@ -352,30 +317,6 @@ TEST(TopoValidate, TorusAllEastRingNeedsTheDatelineClasses) {
 }
 
 // -- The generic policy analogues --------------------------------------------
-
-TEST(TopoRouter, RectDelegationIsBitIdentical) {
-  const auto topology = make_topology(TopoKind::kRect, 6, 6);
-  const Mesh mesh(6, 6);
-  const PowerModel model = PowerModel::paper_discrete();
-  const CommSet comms = small_workload(6, 6, 18);
-  for (const RouterKind kind :
-       {RouterKind::kXY, RouterKind::kSG, RouterKind::kIG, RouterKind::kTB,
-        RouterKind::kXYI, RouterKind::kPR, RouterKind::kBest}) {
-    const RouteResult ours = route_on(*topology, kind, comms, model);
-    const RouteResult theirs = make_router(kind)->route(mesh, comms, model);
-    EXPECT_EQ(ours.valid, theirs.valid) << to_cstring(kind);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ours.power),
-              std::bit_cast<std::uint64_t>(theirs.power))
-        << to_cstring(kind);
-    ASSERT_TRUE(ours.routing.has_value());
-    ASSERT_TRUE(theirs.routing.has_value());
-    for (std::size_t i = 0; i < comms.size(); ++i) {
-      EXPECT_EQ(ours.routing->per_comm[i].flows.front().path,
-                theirs.routing->per_comm[i].flows.front().path)
-          << to_cstring(kind) << " comm " << i;
-    }
-  }
-}
 
 TEST(TopoRouter, TwoChangePathsEnumerateShortestOnly) {
   const TorusTopology topology(6, 6);
@@ -513,9 +454,52 @@ TEST(TopoRouter, RoutingsArePinned) {
   }
 }
 
+TEST(Topology, RectRoutesOnTheMesh) {
+  // topo=rect is the Mesh itself: there is no rect Topology to build.
+  try {
+    (void)make_topology(TopoKind::kRect, 4, 4);
+    ADD_FAILURE() << "topo=rect built a Topology";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("route on the Mesh"), std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(TopoValidate, CommSetMessagesArePinned) {
+  // Every rejection of the topology check_comm_set, with its exact message
+  // (the text after the PAMR_CHECK expression and source location).
+  const TorusTopology topology(4, 4);
+  const auto message = [&](const CommSet& comms) -> std::string {
+    try {
+      check_comm_set(topology, comms);
+    } catch (const std::logic_error& error) {
+      const std::string what = error.what();
+      const std::string separator = " — ";
+      const std::size_t at = what.find(separator);
+      return at == std::string::npos ? what : what.substr(at + separator.size());
+    }
+    ADD_FAILURE() << "no rejection";
+    return {};
+  };
+  const Communication good{{0, 0}, {2, 3}, 400.0};
+  check_comm_set(topology, {good});
+  EXPECT_EQ(message({good, {{4, 0}, {1, 1}, 100.0}}),
+            "communication #1 C(4,0)->C(1,1) @ 100.0 Mb/s: source outside the topology");
+  EXPECT_EQ(message({{{0, 0}, {0, -1}, 100.0}}),
+            "communication #0 C(0,0)->C(0,-1) @ 100.0 Mb/s: sink outside the topology");
+  EXPECT_EQ(message({good, good, {{1, 2}, {1, 2}, 500.0}}),
+            "communication #2 C(1,2)->C(1,2) @ 500.0 Mb/s: self-communication (src == snk)");
+  EXPECT_EQ(message({good, {{0, 0}, {3, 3}, 0.0}}),
+            "communication #1 C(0,0)->C(3,3) @ 0.0 Mb/s: weight must be finite and "
+            "strictly positive");
+  EXPECT_EQ(message({{{0, 0}, {2, 3}, -125.0}}),
+            "communication #0 C(0,0)->C(2,3) @ -125.0 Mb/s: weight must be finite and "
+            "strictly positive");
+}
+
 TEST(TopoRouter, MalformedInputThrowsForEveryTopology) {
   const PowerModel model = PowerModel::paper_discrete();
-  for (const TopoKind kind : {TopoKind::kRect, TopoKind::kTorus, TopoKind::kDiag}) {
+  for (const TopoKind kind : {TopoKind::kTorus, TopoKind::kDiag}) {
     const auto topology = make_topology(kind, 4, 4);
     const CommSet self = {Communication{{1, 1}, {1, 1}, 100.0}};
     EXPECT_THROW((void)route_on(*topology, RouterKind::kXY, self, model),
