@@ -78,14 +78,10 @@ int main(int argc, char** argv) {
       all.instances, table.to_text().c_str());
   std::printf("certified infeasible before routing (no policy ran): %zu of %zu\n",
               all.certified(), all.instances);
-  if (obs::compiled_in()) {
-    const obs::Snapshot counts = obs::snapshot();
-    std::printf("route calls stopped at their first certain overload: %llu of %llu\n",
-                static_cast<unsigned long long>(counts.counter(obs::Metric::kRouteStoppedEarly)),
-                static_cast<unsigned long long>(counts.counter(obs::Metric::kRouteCalls)));
-  } else {
-    std::printf("route calls stopped at their first certain overload: n/a (PAMR_OBS=0)\n");
-  }
+  const obs::Snapshot counts = obs::snapshot();
+  std::printf("route calls stopped at their first certain overload: %llu of %llu\n",
+              static_cast<unsigned long long>(counts.counter(obs::Metric::kRouteStoppedEarly)),
+              static_cast<unsigned long long>(counts.counter(obs::Metric::kRouteCalls)));
   std::printf("static power fraction of BEST (paper: ~1/7 = 0.143): %.3f\n",
               all.static_fraction.mean());
   std::printf("BEST finds a solution %.1fx as often as XY (paper: ~3.4x)\n",

@@ -1,6 +1,6 @@
 // Umbrella header for the telemetry subsystem. Instrumented code includes
-// this one header; everything in it degrades to inline no-op stubs when
-// built with PAMR_OBS=0 (see CMakeLists' PAMR_OBS option).
+// this one header. Recording is gated at run time (obs::enabled(),
+// obs::trace_enabled()); there is no compile-time switch.
 #pragma once
 
 #include "pamr/obs/metrics.hpp"

@@ -1,7 +1,5 @@
 #include "pamr/obs/registry.hpp"
 
-#if PAMR_OBS
-
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -210,5 +208,3 @@ bool merge_cell_deltas(std::string_view text, std::string& error) {
 }
 
 }  // namespace pamr::obs
-
-#endif  // PAMR_OBS

@@ -11,19 +11,14 @@
 //   * Unit-scoped cells are bit-identical across PAMR_THREADS and across
 //     the dist path: increments are integer adds, shards are summed, and
 //     integer addition commutes.
-//   * Zero cost when compiled out (PAMR_OBS=0 turns every entry point into
-//     an empty inline stub) and one relaxed load when compiled in but
-//     disabled (the `enabled()` gate).
+//   * One relaxed load per entry point when disabled (the `enabled()`
+//     gate); a run without --metrics-out or PAMR_OBS=1 records nothing.
 //
 // Thread safety: bump/sample/PhaseScope touch only the calling thread's
 // shard through relaxed std::atomic cells, so TSan-clean by construction;
 // snapshot() may run concurrently with recording (it sums whatever relaxed
 // values it observes — callers snapshot at quiesce points anyway).
 #pragma once
-
-#ifndef PAMR_OBS
-#define PAMR_OBS 1
-#endif
 
 #include <array>
 #include <cstdint>
@@ -86,8 +81,8 @@ struct Snapshot {
   return Metric::kMetricCount;
 }
 
-#if PAMR_OBS
-
+/// Always true: telemetry has one build. Kept only because perfbench/src
+/// prints it in its provenance line ("obs": true); nothing branches on it.
 [[nodiscard]] constexpr bool compiled_in() noexcept { return true; }
 
 /// Runtime gate; initialized once from PAMR_OBS=1 in the environment (the
@@ -129,33 +124,5 @@ void reset();
 /// mismatch — a worker built from different sources — or a malformed entry.
 [[nodiscard]] std::string encode_cell_deltas(const Snapshot& before, const Snapshot& after);
 [[nodiscard]] bool merge_cell_deltas(std::string_view text, std::string& error);
-
-#else  // PAMR_OBS == 0: every entry point collapses to nothing.
-
-[[nodiscard]] constexpr bool compiled_in() noexcept { return false; }
-[[nodiscard]] inline bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-[[nodiscard]] inline std::uint64_t now_ns() noexcept { return 0; }
-inline void bump(Metric, std::uint64_t = 1) noexcept {}
-inline void sample(Metric, std::uint64_t) noexcept {}
-inline void add_ns(Metric, std::uint64_t) noexcept {}
-
-class PhaseScope {
- public:
-  explicit PhaseScope(Metric) noexcept {}
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-};
-
-[[nodiscard]] inline Snapshot snapshot() { return {}; }
-inline void reset() {}
-[[nodiscard]] inline std::string encode_cell_deltas(const Snapshot&, const Snapshot&) {
-  return {};
-}
-[[nodiscard]] inline bool merge_cell_deltas(std::string_view, std::string&) {
-  return true;
-}
-
-#endif  // PAMR_OBS
 
 }  // namespace pamr::obs

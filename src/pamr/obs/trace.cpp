@@ -1,7 +1,5 @@
 #include "pamr/obs/trace.hpp"
 
-#if PAMR_OBS
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -338,5 +336,3 @@ bool decode_span(std::string_view text, TraceSpan& out) {
 }
 
 }  // namespace pamr::obs
-
-#endif  // PAMR_OBS

@@ -14,10 +14,6 @@
 // close before their parents — the property test_obs validates.
 #pragma once
 
-#ifndef PAMR_OBS
-#define PAMR_OBS 1
-#endif
-
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -33,8 +29,6 @@ struct TraceSpan {
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
 };
-
-#if PAMR_OBS
 
 /// Tracing gate, independent of (but useless without) the registry gate;
 /// initialized from PAMR_OBS_TRACE=1, flipped by the --trace-out flags.
@@ -81,31 +75,5 @@ void clear_trace();
 /// Wire codec for one span (dist protocol field value; line-clean).
 [[nodiscard]] std::string encode_span(const TraceSpan& span);
 [[nodiscard]] bool decode_span(std::string_view text, TraceSpan& out);
-
-#else  // PAMR_OBS == 0
-
-[[nodiscard]] inline bool trace_enabled() noexcept { return false; }
-inline void set_trace_enabled(bool) noexcept {}
-
-class Span {
- public:
-  explicit Span(std::string, std::string = std::string()) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-};
-
-inline void record_span(std::string, std::string, std::uint64_t, std::uint64_t) {}
-[[nodiscard]] inline std::vector<TraceSpan> drain_spans() { return {}; }
-inline void add_remote_spans(std::uint32_t, std::vector<TraceSpan>) {}
-inline void set_process_label(std::uint32_t, std::string) {}
-[[nodiscard]] inline bool write_trace(const std::string&, std::string& error) {
-  error = "telemetry compiled out (PAMR_OBS=0)";
-  return false;
-}
-inline void clear_trace() {}
-[[nodiscard]] inline std::string encode_span(const TraceSpan&) { return {}; }
-[[nodiscard]] inline bool decode_span(std::string_view, TraceSpan&) { return false; }
-
-#endif  // PAMR_OBS
 
 }  // namespace pamr::obs

@@ -18,6 +18,11 @@ namespace pamr {
 
 namespace {
 
+constexpr std::int32_t kIterations = 20000;
+constexpr double kInitialTemperatureFraction = 0.05;  ///< × initial objective
+constexpr double kCooling = 0.9995;                   ///< geometric factor per move
+constexpr std::uint64_t kSeed = 0xA11EA1ULL;
+
 /// Uniform random monotone path: at each cell choose the vertical step with
 /// probability (#paths via vertical)/(#paths total).
 Path uniform_random_path(const CommRect& rect, Rng& rng) {
@@ -52,7 +57,7 @@ RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
     return finish(mesh, comms, model, Routing{}, timer.elapsed_ms());
   }
   const LoadCost cost(model);
-  Rng rng(options_.seed);
+  Rng rng(kSeed);
 
   std::vector<CommRect> rects;
   rects.reserve(comms.size());
@@ -68,10 +73,9 @@ RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
 
   double objective = cost.total(loads.values());
   double best_objective = objective;
-  double temperature =
-      std::max(1e-9, options_.initial_temperature_fraction * objective);
+  double temperature = std::max(1e-9, kInitialTemperatureFraction * objective);
 
-  for (std::int32_t it = 0; it < options_.iterations; ++it) {
+  for (std::int32_t it = 0; it < kIterations; ++it) {
     const std::size_t index = static_cast<std::size_t>(rng.below(comms.size()));
     if (rects[index].length() < 2) continue;  // unique path, no move
     const double weight = comms[index].weight;
@@ -101,7 +105,7 @@ RouteResult AnnealingRouter::route_impl(const Mesh& mesh, const CommSet& comms,
     } else {
       loads.add_path(paths[index], weight);  // roll back
     }
-    temperature *= options_.cooling;
+    temperature *= kCooling;
   }
 
   return finish(mesh, comms, model,

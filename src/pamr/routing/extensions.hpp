@@ -15,7 +15,7 @@
 //  * AnnealingRouter — simulated annealing over path assignments: a move
 //    re-routes one communication onto a uniformly random monotone staircase;
 //    acceptance follows Metropolis on the penalized LoadCost objective with
-//    geometric cooling. Deterministic for a fixed seed option.
+//    geometric cooling. Deterministic: the seed is a fixed constant.
 #pragma once
 
 #include <cstdint>
@@ -44,27 +44,14 @@ class RipUpRerouteRouter final : public Router {
   RipUpOptions options_;
 };
 
-struct AnnealingOptions {
-  std::int32_t iterations = 20000;
-  double initial_temperature_fraction = 0.05;  ///< × initial objective
-  double cooling = 0.9995;                     ///< geometric factor per move
-  std::uint64_t seed = 0xA11EA1ULL;
-};
-
 class AnnealingRouter final : public Router {
  public:
-  explicit AnnealingRouter(AnnealingOptions options = {}) noexcept
-      : options_(options) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "SA"; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model,
                                        RouteGoal goal) const override;
-
- private:
-  AnnealingOptions options_;
 };
 
 }  // namespace pamr

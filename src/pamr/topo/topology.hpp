@@ -77,7 +77,6 @@ class Topology {
   [[nodiscard]] std::int32_t num_links() const noexcept {
     return static_cast<std::int32_t>(links_.size());
   }
-  [[nodiscard]] std::int32_t num_dirs() const noexcept { return num_dirs_; }
 
   [[nodiscard]] bool contains(Coord c) const noexcept {
     return c.u >= 0 && c.u < p_ && c.v >= 0 && c.v < q_;

@@ -1,6 +1,5 @@
 #include "pamr/util/log.hpp"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -21,7 +20,7 @@ LogLevel parse_level_env() {
   if (value == "warn" || value == "warning") return LogLevel::kWarn;
   if (value == "error") return LogLevel::kError;
   if (value == "off" || value == "none") return LogLevel::kOff;
-  // Straight fprintf, not log_message: this runs during level_storage()'s
+  // Straight fprintf, not log_message: this runs during log_level()'s
   // static init, and the level is only parsed once — so the warning fires
   // once per process, naming the value that was silently ignored before.
   std::fprintf(stderr,
@@ -39,11 +38,6 @@ const WallTimer& log_epoch() noexcept {
   return timer;
 }
 
-std::atomic<LogLevel>& level_storage() noexcept {
-  static std::atomic<LogLevel> level{parse_level_env()};
-  return level;
-}
-
 const char* level_name(LogLevel level) noexcept {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -57,10 +51,9 @@ const char* level_name(LogLevel level) noexcept {
 
 }  // namespace
 
-LogLevel log_level() noexcept { return level_storage().load(std::memory_order_relaxed); }
-
-void set_log_level(LogLevel level) noexcept {
-  level_storage().store(level, std::memory_order_relaxed);
+LogLevel log_level() noexcept {
+  static const LogLevel level = parse_level_env();
+  return level;
 }
 
 void log_message(LogLevel level, const char* where, const std::string& message) {

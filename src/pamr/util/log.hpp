@@ -9,10 +9,9 @@ namespace pamr {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-/// Process-wide threshold; initialized from PAMR_LOG_LEVEL
+/// Process-wide threshold, read once from PAMR_LOG_LEVEL
 /// (debug|info|warn|error|off), default info.
 [[nodiscard]] LogLevel log_level() noexcept;
-void set_log_level(LogLevel level) noexcept;
 
 /// Thread-safe write of one formatted line to stderr if `level` passes the
 /// threshold. `where` is the call-site tag inserted by the macros.

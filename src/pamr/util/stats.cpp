@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "pamr/util/assert.hpp"
 
 namespace pamr {
 
@@ -49,81 +46,6 @@ double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 double RunningStats::ci95_halfwidth() const noexcept {
   if (n_ < 2) return 0.0;
   return 1.96 * stddev() / std::sqrt(static_cast<double>(n_));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  PAMR_ASSERT(hi > lo);
-  PAMR_ASSERT(bins > 0);
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  std::size_t bin = 0;
-  if (x < lo_) {
-    ++underflow_;
-    bin = 0;
-  } else if (x > hi_) {
-    ++overflow_;
-    bin = counts_.size() - 1;
-  } else {
-    // x == hi_ belongs to the last bin (t == 1 is clamped below), not to
-    // overflow: the configured range is inclusive at the top edge.
-    const double t = (x - lo_) / (hi_ - lo_);
-    bin = std::min(counts_.size() - 1,
-                   static_cast<std::size_t>(t * static_cast<double>(counts_.size())));
-  }
-  ++counts_[bin];
-}
-
-std::size_t Histogram::count(std::size_t bin) const {
-  PAMR_ASSERT(bin < counts_.size());
-  return counts_[bin];
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  PAMR_ASSERT(bin < counts_.size());
-  const double w = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + w * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  return bin_lo(bin) + (hi_ - lo_) / static_cast<double>(counts_.size());
-}
-
-double Histogram::quantile(double q) const {
-  PAMR_ASSERT(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const double next = cumulative + static_cast<double>(counts_[b]);
-    if (next >= target) {
-      const double inside =
-          counts_[b] > 0 ? (target - cumulative) / static_cast<double>(counts_[b]) : 0.0;
-      return bin_lo(b) + inside * (bin_hi(b) - bin_lo(b));
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::ostringstream out;
-  std::size_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    const auto bar =
-        static_cast<std::size_t>(static_cast<double>(counts_[b]) /
-                                 static_cast<double>(peak) * static_cast<double>(width));
-    out << '[';
-    out.width(10);
-    out << bin_lo(b) << ", ";
-    out.width(10);
-    out << bin_hi(b) << ") ";
-    out << std::string(bar, '#') << ' ' << counts_[b] << '\n';
-  }
-  return out.str();
 }
 
 double mean_of(const std::vector<double>& xs) noexcept {

@@ -1,12 +1,10 @@
 // Streaming statistics used by the experiment harness.
 //
 // Campaign points aggregate tens of thousands of per-instance metrics; we
-// keep O(1) state per series with Welford's numerically stable algorithm,
-// plus a fixed-bin histogram for distribution-shaped summaries.
+// keep O(1) state per series with Welford's numerically stable algorithm.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace pamr {
@@ -61,38 +59,6 @@ class RunningStats {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-range, fixed-bin histogram over [lo, hi] — inclusive at both
-/// edges, so a sample exactly at `hi` lands in the last bin without an
-/// overflow tick. Out-of-range samples are clamped into the first/last bin
-/// (and counted separately) so that totals always match.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-
-  [[nodiscard]] std::size_t count(std::size_t bin) const;
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] double bin_lo(std::size_t bin) const;
-  [[nodiscard]] double bin_hi(std::size_t bin) const;
-
-  /// Linear-interpolated quantile estimate, q in [0, 1].
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Multi-line ASCII rendering (for example programs and logs).
-  [[nodiscard]] std::string render(std::size_t width = 50) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 /// Exact mean of a vector (pairwise summation for accuracy on long series).

@@ -363,6 +363,16 @@ TEST(EndToEnd, CrashingWorkersAreRequeuedOntoReplacements) {
   expect_outputs_match_reference(dir);
 }
 
+TEST(EndToEnd, SeedBelowMinusOneIsRejected) {
+  // -1 selects each scenario's default seed; anything lower is an input
+  // error, not a request for the default, and nothing may run.
+  const std::string dir = fresh_dir("bad_seed");
+  EXPECT_EQ(run_dist("--run " + std::string(kScenario) + " --seed -2 --trials " +
+                     std::to_string(kTrials) + " --no-tables --out " + dir),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/shards.log"));
+}
+
 #endif  // PAMR_DIST_BIN
 
 }  // namespace

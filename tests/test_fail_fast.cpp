@@ -184,7 +184,6 @@ TEST(FailFast, ImprovedGreedySpreadAloneDoesNotStop) {
 }
 
 TEST(FailFast, PathRemoverStopsBeforeItsFirstRemoval) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
   // Two straight-line communications, each cut a singleton from the start,
   // overload C(0,1)→C(0,2); a third one would need removals.
   CommSet comms = shared_row_link(1800.0);
@@ -212,7 +211,6 @@ TEST(FailFast, PathRemoverStopsBeforeItsFirstRemoval) {
 }
 
 TEST(FailFast, ReferenceModesStopWhereIncrementalModesDo) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
   // The paper instances, scaled up until the policies fail part-way.
   obs::set_enabled(true);
   std::size_t stopped = 0;

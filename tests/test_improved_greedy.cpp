@@ -130,7 +130,6 @@ TEST(ImprovedGreedyDifferential, CutBoundCounterMatchesBetweenModes) {
   // kIgCutBounds is a unit-scoped counter (pinned by the observability
   // contract): the cache must evaluate the bound exactly as many times as
   // the reference does, or distributed/sequential metric reports diverge.
-  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
   const Mesh mesh(8, 8);
   Rng rng(0x0B5C);
   UniformWorkload spec;

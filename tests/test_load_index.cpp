@@ -195,7 +195,6 @@ TEST(LoadIndex, CountersArePinnedOnPaperInstances) {
   // One rank update per PR removal and per XYI move, and PR's retirement and
   // removal totals, on three §6 instances; values recorded before the
   // winner tree replaced the merge-maintained order.
-  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
   struct Pin {
     const char* scenario;
     std::size_t point;

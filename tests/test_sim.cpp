@@ -786,7 +786,6 @@ CounterPin count_probe(const char* name, const std::function<void()>& probe) {
 }
 
 TEST(Simulate, CountersMatchParentPins) {
-  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
   std::vector<CounterPin> actual;
   const std::vector<PinCase> cases = pin_cases();
   for (const char* name : {"sparse/16", "trickle/8/d1"}) {

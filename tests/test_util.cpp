@@ -138,43 +138,6 @@ TEST(RunningStats, CiShrinksWithSamples) {
   EXPECT_GT(small.ci95_halfwidth(), large.ci95_halfwidth());
 }
 
-TEST(Histogram, CountsAndQuantiles) {
-  Histogram hist(0.0, 10.0, 10);
-  for (int i = 0; i < 100; ++i) hist.add(static_cast<double>(i % 10) + 0.5);
-  EXPECT_EQ(hist.total(), 100u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(hist.count(b), 10u);
-  EXPECT_NEAR(hist.quantile(0.5), 5.0, 0.6);
-  EXPECT_EQ(hist.underflow(), 0u);
-  EXPECT_EQ(hist.overflow(), 0u);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram hist(0.0, 1.0, 4);
-  hist.add(-5.0);
-  hist.add(2.0);
-  EXPECT_EQ(hist.underflow(), 1u);
-  EXPECT_EQ(hist.overflow(), 1u);
-  EXPECT_EQ(hist.count(0), 1u);
-  EXPECT_EQ(hist.count(3), 1u);
-}
-
-TEST(Histogram, TopEdgeIsInclusive) {
-  // Regression: a sample exactly at the configured upper edge lands in the
-  // last bin — it is inside the configured range, not overflow.
-  Histogram hist(0.0, 10.0, 5);
-  hist.add(10.0);
-  EXPECT_EQ(hist.overflow(), 0u);
-  EXPECT_EQ(hist.count(4), 1u);
-  EXPECT_EQ(hist.total(), 1u);
-  // The bottom edge was always inclusive; the next representable value
-  // above hi still overflows.
-  hist.add(0.0);
-  EXPECT_EQ(hist.underflow(), 0u);
-  EXPECT_EQ(hist.count(0), 1u);
-  hist.add(std::nextafter(10.0, 11.0));
-  EXPECT_EQ(hist.overflow(), 1u);
-}
-
 TEST(Stats, MeanAndMedian) {
   EXPECT_DOUBLE_EQ(mean_of({1.0, 2.0, 3.0, 4.0}), 2.5);
   EXPECT_DOUBLE_EQ(median_of({5.0, 1.0, 3.0}), 3.0);

@@ -172,7 +172,6 @@ TEST(XyImproverCountGuard, Mesh16WorkloadCountsArePinned) {
   // timing workload). Moves and PR removals are decisions, so they are
   // pinned exactly; slot misses may only fall below the value recorded
   // when slots started tracking the links they read.
-  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out (PAMR_OBS=0)";
   const Mesh mesh(16, 16);
   Rng rng(0xBEEF);
   UniformWorkload spec;

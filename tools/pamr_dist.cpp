@@ -95,6 +95,13 @@ int main(int argc, char** argv) {
                  static_cast<long long>(max_units));
     return 2;
   }
+  const std::int64_t seed = parser.get_int("seed");
+  if (seed < -1) {
+    std::fprintf(stderr,
+                 "--seed must be >= 0, or -1 for each scenario's default, got %lld\n",
+                 static_cast<long long>(seed));
+    return 2;
+  }
 
   // Telemetry is armed before the campaign starts; run_campaign exports the
   // enablement to worker processes through the environment, and workers ship
@@ -103,16 +110,10 @@ int main(int argc, char** argv) {
   const std::string& trace_out = parser.get_string("trace-out");
   const std::string& metrics_out = parser.get_string("metrics-out");
   if (!trace_out.empty() || !metrics_out.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "pamr_dist: warning: telemetry compiled out (PAMR_OBS=0); "
-                   "--trace-out/--metrics-out will write nothing\n");
-    }
     obs::set_enabled(true);
     if (!trace_out.empty()) obs::set_trace_enabled(true);
   }
 
-  const std::int64_t seed = parser.get_int("seed");
   std::vector<scenario::SuiteEntry> entries;
   Scenario adhoc;  // must outlive the plan when --spec is used
   if (!spec_text.empty()) {
@@ -153,19 +154,17 @@ int main(int argc, char** argv) {
 
     // Written even when interrupted: a partial trace/report is still useful,
     // and the resumed invocation overwrites both with the complete picture.
-    if (obs::compiled_in()) {
-      std::string obs_error;
-      if (!metrics_out.empty() &&
-          !obs::write_report(metrics_out, "pamr_dist", plan.fingerprint, obs_error)) {
-        std::fprintf(stderr, "pamr_dist: --metrics-out %s: %s\n", metrics_out.c_str(),
-                     obs_error.c_str());
-        return 1;
-      }
-      if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
-        std::fprintf(stderr, "pamr_dist: --trace-out %s: %s\n", trace_out.c_str(),
-                     obs_error.c_str());
-        return 1;
-      }
+    std::string obs_error;
+    if (!metrics_out.empty() &&
+        !obs::write_report(metrics_out, "pamr_dist", plan.fingerprint, obs_error)) {
+      std::fprintf(stderr, "pamr_dist: --metrics-out %s: %s\n", metrics_out.c_str(),
+                   obs_error.c_str());
+      return 1;
+    }
+    if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
+      std::fprintf(stderr, "pamr_dist: --trace-out %s: %s\n", trace_out.c_str(),
+                   obs_error.c_str());
+      return 1;
     }
 
     std::fprintf(stderr,

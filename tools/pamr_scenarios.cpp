@@ -86,65 +86,31 @@ int main(int argc, char** argv) {
   options.instances = static_cast<std::int32_t>(trials);
   options.threads = static_cast<std::size_t>(threads);
   const std::int64_t seed = parser.get_int("seed");
+  if (seed < -1) {
+    std::fprintf(stderr,
+                 "--seed must be >= 0, or -1 for each scenario's default, got %lld\n",
+                 static_cast<long long>(seed));
+    return 2;
+  }
 
   // Telemetry is armed before any routing work so phase timers cover the
   // whole run; the files are written once, after every scenario finished.
   const std::string& trace_out = parser.get_string("trace-out");
   const std::string& metrics_out = parser.get_string("metrics-out");
   if (!trace_out.empty() || !metrics_out.empty()) {
-    if (!obs::compiled_in()) {
-      std::fprintf(stderr,
-                   "pamr_scenarios: warning: telemetry compiled out (PAMR_OBS=0); "
-                   "--trace-out/--metrics-out will write nothing\n");
-    }
     obs::set_enabled(true);
     if (!trace_out.empty()) {
       obs::set_trace_enabled(true);
       obs::set_process_label(0, "pamr_scenarios");
     }
   }
-  // The report's fingerprint mirrors pamr_dist's campaign identity, so a
-  // report from either driver names the same (entries, trials, chunk)
-  // expansion and the two can be compared by eye.
-  auto write_obs_outputs = [&](const std::vector<scenario::SuiteEntry>& batch) {
-    if (!obs::compiled_in()) return true;
-    bool ok = true;
-    std::string obs_error;
-    if (!metrics_out.empty()) {
-      const std::string fingerprint =
-          dist::build_campaign_plan(batch, options.instances, options.chunk)
-              .fingerprint;
-      if (!obs::write_report(metrics_out, "pamr_scenarios", fingerprint, obs_error)) {
-        std::fprintf(stderr, "pamr_scenarios: --metrics-out %s: %s\n",
-                     metrics_out.c_str(), obs_error.c_str());
-        ok = false;
-      }
-    }
-    if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
-      std::fprintf(stderr, "pamr_scenarios: --trace-out %s: %s\n", trace_out.c_str(),
-                   obs_error.c_str());
-      ok = false;
-    }
-    return ok;
-  };
-
-  // PAMR_CHECK failures surface as std::logic_error; anything the parser's
-  // validation did not anticipate should still exit with a diagnostic, not
-  // an abort.
-  auto run_one = [&](const Scenario& scenario) {
-    scenario::SuiteOptions scenario_options = options;
-    scenario_options.seed = seed >= 0 ? static_cast<std::uint64_t>(seed)
-                                      : scenario.default_seed;
-    try {
-      scenario::run_and_report(scenario, scenario_options, parser.get_flag("csv"),
-                               parser.get_flag("json"));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error running '%s': %s\n", scenario.name.c_str(), e.what());
-      return false;
-    }
-    return true;
-  };
-
+  // Whether one name, a comma list, 'all' or an ad-hoc --spec: the batch
+  // runs as ONE flattened work list (SuiteRunner::run_all), so short
+  // scenarios don't serialize behind long ones — each result still matches
+  // a standalone run of that scenario bit-for-bit.
+  std::vector<scenario::SuiteEntry> entries;
+  Scenario adhoc;  // must outlive the run when --spec is used
+  std::string label;
   if (const std::string& text = parser.get_string("spec"); !text.empty()) {
     scenario::ScenarioSpec spec;
     std::string error;
@@ -152,30 +118,22 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "bad --spec: %s\n", error.c_str());
       return 2;
     }
-    const Scenario adhoc = scenario::adhoc_scenario(std::move(spec));
-    if (!run_one(adhoc)) return 2;
-    const std::vector<scenario::SuiteEntry> batch{
-        {&adhoc,
-         seed >= 0 ? static_cast<std::uint64_t>(seed) : adhoc.default_seed}};
-    return write_obs_outputs(batch) ? 0 : 1;
-  }
-
-  const std::string& names = parser.get_string("run");
-  if (names.empty()) {
-    std::fputs(parser.help_text().c_str(), stdout);
-    return 2;
-  }
-
-  // Whether one name, a comma list, or 'all': the batch runs as ONE
-  // flattened work list (SuiteRunner::run_all), so short scenarios don't
-  // serialize behind long ones — each result still matches a standalone
-  // run of that scenario bit-for-bit.
-  std::vector<scenario::SuiteEntry> entries;
-  std::string resolve_error;
-  if (!scenario::resolve_suite_entries(registry, names, seed, entries,
-                                       resolve_error)) {
-    std::fprintf(stderr, "%s (try --list)\n", resolve_error.c_str());
-    return 2;
+    adhoc = scenario::adhoc_scenario(std::move(spec));
+    entries.push_back({&adhoc, seed >= 0 ? static_cast<std::uint64_t>(seed)
+                                         : adhoc.default_seed});
+    label = adhoc.name;
+  } else {
+    label = parser.get_string("run");
+    if (label.empty()) {
+      std::fputs(parser.help_text().c_str(), stdout);
+      return 2;
+    }
+    std::string resolve_error;
+    if (!scenario::resolve_suite_entries(registry, label, seed, entries,
+                                         resolve_error)) {
+      std::fprintf(stderr, "%s (try --list)\n", resolve_error.c_str());
+      return 2;
+    }
   }
 
   CsvStreamWriter stream;
@@ -200,8 +158,29 @@ int main(int argc, char** argv) {
                                              parser.get_flag("json"));
     }
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "error running '%s': %s\n", names.c_str(), e.what());
+    // PAMR_CHECK failures surface as std::logic_error; anything the
+    // parser's validation did not anticipate still exits with a diagnostic.
+    std::fprintf(stderr, "error running '%s': %s\n", label.c_str(), e.what());
     return 2;
   }
-  return write_obs_outputs(entries) ? 0 : 1;
+  // The report's fingerprint mirrors pamr_dist's campaign identity, so a
+  // report from either driver names the same (entries, trials, chunk)
+  // expansion and the two can be compared by eye.
+  int status = 0;
+  std::string obs_error;
+  if (!metrics_out.empty()) {
+    const std::string fingerprint =
+        dist::build_campaign_plan(entries, options.instances, options.chunk).fingerprint;
+    if (!obs::write_report(metrics_out, "pamr_scenarios", fingerprint, obs_error)) {
+      std::fprintf(stderr, "pamr_scenarios: --metrics-out %s: %s\n", metrics_out.c_str(),
+                   obs_error.c_str());
+      status = 1;
+    }
+  }
+  if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
+    std::fprintf(stderr, "pamr_scenarios: --trace-out %s: %s\n", trace_out.c_str(),
+                 obs_error.c_str());
+    status = 1;
+  }
+  return status;
 }
