@@ -12,7 +12,8 @@
 //     the dist path: increments are integer adds, shards are summed, and
 //     integer addition commutes.
 //   * One relaxed load per entry point when disabled (the `enabled()`
-//     gate); a run without --metrics-out or PAMR_OBS=1 records nothing.
+//     gate); a run without --metrics-out, --trace-out or PAMR_OBS=1
+//     records nothing.
 //
 // Thread safety: bump/sample/PhaseScope touch only the calling thread's
 // shard through relaxed std::atomic cells, so TSan-clean by construction;
