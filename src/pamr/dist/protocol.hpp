@@ -8,7 +8,7 @@
 //   unit                         result                    error
 //   id=17                        id=17                     text=<reason>
 //   scenario=fig7a_small         elapsed_ms=12.5           end
-//   point=2                      agg=aggv=1 n=8 ...
+//   point=2                      agg=aggv=2 n=8 ...
 //   begin=16                     end
 //   to=24
 //   instances=300

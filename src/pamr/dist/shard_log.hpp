@@ -7,8 +7,8 @@
 // refused instead of silently merging apples into oranges.
 //
 //   pamr-shards/1 fingerprint=9f2ab77c01d3e8a4
-//   done 0 aggv=1 n=8 sf=...
-//   done 3 aggv=1 n=8 sf=...
+//   done 0 aggv=2 n=8 sf=...
+//   done 3 aggv=2 n=8 sf=...
 //
 // A truncated final line (the crash happened mid-append) is dropped with a
 // warning — its unit simply reruns; corruption anywhere else is an error.

@@ -15,10 +15,12 @@ namespace pamr {
 
 namespace {
 
+constexpr std::uint64_t kMaxPathsPerComm = 20000;  ///< enumeration guard
+constexpr std::uint64_t kMaxNodes = 50'000'000;    ///< search-size guard
+
 struct SearchState {
   const Mesh* mesh;
   const PowerModel* model;
-  const ExactOptions* options;
   const CommSet* comms;
   std::vector<std::size_t> order;              ///< heaviest-first comm indices
   std::vector<std::vector<Path>> paths;        ///< per order position
@@ -41,7 +43,7 @@ struct SearchState {
 
   void dfs(std::size_t position) {
     if (capped) return;
-    if (++nodes > options->max_nodes) {
+    if (++nodes > kMaxNodes) {
       capped = true;
       return;
     }
@@ -66,11 +68,10 @@ struct SearchState {
 }  // namespace
 
 ExactResult solve_exact_1mp(const Mesh& mesh, const CommSet& comms,
-                            const PowerModel& model, const ExactOptions& options) {
+                            const PowerModel& model) {
   SearchState state(mesh);
   state.mesh = &mesh;
   state.model = &model;
-  state.options = &options;
   state.comms = &comms;
   state.order = order_by_decreasing_weight(comms);
 
@@ -78,9 +79,9 @@ ExactResult solve_exact_1mp(const Mesh& mesh, const CommSet& comms,
   state.paths.reserve(comms.size());
   for (const std::size_t index : state.order) {
     const CommRect rect(mesh, comms[index].src, comms[index].snk);
-    PAMR_CHECK(count_manhattan_paths(rect.du(), rect.dv()) <= options.max_paths_per_comm,
+    PAMR_CHECK(count_manhattan_paths(rect.du(), rect.dv()) <= kMaxPathsPerComm,
                "instance too large for exact enumeration: " + to_string(comms[index]));
-    state.paths.push_back(enumerate_manhattan_paths(rect, options.max_paths_per_comm));
+    state.paths.push_back(enumerate_manhattan_paths(rect, kMaxPathsPerComm));
   }
 
   // tail_bound[k] = Σ_{j ≥ k} ℓ_j · Pdyn_cont(δ_j)  (see header).

@@ -26,11 +26,6 @@
 
 namespace pamr {
 
-struct ExactOptions {
-  std::uint64_t max_paths_per_comm = 20000;  ///< enumeration guard
-  std::uint64_t max_nodes = 50'000'000;      ///< search-size guard
-};
-
 struct ExactResult {
   std::optional<Routing> routing;  ///< nullopt if no feasible 1-MP routing exists
   double power = 0.0;              ///< optimal power, defined iff routing
@@ -39,7 +34,6 @@ struct ExactResult {
 };
 
 [[nodiscard]] ExactResult solve_exact_1mp(const Mesh& mesh, const CommSet& comms,
-                                          const PowerModel& model,
-                                          const ExactOptions& options = {});
+                                          const PowerModel& model);
 
 }  // namespace pamr

@@ -48,7 +48,7 @@ ScenarioSpec single_layer_spec(WorkloadLayer layer) {
   return spec;
 }
 
-// -- Paper figure sweeps (§6; parameters mirrored by exp::panels) ----------
+// -- Paper figure sweeps (§6) -----------------------------------------------
 
 Scenario count_sweep(std::string name, std::string description, double lo, double hi,
                      std::int32_t max_comms, std::int32_t step) {

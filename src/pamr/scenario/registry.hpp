@@ -4,8 +4,7 @@
 // the SuiteRunner executes with many instances each — one paper figure
 // panel, one ablation, or one structured stress suite per entry. The
 // built-in registry is the single source of truth for the §6 figure
-// parameters (exp::panels derives its Panel definitions from it) plus the
-// structured suites the paper never drew: permutation sweeps, hotspot
+// parameters plus the structured suites the paper never drew: permutation sweeps, hotspot
 // storms, intensity ramps and multi-application mixes.
 #pragma once
 
@@ -28,7 +27,7 @@ struct Scenario {
   std::string name;         ///< registry key, e.g. "fig7a_small"
   std::string description;  ///< one line for --list
   std::string x_label = "x";
-  std::uint64_t default_seed = 0x9e3779b9ULL;  ///< figure suites pin the bench seed
+  std::uint64_t default_seed = 0x9e3779b9ULL;  ///< figure suites pin 7, 8 or 9
   std::vector<ScenarioPoint> points;
 };
 

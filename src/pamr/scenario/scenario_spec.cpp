@@ -396,8 +396,16 @@ bool tokenize_section(std::string_view section, std::vector<KeyValue>& out,
       error = "expected key=value, got '" + std::string(token) + "'";
       return false;
     }
-    out.push_back(KeyValue{std::string(token.substr(0, eq)),
-                           std::string(token.substr(eq + 1))});
+    // A repeated key would make the text mean its last value while
+    // to_string() prints only that one, so the input could not round-trip.
+    std::string key(token.substr(0, eq));
+    for (const KeyValue& seen : out) {
+      if (seen.key == key) {
+        error = "key '" + key + "' given twice";
+        return false;
+      }
+    }
+    out.push_back(KeyValue{std::move(key), std::string(token.substr(eq + 1))});
   }
   return true;
 }
@@ -473,13 +481,32 @@ bool parse_global(const std::vector<KeyValue>& pairs, ScenarioSpec& spec,
   return true;
 }
 
+/// Whether to_string() prints `key` for `layer`: the keys of its kind, with
+/// hotspot= only under pattern=hotspot, plus kind= and envelope= on every
+/// kind. Any other key would be parsed and then silently ignored.
+bool layer_prints_key(const WorkloadLayer& layer, std::string_view key) {
+  if (key == "kind" || key == "envelope") return true;
+  const bool weight_range = key == "n" || key == "lo" || key == "hi";
+  switch (layer.kind) {
+    case WorkloadLayer::Kind::kUniform: return weight_range;
+    case WorkloadLayer::Kind::kFixedLength: return weight_range || key == "len";
+    case WorkloadLayer::Kind::kPattern:
+      return key == "pattern" || key == "weight" || key == "jitter" ||
+             (key == "hotspot" && layer.pattern == TrafficPattern::kHotspot);
+    case WorkloadLayer::Kind::kHotspots: return weight_range || key == "spots";
+    case WorkloadLayer::Kind::kApps: return key == "apps" || key == "place";
+    case WorkloadLayer::Kind::kTrace: return key == "file" || key == "sample";
+  }
+  return false;
+}
+
 bool parse_layer(const std::vector<KeyValue>& pairs, WorkloadLayer& out,
                  std::string& error) {
   WorkloadLayer layer;
-  bool have_kind = false;
+  const std::string* kind_name = nullptr;
   for (const KeyValue& kv : pairs) {
     if (kv.key == "kind") {
-      have_kind = true;
+      kind_name = &kv.value;
       if (kv.value == "uniform") {
         layer.kind = WorkloadLayer::Kind::kUniform;
       } else if (kv.value == "length") {
@@ -584,9 +611,18 @@ bool parse_layer(const std::vector<KeyValue>& pairs, WorkloadLayer& out,
       return false;
     }
   }
-  if (!have_kind) {
+  if (kind_name == nullptr) {
     error = "layer is missing kind=";
     return false;
+  }
+  for (const KeyValue& kv : pairs) {
+    if (!layer_prints_key(layer, kv.key)) {
+      error = "key '" + kv.key + "' does not belong to kind=" + *kind_name;
+      if (layer.kind == WorkloadLayer::Kind::kPattern) {
+        error += " pattern=" + std::string(to_cstring(layer.pattern));
+      }
+      return false;
+    }
   }
   if ((layer.kind == WorkloadLayer::Kind::kUniform ||
        layer.kind == WorkloadLayer::Kind::kFixedLength ||

@@ -147,7 +147,9 @@ struct ScenarioSpec {
   [[nodiscard]] std::string to_string() const;
 
   /// Parses the text form. On failure returns false and sets `error`
-  /// (leaving `out` untouched).
+  /// (leaving `out` untouched). A key given twice in one section, or a
+  /// layer key to_string() would not print for that layer's kind, is an
+  /// error, so parse(to_string(parse(s))) == parse(s) for every accepted s.
   [[nodiscard]] static bool parse(std::string_view text, ScenarioSpec& out,
                                   std::string& error);
 

@@ -282,12 +282,5 @@ bool write_scenario_outputs(const ScenarioResult& result, const std::string& dir
   return ok;
 }
 
-void run_and_report(const Scenario& scenario, const SuiteOptions& options,
-                    bool write_csv, bool write_json) {
-  const ScenarioResult result = SuiteRunner(options).run(scenario);
-  print_scenario_result(result, options.instances);
-  (void)write_scenario_outputs(result, output_directory(), write_csv, write_json);
-}
-
 }  // namespace scenario
 }  // namespace pamr

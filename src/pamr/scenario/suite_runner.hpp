@@ -6,10 +6,7 @@
 // draws from Rng(derive_seed(seed, p, i)) — never from thread identity —
 // and per-instance samples are folded into fixed-size chunk aggregates that
 // are merged in chunk order afterwards, so the resulting PointAggregates
-// are bit-identical for 1 thread and N threads. The figure benches run the
-// same registry scenarios through run_and_report, which is what makes
-// `pamr_scenarios --run fig7a_small` reproduce `bench/fig7_num_comms`
-// number-for-number.
+// are bit-identical for 1 thread and N threads.
 #pragma once
 
 #include <cstdint>
@@ -153,12 +150,6 @@ void print_scenario_result(const ScenarioResult& result, std::int32_t instances)
 /// (after logging) if any write failed.
 bool write_scenario_outputs(const ScenarioResult& result, const std::string& dir,
                             bool write_csv, bool write_json);
-
-/// Runs a scenario and prints both tables; optionally writes
-/// output_directory()/<name>_{norm_inv_power,failure_ratio}.csv and
-/// <name>.json.
-void run_and_report(const Scenario& scenario, const SuiteOptions& options,
-                    bool write_csv, bool write_json = false);
 
 }  // namespace scenario
 }  // namespace pamr

@@ -19,7 +19,7 @@ namespace pamr {
 namespace scenario {
 
 /// One scenario of a suite batch with the seed it runs under (figure suites
-/// pin their bench seed; --seed overrides uniformly).
+/// pin 7, 8 or 9 after their figure; --seed overrides uniformly).
 struct SuiteEntry {
   const Scenario* scenario = nullptr;
   std::uint64_t seed = 0;

@@ -30,6 +30,9 @@ std::string format_cell_text(const Cell& cell, int precision) {
   return format_double(std::get<double>(cell), precision);
 }
 
+/// Stream rows print doubles at a default Table's precision.
+constexpr int kStreamPrecision = 4;
+
 }  // namespace
 
 std::string Table::format_cell(const Cell& cell) const {
@@ -194,7 +197,7 @@ bool CsvStreamWriter::append_row(const std::vector<Cell>& row) {
   PAMR_CHECK(row.size() == columns_, "row width does not match the header");
   for (std::size_t c = 0; c < row.size(); ++c) {
     if (c > 0) file_ << ',';
-    file_ << csv_escape(format_cell_text(row[c], precision_));
+    file_ << csv_escape(format_cell_text(row[c], kStreamPrecision));
   }
   file_ << '\n' << std::flush;
   if (!file_) {

@@ -77,14 +77,11 @@ class CsvStreamWriter {
   /// Returns false (after logging, once) on I/O failure.
   bool append_row(const std::vector<Cell>& row);
 
-  void set_double_precision(int precision) noexcept { precision_ = precision; }
-
  private:
   mutable std::mutex mutex_;
   std::ofstream file_;
   std::string path_;
   std::size_t columns_ = 0;
-  int precision_ = 4;
   bool warned_ = false;
 };
 

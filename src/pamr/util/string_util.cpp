@@ -96,12 +96,6 @@ std::string format_power_mw(double mw) {
   return format_double(mw, 2) + " mW";
 }
 
-std::string format_duration_s(double seconds) {
-  if (seconds < 1e-3) return format_double(seconds * 1e6, 1) + " us";
-  if (seconds < 1.0) return format_double(seconds * 1e3, 1) + " ms";
-  return format_double(seconds, 2) + " s";
-}
-
 bool parse_int64(std::string_view text, std::int64_t& out) noexcept {
   const std::string buf{trim(text)};
   if (buf.empty()) return false;

@@ -26,10 +26,9 @@ namespace pamr {
 /// JSON string literal.
 [[nodiscard]] std::string json_escape(std::string_view text);
 
-/// Human-readable quantities for logs: "1.25 Gb/s", "16.9 mW", "24.3 ms".
+/// Human-readable quantities for logs: "1.25 Gb/s", "16.9 mW".
 [[nodiscard]] std::string format_bandwidth_mbps(double mbps);
 [[nodiscard]] std::string format_power_mw(double mw);
-[[nodiscard]] std::string format_duration_s(double seconds);
 
 /// Strict parsers: return false (leaving `out` untouched) on any trailing
 /// garbage, overflow or empty input — CLI misuse should fail loudly.

@@ -5,15 +5,12 @@
 #pragma once
 
 #include <chrono>
-#include <string>
 
 namespace pamr {
 
 class WallTimer {
  public:
   WallTimer() noexcept : start_(Clock::now()) {}
-
-  void reset() noexcept { start_ = Clock::now(); }
 
   [[nodiscard]] double elapsed_seconds() const noexcept {
     return std::chrono::duration<double>(Clock::now() - start_).count();
@@ -23,20 +20,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Logs "<label>: <elapsed>" at info level on destruction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(std::string label) noexcept : label_(std::move(label)) {}
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  std::string label_;
-  WallTimer timer_;
 };
 
 }  // namespace pamr

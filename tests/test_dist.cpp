@@ -373,6 +373,30 @@ TEST(EndToEnd, SeedBelowMinusOneIsRejected) {
   EXPECT_FALSE(std::filesystem::exists(dir + "/shards.log"));
 }
 
+TEST(EndToEnd, BothDriversRejectTheSameSharedOptionErrors) {
+  // pamr_scenarios and pamr_dist read --run/--spec/--trials/--seed through
+  // one front end, so every violation of its rules exits 2 from both and
+  // nothing runs.
+  const std::string spec = " --spec 'mesh=4x4 ; kind=uniform n=4 lo=100 hi=200'";
+  // pamr_scenarios has no --out; pamr_dist gets a fresh one per case.
+  for (const std::string& args : {
+           std::string(),                                   // neither --run nor --spec
+           "--run " + std::string(kScenario) + spec,        // both
+           std::string("--spec 'mesh=4x4 ; kind=waves'"),   // bad --spec
+           std::string("--run no_such_suite"),              // unknown suite
+           "--run " + std::string(kScenario) + " --trials 0",
+           "--run " + std::string(kScenario) + " --seed -2",
+       }) {
+    const std::string dir = fresh_dir("shared_rules");
+    EXPECT_EQ(run_dist(args + " --out " + dir), 2) << "pamr_dist " << args;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/shards.log")) << args;
+    const std::string command =
+        std::string(PAMR_SCENARIOS_BIN) + " " + args + " > /dev/null";
+    const int status = std::system(command.c_str());
+    EXPECT_EQ(WIFEXITED(status) ? WEXITSTATUS(status) : -1, 2) << "pamr_scenarios " << args;
+  }
+}
+
 #endif  // PAMR_DIST_BIN
 
 }  // namespace

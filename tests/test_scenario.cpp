@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "pamr/comm/generator.hpp"
 #include "pamr/scenario/suite_runner.hpp"
@@ -143,6 +145,40 @@ TEST(Spec, ParseRejectsMalformedInput) {
     EXPECT_FALSE(ScenarioSpec::parse(bad, spec, error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
+  // Keys to_string() would not print, and repeated keys, are rejected by
+  // name: parse(to_string(parse(s))) must equal parse(s).
+  for (const auto& [bad, message] : std::vector<std::pair<const char*, const char*>>{
+           {"mesh=4x4 ; kind=uniform n=4 lo=100 hi=200 weight=5 pattern=shuffle len=3 "
+            "file=x.csv apps=pipeline:2:100",
+            "key 'weight' does not belong to kind=uniform"},
+           {"mesh=4x4 ; kind=uniform n=4 lo=100 hi=200 len=3",
+            "key 'len' does not belong to kind=uniform"},
+           {"mesh=4x4 ; kind=length n=4 lo=100 hi=200 len=3 spots=2",
+            "key 'spots' does not belong to kind=length"},
+           {"mesh=4x4 ; kind=hotspots spots=2 n=4 lo=100 hi=200 place=scattered",
+            "key 'place' does not belong to kind=hotspots"},
+           {"mesh=4x4 ; kind=pattern pattern=transpose weight=500 n=4",
+            "key 'n' does not belong to kind=pattern pattern=transpose"},
+           {"mesh=4x4 ; kind=pattern pattern=transpose weight=500 hotspot=1,1",
+            "key 'hotspot' does not belong to kind=pattern pattern=transpose"},
+           {"mesh=4x4 ; kind=apps apps=pipeline:2:100 lo=100",
+            "key 'lo' does not belong to kind=apps"},
+           {"mesh=4x4 ; kind=trace file=t.csv weight=5",
+            "key 'weight' does not belong to kind=trace"},
+           {"mesh=4x4 mesh=8x8 ; kind=uniform n=4 n=6 lo=100 hi=200 kind=length len=3",
+            "key 'mesh' given twice"},
+           {"mesh=4x4 ; kind=uniform n=4 n=6 lo=100 hi=200 kind=length len=3",
+            "key 'n' given twice"},
+           {"mesh=4x4 sim=on sim=off", "key 'sim' given twice"},
+       }) {
+    error.clear();
+    EXPECT_FALSE(ScenarioSpec::parse(bad, spec, error)) << bad;
+    EXPECT_EQ(error, message) << bad;
+  }
+  // hotspot= belongs to a pattern layer once pattern=hotspot, in any order.
+  EXPECT_TRUE(ScenarioSpec::parse(
+      "mesh=4x4 ; kind=pattern hotspot=1,1 pattern=hotspot weight=500", spec, error))
+      << error;
 }
 
 TEST(Registry, CatalogueIsCompleteAndGeneratesEverywhere) {

@@ -8,25 +8,22 @@
 // The final CSV/JSON tables in --out are byte-identical to what
 // `pamr_scenarios --run <same> --csv --json` writes for the same trials and
 // seeds — any worker count, resumed or not (see README "Distributed runs").
-// Figure suites default to their bench seed exactly like pamr_scenarios;
-// --seed overrides uniformly.
+// The options shared with pamr_scenarios (--run, --spec, --trials, --seed,
+// --trace-out, --metrics-out) and their rules live in campaign_args.hpp.
 //
 // `--worker` is internal: the coordinator re-executes this binary with it
 // to obtain shard children speaking the pipe protocol.
 #include <cstdio>
 #include <exception>
+#include <string>
+#include <string_view>
 
+#include "campaign_args.hpp"
 #include "pamr/dist/coordinator.hpp"
 #include "pamr/dist/worker.hpp"
-#include "pamr/obs/obs.hpp"
-#include "pamr/scenario/suite_runner.hpp"
-#include "pamr/util/args.hpp"
-#include "pamr/util/string_util.hpp"
 
 int main(int argc, char** argv) {
   using namespace pamr;
-  using scenario::Scenario;
-  using scenario::ScenarioRegistry;
 
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--worker") {
@@ -36,14 +33,8 @@ int main(int argc, char** argv) {
 
   ArgParser parser("pamr_dist",
                    "run scenario suites sharded over worker processes");
-  parser.add_string("run", "", "comma-separated scenario names, or 'all'");
-  parser.add_string("spec", "",
-                    "run one ad-hoc scenario spec (see scenario_spec.hpp) instead "
-                    "of --run; same semantics as pamr_scenarios --spec");
+  CampaignArgs campaign(parser, "pamr_dist");
   parser.add_int("workers", 2, "worker processes", "PAMR_WORKERS");
-  parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
-                 "PAMR_TRIALS");
-  parser.add_int("seed", -1, "base seed; -1 uses each scenario's default");
   parser.add_int("chunk", 8, "instances per work unit");
   parser.add_string("out", "pamr_dist_out",
                     "campaign directory: journal, stream.csv, final tables");
@@ -51,32 +42,11 @@ int main(int argc, char** argv) {
   parser.add_flag("no-tables", "skip printing the merged tables to stdout");
   parser.add_int("max-units", 0,
                  "dispatch at most N new units then stop (checkpoint hook); 0 = all");
-  parser.add_string("trace-out", "",
-                    "write a merged Chrome trace-event JSON (coordinator + all "
-                    "workers) to this path");
-  parser.add_string("metrics-out", "",
-                    "write a JSON telemetry report (counters, phases) to this path");
   parser.add_flag("worker", "internal: run as a pipe-protocol worker");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;
 
-  const std::string& names = parser.get_string("run");
-  const std::string& spec_text = parser.get_string("spec");
-  if (names.empty() == spec_text.empty()) {  // neither or both
-    if (!names.empty()) {
-      std::fprintf(stderr, "--run and --spec are mutually exclusive\n");
-      return 2;
-    }
-    std::fputs(parser.help_text().c_str(), stdout);
-    return 2;
-  }
-
-  const std::int64_t trials = parser.get_int("trials");
-  if (trials < 1 || trials > 10'000'000) {
-    std::fprintf(stderr, "--trials must be in [1, 10000000], got %lld\n",
-                 static_cast<long long>(trials));
-    return 2;
-  }
+  if (!campaign.resolve()) return 2;
   const std::int64_t chunk = parser.get_int("chunk");
   if (chunk < 1 || chunk > 1'000'000) {
     std::fprintf(stderr, "--chunk must be in [1, 1000000], got %lld\n",
@@ -95,49 +65,6 @@ int main(int argc, char** argv) {
                  static_cast<long long>(max_units));
     return 2;
   }
-  const std::int64_t seed = parser.get_int("seed");
-  if (seed < -1) {
-    std::fprintf(stderr,
-                 "--seed must be >= 0, or -1 for each scenario's default, got %lld\n",
-                 static_cast<long long>(seed));
-    return 2;
-  }
-
-  // Telemetry is armed before the campaign starts; run_campaign exports the
-  // enablement to worker processes through the environment, and workers ship
-  // counter deltas / span batches back over the wire (side channels only —
-  // result bytes are identical either way).
-  const std::string& trace_out = parser.get_string("trace-out");
-  const std::string& metrics_out = parser.get_string("metrics-out");
-  if (!trace_out.empty() || !metrics_out.empty()) {
-    obs::set_enabled(true);
-    if (!trace_out.empty()) obs::set_trace_enabled(true);
-  }
-
-  std::vector<scenario::SuiteEntry> entries;
-  Scenario adhoc;  // must outlive the plan when --spec is used
-  if (!spec_text.empty()) {
-    scenario::ScenarioSpec spec;
-    std::string error;
-    if (!scenario::ScenarioSpec::parse(spec_text, spec, error)) {
-      std::fprintf(stderr, "bad --spec: %s\n", error.c_str());
-      return 2;
-    }
-    adhoc = scenario::adhoc_scenario(std::move(spec));
-    entries.push_back({&adhoc, seed >= 0 ? static_cast<std::uint64_t>(seed)
-                                         : adhoc.default_seed});
-  } else {
-    std::string resolve_error;
-    if (!scenario::resolve_suite_entries(ScenarioRegistry::builtin(), names, seed,
-                                         entries, resolve_error)) {
-      std::fprintf(stderr, "%s (try pamr_scenarios --list)\n", resolve_error.c_str());
-      return 2;
-    }
-  }
-
-  scenario::SuiteOptions suite_options;
-  suite_options.instances = static_cast<std::int32_t>(trials);
-  suite_options.chunk = static_cast<std::size_t>(chunk);
 
   dist::CoordinatorOptions options;
   options.workers = static_cast<std::size_t>(workers);
@@ -147,25 +74,13 @@ int main(int argc, char** argv) {
   options.max_units = static_cast<std::uint64_t>(max_units);
 
   try {
-    suite_options.validate();  // same boundary checks as the in-process runner
     const dist::CampaignPlan plan = dist::build_campaign_plan(
-        std::move(entries), suite_options.instances, suite_options.chunk);
+        campaign.entries(), campaign.instances(), static_cast<std::size_t>(chunk));
     const dist::CampaignOutcome outcome = dist::run_campaign(plan, options);
 
     // Written even when interrupted: a partial trace/report is still useful,
     // and the resumed invocation overwrites both with the complete picture.
-    std::string obs_error;
-    if (!metrics_out.empty() &&
-        !obs::write_report(metrics_out, "pamr_dist", plan.fingerprint, obs_error)) {
-      std::fprintf(stderr, "pamr_dist: --metrics-out %s: %s\n", metrics_out.c_str(),
-                   obs_error.c_str());
-      return 1;
-    }
-    if (!trace_out.empty() && !obs::write_trace(trace_out, obs_error)) {
-      std::fprintf(stderr, "pamr_dist: --trace-out %s: %s\n", trace_out.c_str(),
-                   obs_error.c_str());
-      return 1;
-    }
+    if (!campaign.write_telemetry([&plan] { return plan.fingerprint; })) return 1;
 
     std::fprintf(stderr,
                  "pamr_dist: %zu/%zu units (%zu resumed, %zu run, %zu worker "
@@ -177,10 +92,11 @@ int main(int argc, char** argv) {
       // Echo back every parameter the journal fingerprint pins, so the
       // pasted command cannot be refused as a different campaign.
       std::string hint = "pamr_dist ";
-      hint += spec_text.empty() ? "--run " + names : "--spec '" + spec_text + "'";
-      hint += " --trials " + std::to_string(suite_options.instances) + " --chunk " +
-              std::to_string(suite_options.chunk);
-      if (seed >= 0) hint += " --seed " + std::to_string(seed);
+      hint += campaign.spec_text().empty() ? "--run " + campaign.run_names()
+                                           : "--spec '" + campaign.spec_text() + "'";
+      hint += " --trials " + std::to_string(plan.instances) + " --chunk " +
+              std::to_string(plan.chunk);
+      if (campaign.seed() >= 0) hint += " --seed " + std::to_string(campaign.seed());
       hint += " --out " + options.out_dir + " --resume";
       std::fprintf(stderr, "pamr_dist: campaign interrupted; resume with:  %s\n",
                    hint.c_str());
@@ -188,7 +104,7 @@ int main(int argc, char** argv) {
     }
     for (const scenario::ScenarioResult& result : outcome.results) {
       if (!parser.get_flag("no-tables")) {
-        scenario::print_scenario_result(result, suite_options.instances);
+        scenario::print_scenario_result(result, plan.instances);
       }
       if (!scenario::write_scenario_outputs(result, options.out_dir, /*write_csv=*/true,
                                             /*write_json=*/true)) {
