@@ -7,22 +7,19 @@
 
 namespace pamr {
 
-CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths)
-    : mesh_(&mesh),
-      entries_(static_cast<std::size_t>(mesh.num_links())),
-      comm_stamp_(paths.size(), 1),  // ≥ 1, so never-computed slots (stamp 0) are stale
-      link_epoch_(static_cast<std::size_t>(mesh.num_links()), 0) {
-  std::vector<std::uint32_t> link_count(entries_.size(), 0);
-  for (std::size_t ci = 0; ci < paths.size(); ++ci) {
-    for (const LinkId link : paths.links(ci)) ++link_count[static_cast<std::size_t>(link)];
-  }
-  for (std::size_t link = 0; link < entries_.size(); ++link) {
-    entries_[link].reserve(link_count[link]);
-  }
+CrossingIndex::CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths) : mesh_(&mesh) {
+  Storage& s = *s_;
+  const auto num_links = static_cast<std::size_t>(mesh.num_links());
+  // Lists left over from a larger mesh stay, unread, with their capacity.
+  if (s.entries.size() < num_links) s.entries.resize(num_links);
+  for (std::size_t link = 0; link < num_links; ++link) s.entries[link].clear();
+  s.comm_stamp.assign(paths.size(), 1);  // ≥ 1, so never-computed slots (stamp 0) are stale
+  s.link_epoch.assign(num_links, 0);
+  s.reads.clear();
   for (std::size_t ci = 0; ci < paths.size(); ++ci) {
     const auto comm = static_cast<std::uint32_t>(ci);
     for (const LinkId link : paths.links(ci)) {
-      auto& list = entries_[static_cast<std::size_t>(link)];
+      auto& list = s.entries[static_cast<std::size_t>(link)];
       PAMR_ASSERT(list.empty() || list.back().comm < comm);  // registration order
       list.push_back(Entry{Slot{}, comm});
     }
@@ -34,7 +31,7 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
   PAMR_ASSERT(before.size() == after.size());
   obs::bump(obs::Metric::kXyiIndexRewrites);
   ++epoch_;
-  comm_stamp_[comm] = epoch_;
+  s_->comm_stamp[comm] = epoch_;
   // Entry lists stay sorted by communication: shifts over short contiguous
   // lists beat node containers here. A new member starts with a stale slot.
   const auto find_member = [&](std::vector<Entry>& list, std::uint32_t value) {
@@ -42,13 +39,13 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
                             [](const Entry& e, std::uint32_t c) { return e.comm < c; });
   };
   const auto erase_member = [&](LinkId link, std::uint32_t value) {
-    auto& list = entries_[static_cast<std::size_t>(link)];
+    auto& list = s_->entries[static_cast<std::size_t>(link)];
     const auto at = find_member(list, value);
     PAMR_ASSERT(at != list.end() && at->comm == value);
     list.erase(at);
   };
   const auto insert_member = [&](LinkId link, std::uint32_t value) {
-    auto& list = entries_[static_cast<std::size_t>(link)];
+    auto& list = s_->entries[static_cast<std::size_t>(link)];
     const auto at = find_member(list, value);
     PAMR_ASSERT(at == list.end() || at->comm != value);
     list.insert(at, Entry{Slot{}, value});
@@ -67,7 +64,7 @@ void CrossingIndex::apply_rewrite(std::uint32_t comm, std::span<const Coord> bef
   // candidate scan's tie-breaks bit for bit.
   for (std::size_t k = 0; k + 1 < after.size(); ++k) {
     const auto idx = static_cast<std::size_t>(mesh_->link_between(after[k], after[k + 1]));
-    const std::vector<Entry>& list = entries_[idx];
+    const std::vector<Entry>& list = s_->entries[idx];
     PAMR_INVARIANT("crossing-index",
                    std::adjacent_find(list.begin(), list.end(),
                                       [](const Entry& a, const Entry& b) {

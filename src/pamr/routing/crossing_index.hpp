@@ -27,6 +27,12 @@
 // reads the same links, so it overwrites its slot's range in place; only a
 // first evaluation (or one after a rewrite that changed the list's length)
 // appends.
+//
+// XYI builds the index on every call. Its buffers (the per-link entry
+// lists, the read pool and the stamps) are a per-thread Reused spare
+// (util/reused.hpp): each entry list keeps the capacity it reached on an
+// earlier call on the same thread, so in steady state building the index
+// allocates nothing.
 #pragma once
 
 #include <algorithm>
@@ -37,6 +43,7 @@
 #include "pamr/mesh/coord.hpp"
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/routing/xy_moves.hpp"
+#include "pamr/util/reused.hpp"
 
 namespace pamr {
 
@@ -60,15 +67,14 @@ class CrossingIndex {
   };
 
   /// Registers every communication's initial path, in increasing index
-  /// order so entry lists start out sorted. Each list is sized exactly by
-  /// a count pass first.
+  /// order so entry lists start out sorted.
   CrossingIndex(const Mesh& mesh, const xyi::PathStore& paths);
 
   /// One entry per communication whose current path crosses `link`,
   /// ascending by comm. Slots are writable by the caller, which refreshes a
   /// stale slot through refresh().
   [[nodiscard]] std::span<Entry> entries(LinkId link) {
-    return entries_[static_cast<std::size_t>(link)];
+    return s_->entries[static_cast<std::size_t>(link)];
   }
 
   /// True iff the slot (belonging to `comm`) still reflects the current
@@ -76,16 +82,16 @@ class CrossingIndex {
   /// read changed load since. Stamp 0 (never computed) is always stale
   /// because comm stamps start at 1.
   [[nodiscard]] bool slot_fresh(const Slot& slot, std::uint32_t comm) const {
-    if (slot.stamp < comm_stamp_[comm]) return false;
-    const auto first = reads_.begin() + slot.read_begin;
+    if (slot.stamp < s_->comm_stamp[comm]) return false;
+    const auto first = s_->reads.begin() + slot.read_begin;
     return std::all_of(first, first + slot.read_size, [&](LinkId link) {
-      return link_epoch_[static_cast<std::size_t>(link)] <= slot.stamp;
+      return s_->link_epoch[static_cast<std::size_t>(link)] <= slot.stamp;
     });
   }
 
   /// The links a fresh slot's evaluation read.
   [[nodiscard]] std::span<const LinkId> reads(const Slot& slot) const {
-    return {reads_.data() + slot.read_begin, slot.read_size};
+    return {s_->reads.data() + slot.read_begin, slot.read_size};
   }
 
   /// Recomputes a stale slot now: `evaluate(reads)` returns the candidate
@@ -93,13 +99,14 @@ class CrossingIndex {
   /// contract).
   template <class Evaluate>
   void refresh(Slot& slot, Evaluate&& evaluate) {
-    const std::size_t begin = reads_.size();
-    slot.best = evaluate(reads_);
-    const auto size = static_cast<std::uint32_t>(reads_.size() - begin);
+    std::vector<LinkId>& reads = s_->reads;
+    const std::size_t begin = reads.size();
+    slot.best = evaluate(reads);
+    const auto size = static_cast<std::uint32_t>(reads.size() - begin);
     if (size == slot.read_size) {
-      std::copy(reads_.begin() + static_cast<std::ptrdiff_t>(begin), reads_.end(),
-                reads_.begin() + slot.read_begin);
-      reads_.resize(begin);
+      std::copy(reads.begin() + static_cast<std::ptrdiff_t>(begin), reads.end(),
+                reads.begin() + slot.read_begin);
+      reads.resize(begin);
     } else {
       slot.read_begin = static_cast<std::uint32_t>(begin);
       slot.read_size = size;
@@ -115,15 +122,23 @@ class CrossingIndex {
 
   /// The stored load of `link` changed under the current move. Call after
   /// apply_rewrite for each link whose value actually changed.
-  void note_load_change(LinkId link) { link_epoch_[static_cast<std::size_t>(link)] = epoch_; }
+  void note_load_change(LinkId link) {
+    s_->link_epoch[static_cast<std::size_t>(link)] = epoch_;
+  }
 
  private:
+  struct Storage {
+    /// link → crossing comms, sorted; may hold more lists than the mesh has
+    /// links, left over from a larger mesh on this thread
+    std::vector<std::vector<Entry>> entries;
+    std::vector<std::uint64_t> comm_stamp;  ///< comm → epoch of its last rewrite
+    std::vector<std::uint64_t> link_epoch;  ///< link → epoch of its last load change
+    std::vector<LinkId> reads;              ///< every slot's read links
+  };
+
   const Mesh* mesh_;
-  std::uint64_t epoch_ = 1;                  ///< applied-move counter
-  std::vector<std::vector<Entry>> entries_;  ///< link → crossing comms, sorted
-  std::vector<std::uint64_t> comm_stamp_;    ///< comm → epoch of its last rewrite
-  std::vector<std::uint64_t> link_epoch_;    ///< link → epoch of its last load change
-  std::vector<LinkId> reads_;                ///< every slot's read links
+  std::uint64_t epoch_ = 1;  ///< applied-move counter
+  Reused<Storage> s_;
 };
 
 }  // namespace pamr

@@ -40,16 +40,29 @@
 //
 // Two views use the ranks:
 //
-//   * LoadIndex (PR): a winner (tournament) tree over the links keyed by
-//     (load, rank). top() is the first live link; retire() empties a leaf.
-//     A step re-fixes only the root paths of the K changed leaves, each
-//     stopping at the first node whose winner is unchanged: O(K log L) at
-//     worst, and a level or two for a link that stays cold. PR's per-link
-//     membership lists live next to its states (path_remover.cpp).
+//   * LoadIndex (PR): a winner (tournament) tree over the links. A node is
+//     16 bytes, the winner's load and LinkId; the rank stays in LinkRanks
+//     and is read only when two live loads tie, so most comparisons touch
+//     two adjacent nodes and nothing else. An empty node (a retired or
+//     padding leaf) has load -inf, which no link's load equals, so it is
+//     never asked for a rank. top() is the first live link; retire()
+//     empties a leaf. A step re-fixes only the root paths of the K changed
+//     leaves, each stopping at the first node whose winner is unchanged:
+//     O(K log L) at worst, and a level or two for a link that stays cold.
+//     PR's per-link membership lists live next to its states
+//     (path_remover.cpp).
 //   * LoadOrder (XYI): the materialized sorted order, walked from the top
-//     after every move (about 29 links deep on the paper's 8×8 regime). A
-//     step merges the re-sorted changed links back into the unchanged
-//     ones, O(L + K log K).
+//     after every move (about 29 links deep on the paper's 8×8 regime). It
+//     is built by sorting (load, LinkId) pairs, which is the (load, rank)
+//     order because ranks start at LinkId. A step updates it in place: one
+//     compaction pass drops the K changed links, then each goes back in at
+//     its upper_bound in (load desc, rank asc) order, O(L + K log L) with
+//     no second array.
+//
+// Both indexes, and the ranks under them, keep their buffers in a
+// per-thread Reused spare (util/reused.hpp): the router builds them on
+// every call, and on the same thread the next call refills the previous
+// call's capacity instead of allocating.
 //
 // Both take a step's changes as one list of LoadChange records (link, load
 // before the step). PR's one-pass re-spread visits each link of the moved
@@ -65,6 +78,7 @@
 
 #include "pamr/mesh/mesh.hpp"
 #include "pamr/routing/link_loads.hpp"
+#include "pamr/util/reused.hpp"
 
 namespace pamr {
 
@@ -109,7 +123,7 @@ class LinkRanks {
   explicit LinkRanks(std::int32_t num_links);
 
   [[nodiscard]] std::int64_t rank(LinkId link) const {
-    return rank_[static_cast<std::size_t>(link)];
+    return s_->rank[static_cast<std::size_t>(link)];
   }
 
   /// True iff `a` comes before `b` in (load desc, rank asc) order.
@@ -133,12 +147,16 @@ class LinkRanks {
     LinkId link;
   };
 
-  std::vector<std::int64_t> rank_;
+  struct Storage {
+    std::vector<std::int64_t> rank;
+    std::vector<LinkId> changed;
+    std::vector<Mover> risers;
+    std::vector<Mover> fallers;
+  };
+
+  Reused<Storage> s_;
   std::int64_t next_back_;        ///< next rank for a riser (above every rank)
   std::int64_t next_front_ = -1;  ///< next rank for a faller (below every rank)
-  std::vector<LinkId> changed_;
-  std::vector<Mover> risers_;
-  std::vector<Mover> fallers_;
 };
 
 /// PR's index: the first live link in (load desc, rank asc) order from a
@@ -151,14 +169,14 @@ class LoadIndex {
   /// The first live link in (load desc, rank asc) order — the seed's
   /// stable-sort order with retired links skipped; kInvalidLink once every
   /// link is retired.
-  [[nodiscard]] LinkId top() const { return tree_[1].link; }
+  [[nodiscard]] LinkId top() const { return s_->tree[1].link; }
 
   /// Marks a link permanently unremovable: it is never returned by top()
   /// again, and any later load change reported for it is ignored (its
   /// relative order can never matter again).
   void retire(LinkId link);
   [[nodiscard]] bool is_retired(LinkId link) const {
-    return tree_[leaves_ + static_cast<std::size_t>(link)].link == kInvalidLink;
+    return s_->tree[leaves_ + static_cast<std::size_t>(link)].link == kInvalidLink;
   }
 
   /// Re-ranks the listed links whose stored load changed and re-fixes their
@@ -178,15 +196,17 @@ class LoadIndex {
   void check_invariants(const LinkLoads& loads) const;
 
  private:
-  /// A link with its (load, rank) key, copied in so that a comparison reads
-  /// two adjacent nodes. An empty node (retired leaf, padding) has load
-  /// -inf and loses to every link.
+  /// A link and its load, 16 bytes; its rank is read from ranks_ only on
+  /// a load tie. An empty node (retired leaf, padding) has load -inf and
+  /// loses to every link.
   struct Node {
     double load;
-    std::int64_t rank;
     LinkId link;
 
     friend bool operator==(const Node&, const Node&) = default;
+  };
+  struct Storage {
+    std::vector<Node> tree;  ///< [1, leaves_) winners, [leaves_, 2·leaves_) leaves
   };
 
   [[nodiscard]] Node leaf_key(LinkId link, const LinkLoads& loads) const;
@@ -195,8 +215,8 @@ class LoadIndex {
 
   LinkRanks ranks_;
   std::size_t num_links_;
-  std::size_t leaves_;      ///< first leaf node; a power of two ≥ the link count
-  std::vector<Node> tree_;  ///< [1, leaves_) winners, [leaves_, 2·leaves_) leaves
+  std::size_t leaves_;  ///< first leaf node; a power of two ≥ the link count
+  Reused<Storage> s_;
 };
 
 /// XYI's index: every link in (load desc, rank asc) order, for a walk from
@@ -206,14 +226,15 @@ class LoadOrder {
   /// Captures the seed's first round: ties in LinkId order.
   LoadOrder(std::int32_t num_links, const LinkLoads& loads);
 
-  [[nodiscard]] std::size_t size() const noexcept { return order_.size(); }
-  [[nodiscard]] LinkId link_at(std::size_t at) const { return order_[at]; }
+  [[nodiscard]] std::size_t size() const noexcept { return s_->order.size(); }
+  [[nodiscard]] LinkId link_at(std::size_t at) const { return s_->order[at]; }
 
-  /// Re-ranks the listed links whose stored load changed and merges them
-  /// back into the order. Exactly equivalent to the seed's stable_sort
-  /// of the persistent order vector by the new loads. Returns the changed
-  /// links in list order (valid until the next call). At PAMR_CHECK_LEVEL >=
-  /// 2 every call re-verifies the whole order against `loads` (O(L)).
+  /// Re-ranks the listed links whose stored load changed and moves them to
+  /// their new places in the order. Exactly equivalent to the seed's
+  /// stable_sort of the persistent order vector by the new loads. Returns
+  /// the changed links in list order (valid until the next call). At
+  /// PAMR_CHECK_LEVEL >= 2 every call, even one that changed nothing,
+  /// re-verifies the whole order against `loads` (O(L)).
   const std::vector<LinkId>& reorder(std::span<const LoadChange> changes,
                                      const LinkLoads& loads);
 
@@ -223,11 +244,19 @@ class LoadOrder {
   void check_invariants(const LinkLoads& loads) const;
 
  private:
+  /// A link with its initial load, for the construction sort.
+  struct Keyed {
+    double load;
+    LinkId link;
+  };
+  struct Storage {
+    std::vector<LinkId> order;
+    std::vector<char> changed_mark;  ///< scratch: link changed this step
+    std::vector<Keyed> keyed;        ///< scratch: the construction sort
+  };
+
   LinkRanks ranks_;
-  std::vector<LinkId> order_;
-  std::vector<char> changed_mark_;     ///< scratch: link changed this step
-  std::vector<LinkId> merge_scratch_;  ///< scratch: next order_ being built
-  std::vector<LinkId> resort_scratch_; ///< scratch: changed links, re-sorted
+  Reused<Storage> s_;
 };
 
 }  // namespace pamr

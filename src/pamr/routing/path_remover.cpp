@@ -59,6 +59,7 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <utility>
 
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/obs/obs.hpp"
@@ -66,6 +67,7 @@
 #include "pamr/routing/load_index.hpp"
 #include "pamr/routing/routers.hpp"
 #include "pamr/util/assert.hpp"
+#include "pamr/util/reused.hpp"
 #include "pamr/util/timer.hpp"
 
 namespace pamr {
@@ -92,72 +94,83 @@ struct PruneScratch {
 /// first — CommRect::visit_cut order). `allowed` is one nc × L byte array.
 /// The incremental mode also keeps each cell's in- and out-degree within
 /// its communication's DAG, one flat array with communication i's cell
-/// (a, b) at cell_base_[i] + a·(dv+1) + b.
+/// (a, b) at cell_base[i] + a·(dv+1) + b. The stores are a per-thread
+/// Reused spare (util/reused.hpp), refilled on every call, as are the
+/// member lists below.
 class CommStates {
  public:
   CommStates(const Mesh& mesh, const CommSet& comms)
-      : num_links_(static_cast<std::size_t>(mesh.num_links())),
-        allowed_(comms.size() * num_links_, 0) {
-    rects_.reserve(comms.size());
-    depth_base_.reserve(comms.size() + 1);
-    cell_base_.reserve(comms.size());
+      : num_links_(static_cast<std::size_t>(mesh.num_links())) {
+    Storage& s = *s_;
+    s.rects.clear();
+    s.depth_base.clear();
+    s.cuts.clear();
+    s.links.clear();
+    s.allowed.assign(comms.size() * num_links_, 0);
+    s.cell_base.clear();
+    s.degrees.clear();
+    s.rects.reserve(comms.size());
+    s.depth_base.reserve(comms.size() + 1);
+    s.cell_base.reserve(comms.size());
     std::size_t max_length = 0;
     std::size_t max_cells = 0;
     for (std::size_t i = 0; i < comms.size(); ++i) {
-      const CommRect& rect = rects_.emplace_back(mesh, comms[i].src, comms[i].snk);
-      depth_base_.push_back(cuts_.size());
+      const CommRect& rect = s.rects.emplace_back(mesh, comms[i].src, comms[i].snk);
+      s.depth_base.push_back(s.cuts.size());
       max_length = std::max(max_length, static_cast<std::size_t>(rect.length()));
       max_cells = std::max(max_cells,
                            static_cast<std::size_t>((rect.du() + 1) * (rect.dv() + 1)));
       // The full rectangle: every cell steps along both axes while it can.
-      cell_base_.push_back(degrees_.size());
+      s.cell_base.push_back(s.degrees.size());
       for (std::int32_t a = 0; a <= rect.du(); ++a) {
         for (std::int32_t b = 0; b <= rect.dv(); ++b) {
-          degrees_.push_back(Degree{static_cast<std::uint8_t>((a > 0) + (b > 0)),
-                                    static_cast<std::uint8_t>((a < rect.du()) +
-                                                              (b < rect.dv()))});
+          s.degrees.push_back(Degree{static_cast<std::uint8_t>((a > 0) + (b > 0)),
+                                     static_cast<std::uint8_t>((a < rect.du()) +
+                                                               (b < rect.dv()))});
         }
       }
       for (std::int32_t t = 0; t < rect.length(); ++t) {
-        const auto begin = static_cast<std::uint32_t>(links_.size());
+        const auto begin = static_cast<std::uint32_t>(s.links.size());
         rect.visit_cut(t, [&](Coord, const CommRect::Step& step) {
-          links_.push_back(step.link);
-          allowed_[i * num_links_ + static_cast<std::size_t>(step.link)] = 1;
+          s.links.push_back(step.link);
+          s.allowed[i * num_links_ + static_cast<std::size_t>(step.link)] = 1;
         });
-        cuts_.push_back({begin, static_cast<std::uint32_t>(links_.size()) - begin});
+        s.cuts.push_back({begin, static_cast<std::uint32_t>(s.links.size()) - begin});
       }
     }
-    depth_base_.push_back(cuts_.size());
-    old_sizes_.reserve(max_length);
+    s.depth_base.push_back(s.cuts.size());
+    s.old_sizes.clear();
+    s.old_sizes.reserve(max_length);
     // A cascade queues a cell at most twice: once per degree reaching zero.
-    pending_.reserve(2 * max_cells);
+    s.pending.clear();
+    s.pending.reserve(2 * max_cells);
   }
 
-  [[nodiscard]] std::size_t size() const noexcept { return rects_.size(); }
-  [[nodiscard]] const CommRect& rect(std::size_t i) const { return rects_[i]; }
+  [[nodiscard]] std::size_t size() const noexcept { return s_->rects.size(); }
+  [[nodiscard]] const CommRect& rect(std::size_t i) const { return s_->rects[i]; }
 
   [[nodiscard]] bool allowed(std::size_t i, LinkId link) const {
-    return allowed_[i * num_links_ + static_cast<std::size_t>(link)] != 0;
+    return s_->allowed[i * num_links_ + static_cast<std::size_t>(link)] != 0;
   }
 
   /// Allowed links of communication i at depth t.
   [[nodiscard]] std::span<const LinkId> cut(std::size_t i, std::int32_t t) const {
-    const Range& range = cuts_[depth_base_[i] + static_cast<std::size_t>(t)];
-    return {links_.data() + range.begin, range.size};
+    const Range& range = s_->cuts[s_->depth_base[i] + static_cast<std::size_t>(t)];
+    return {s_->links.data() + range.begin, range.size};
   }
 
   [[nodiscard]] bool is_single_path(std::size_t i) const noexcept {
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      if (cuts_[d].size != 1) return false;
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      if (s_->cuts[d].size != 1) return false;
     }
     return true;
   }
 
   /// Adds (sign × δ/m_t) for every allowed link of every cut.
   void apply_spread(std::size_t i, double weight, LinkLoads& loads) const {
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      PAMR_ASSERT(cuts_[d].size != 0);
-      const double share = weight / static_cast<double>(cuts_[d].size);
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      PAMR_ASSERT(s_->cuts[d].size != 0);
+      const double share = weight / static_cast<double>(s_->cuts[d].size);
       for (const LinkId link : range_links(d)) loads.add(link, share);
     }
   }
@@ -166,8 +179,9 @@ class CommStates {
   /// order; true when a link is then certainly over capacity.
   [[nodiscard]] bool commit_singletons(const CommSet& comms, CommitLedger& ledger) const {
     for (std::size_t i = 0; i < size(); ++i) {
-      for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-        if (cuts_[d].size == 1 && ledger.overloads(links_[cuts_[d].begin], comms[i].weight)) {
+      for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+        if (s_->cuts[d].size == 1 &&
+            ledger.overloads(s_->links[s_->cuts[d].begin], comms[i].weight)) {
           return true;
         }
       }
@@ -178,9 +192,9 @@ class CommStates {
   /// Remembers communication i's cut sizes before a removal, for
   /// respread() and commit_shrunk().
   void remember_sizes(std::size_t i) {
-    old_sizes_.clear();
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      old_sizes_.push_back(cuts_[d].size);
+    s_->old_sizes.clear();
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      s_->old_sizes.push_back(s_->cuts[d].size);
     }
   }
 
@@ -188,10 +202,10 @@ class CommStates {
   /// cut the removal shrank to one link, in depth order as respread() does;
   /// true when a link is then certainly over capacity.
   [[nodiscard]] bool commit_shrunk(std::size_t i, double weight, CommitLedger& ledger) const {
-    PAMR_ASSERT(old_sizes_.size() == depth_base_[i + 1] - depth_base_[i]);
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      if (cuts_[d].size != 1 || old_sizes_[d - depth_base_[i]] == 1) continue;
-      if (ledger.overloads(links_[cuts_[d].begin], weight)) return true;
+    PAMR_ASSERT(s_->old_sizes.size() == s_->depth_base[i + 1] - s_->depth_base[i]);
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      if (s_->cuts[d].size != 1 || s_->old_sizes[d - s_->depth_base[i]] == 1) continue;
+      if (ledger.overloads(s_->links[s_->cuts[d].begin], weight)) return true;
     }
     return false;
   }
@@ -200,9 +214,9 @@ class CommStates {
   /// the order of the rest; the dropped link moves to just past the cut's
   /// new end.
   void remove(std::size_t i, std::int32_t t, LinkId link) {
-    allowed_[i * num_links_ + static_cast<std::size_t>(link)] = 0;
-    Range& range = cuts_[depth_base_[i] + static_cast<std::size_t>(t)];
-    LinkId* const first = links_.data() + range.begin;
+    s_->allowed[i * num_links_ + static_cast<std::size_t>(link)] = 0;
+    Range& range = s_->cuts[s_->depth_base[i] + static_cast<std::size_t>(t)];
+    LinkId* const first = s_->links.data() + range.begin;
     LinkId* const last = first + range.size;
     LinkId* const at = std::find(first, last, link);
     PAMR_ASSERT(at != last);
@@ -221,15 +235,15 @@ class CommStates {
   /// snk along surviving links. Dropped links keep the cut order of the
   /// rest (remove()).
   void remove_cascading(std::size_t i, std::int32_t t, LinkId link, const Mesh& mesh) {
-    const CommRect& rect = rects_[i];
+    const CommRect& rect = s_->rects[i];
     remember_sizes(i);
     const Cell src{0, 0};
     const Cell snk{rect.du(), rect.dv()};
-    Degree* const degree = degrees_.data() + cell_base_[i];
+    Degree* const degree = s_->degrees.data() + s_->cell_base[i];
     const auto at = [&](Cell c) -> Degree& {
       return degree[static_cast<std::size_t>(c.a * (snk.b + 1) + c.b)];
     };
-    const char* const allowed = allowed_.data() + i * num_links_;
+    const char* const allowed = s_->allowed.data() + i * num_links_;
     // Drops the link from cell `from` one step along `step` if it exists and
     // is still allowed, and queues each endpoint whose degree it empties.
     const auto drop = [&](Cell from, Cell step) {
@@ -239,17 +253,17 @@ class CommStates {
           mesh.link_between_unchecked(rect.cell(from.a, from.b), rect.cell(to.a, to.b));
       if (allowed[static_cast<std::size_t>(dropped)] == 0) return;
       remove(i, from.a + from.b, dropped);
-      if (--at(from).out == 0) pending_.push_back(from);
-      if (--at(to).in == 0) pending_.push_back(to);
+      if (--at(from).out == 0) s_->pending.push_back(from);
+      if (--at(to).in == 0) s_->pending.push_back(to);
     };
     const LinkInfo& info = mesh.link(link);
     Cell from{};
     const bool inside = rect.cell_offsets(info.from, from.a, from.b);
     PAMR_ASSERT(inside && from.a + from.b == t);
     drop(from, rect.cell(from.a + 1, from.b) == info.to ? Cell{1, 0} : Cell{0, 1});
-    while (!pending_.empty()) {
-      const Cell c = pending_.back();
-      pending_.pop_back();
+    while (!s_->pending.empty()) {
+      const Cell c = s_->pending.back();
+      s_->pending.pop_back();
       const Degree deg = at(c);
       for (const Cell step : {Cell{1, 0}, Cell{0, 1}}) {
         // No way on to snk: the links into c are dead. No way in from src:
@@ -258,8 +272,8 @@ class CommStates {
         if (deg.in == 0 && c != src) drop(c, step);
       }
     }
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      PAMR_ASSERT_MSG(cuts_[d].size != 0, "cascade emptied a cut — connectivity broken");
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      PAMR_ASSERT_MSG(s_->cuts[d].size != 0, "cascade emptied a cut — connectivity broken");
     }
   }
 
@@ -277,14 +291,14 @@ class CommStates {
   [[nodiscard]] bool respread(std::size_t i, double weight, LinkLoads& loads,
                               std::vector<LoadChange>& changes,
                               CommitLedger& ledger) const {
-    PAMR_ASSERT(old_sizes_.size() == depth_base_[i + 1] - depth_base_[i]);
+    PAMR_ASSERT(s_->old_sizes.size() == s_->depth_base[i + 1] - s_->depth_base[i]);
     bool overloaded = false;
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      const std::uint32_t old_size = old_sizes_[d - depth_base_[i]];
-      const std::uint32_t new_size = cuts_[d].size;
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      const std::uint32_t old_size = s_->old_sizes[d - s_->depth_base[i]];
+      const std::uint32_t new_size = s_->cuts[d].size;
       const double give = -weight / static_cast<double>(old_size);
       const double take = weight / static_cast<double>(new_size);
-      const LinkId* const first = links_.data() + cuts_[d].begin;
+      const LinkId* const first = s_->links.data() + s_->cuts[d].begin;
       if (new_size == 1 && old_size != 1 && !overloaded) {
         overloaded = ledger.overloads(first[0], weight);
       }
@@ -303,11 +317,11 @@ class CommStates {
   /// are not on any surviving src→snk path (forward ∩ backward
   /// reachability over depths). Returns the number of links dropped.
   std::size_t prune(std::size_t i, const Mesh& mesh, PruneScratch& scratch) {
-    const CommRect& rect = rects_[i];
+    const CommRect& rect = s_->rects[i];
     if (rect.length() == 0) return 0;
     std::size_t dropped = 0;
-    const std::size_t first = depth_base_[i];
-    const std::size_t last = depth_base_[i + 1];
+    const std::size_t first = s_->depth_base[i];
+    const std::size_t last = s_->depth_base[i + 1];
     const std::uint64_t epoch = ++scratch.epoch;
     // Reachability per cell, keyed by depth-local enumeration.
     auto cell_key = [&](Coord c) {
@@ -331,18 +345,18 @@ class CommStates {
         }
       }
     }
-    char* const allowed = allowed_.data() + i * num_links_;
+    char* const allowed = s_->allowed.data() + i * num_links_;
     for (std::size_t d = first; d < last; ++d) {
-      Range& range = cuts_[d];
+      Range& range = s_->cuts[d];
       std::uint32_t keep = range.begin;
       for (std::uint32_t at = range.begin; at < range.begin + range.size; ++at) {
-        const LinkId link = links_[at];
+        const LinkId link = s_->links[at];
         const LinkInfo& info = mesh.link(link);
         const bool alive = allowed[static_cast<std::size_t>(link)] != 0 &&
                            scratch.forward[cell_key(info.from)] == epoch &&
                            scratch.backward[cell_key(info.to)] == epoch;
         if (alive) {
-          links_[keep++] = link;
+          s_->links[keep++] = link;
         } else {
           allowed[static_cast<std::size_t>(link)] = 0;
           ++dropped;
@@ -356,15 +370,15 @@ class CommStates {
 
   /// Extracts communication i's unique remaining path once single-path.
   [[nodiscard]] Path extract_path(std::size_t i, const Mesh& mesh) const {
-    const CommRect& rect = rects_[i];
+    const CommRect& rect = s_->rects[i];
     Path path;
     path.src = rect.src();
     path.snk = rect.snk();
-    path.links.reserve(depth_base_[i + 1] - depth_base_[i]);
+    path.links.reserve(s_->depth_base[i + 1] - s_->depth_base[i]);
     Coord at = rect.src();
-    for (std::size_t d = depth_base_[i]; d < depth_base_[i + 1]; ++d) {
-      PAMR_ASSERT(cuts_[d].size == 1);
-      const LinkId link = links_[cuts_[d].begin];
+    for (std::size_t d = s_->depth_base[i]; d < s_->depth_base[i + 1]; ++d) {
+      PAMR_ASSERT(s_->cuts[d].size == 1);
+      const LinkId link = s_->links[s_->cuts[d].begin];
       const LinkInfo& info = mesh.link(link);
       PAMR_ASSERT(info.from == at);
       path.links.push_back(link);
@@ -381,7 +395,7 @@ class CommStates {
   };
 
   [[nodiscard]] std::span<const LinkId> range_links(std::size_t d) const {
-    return {links_.data() + cuts_[d].begin, cuts_[d].size};
+    return {s_->links.data() + s_->cuts[d].begin, s_->cuts[d].size};
   }
 
   /// In- and out-degree of one cell within its communication's DAG.
@@ -398,16 +412,20 @@ class CommStates {
     friend bool operator==(const Cell&, const Cell&) = default;
   };
 
+  struct Storage {
+    std::vector<CommRect> rects;
+    std::vector<std::size_t> depth_base;  ///< comm → first depth range; nc + 1 entries
+    std::vector<Range> cuts;              ///< (comm, depth) → its links in links
+    std::vector<LinkId> links;            ///< every cut, comm-major then depth
+    std::vector<char> allowed;            ///< comm × link, 1 = usable
+    std::vector<std::size_t> cell_base;   ///< comm → its first cell in degrees
+    std::vector<Degree> degrees;          ///< (comm, cell) → degrees in its DAG
+    std::vector<std::uint32_t> old_sizes; ///< scratch: cut sizes before a removal
+    std::vector<Cell> pending;            ///< scratch: the cascade's worklist
+  };
+
   std::size_t num_links_;
-  std::vector<CommRect> rects_;
-  std::vector<std::size_t> depth_base_;  ///< comm → first depth range; nc + 1 entries
-  std::vector<Range> cuts_;              ///< (comm, depth) → its links in links_
-  std::vector<LinkId> links_;            ///< every cut, comm-major then depth
-  std::vector<char> allowed_;            ///< comm × link, 1 = usable
-  std::vector<std::size_t> cell_base_;   ///< comm → its first cell in degrees_
-  std::vector<Degree> degrees_;          ///< (comm, cell) → degrees in its DAG
-  std::vector<std::uint32_t> old_sizes_; ///< scratch: cut sizes before a removal
-  std::vector<Cell> pending_;            ///< scratch: the cascade's worklist
+  Reused<Storage> s_;
 };
 
 /// Per-link membership lists for the incremental mode, in one CSR array:
@@ -420,9 +438,10 @@ class CommStates {
 class MemberLists {
  public:
   MemberLists(const CommStates& states, const std::vector<std::size_t>& by_weight,
-              std::int32_t num_links)
-      : begin_(static_cast<std::size_t>(num_links) + 1, 0),
-        size_(static_cast<std::size_t>(num_links), 0) {
+              std::int32_t num_links) {
+    Storage& s = *s_;
+    s.begin.assign(static_cast<std::size_t>(num_links) + 1, 0);
+    s.size.assign(static_cast<std::size_t>(num_links), 0);
     const auto for_each_membership = [&](auto&& visit) {
       for (const std::size_t idx : by_weight) {
         for (std::int32_t t = 0; t < states.rect(idx).length(); ++t) {
@@ -432,39 +451,49 @@ class MemberLists {
         }
       }
     };
-    for_each_membership([&](std::size_t link, std::uint32_t) { ++begin_[link + 1]; });
-    for (std::size_t link = 1; link < begin_.size(); ++link) begin_[link] += begin_[link - 1];
-    comms_.resize(begin_.back());
+    for_each_membership([&](std::size_t link, std::uint32_t) { ++s.begin[link + 1]; });
+    for (std::size_t link = 1; link < s.begin.size(); ++link) {
+      s.begin[link] += s.begin[link - 1];
+    }
+    s.comms.resize(s.begin.back());
     for_each_membership([&](std::size_t link, std::uint32_t idx) {
-      comms_[begin_[link] + size_[link]++] = idx;
+      s.comms[s.begin[link] + s.size[link]++] = idx;
     });
   }
 
   /// The link's live list, writable for the caller's compaction.
   [[nodiscard]] std::span<std::uint32_t> members(LinkId link) {
     const auto at = static_cast<std::size_t>(link);
-    return {comms_.data() + begin_[at], size_[at]};
+    return {s_->comms.data() + s_->begin[at], s_->size[at]};
   }
 
   /// Keeps the first `keep` entries of the link's list.
   void truncate(LinkId link, std::size_t keep) {
-    size_[static_cast<std::size_t>(link)] = static_cast<std::uint32_t>(keep);
+    s_->size[static_cast<std::size_t>(link)] = static_cast<std::uint32_t>(keep);
   }
 
  private:
-  std::vector<std::uint32_t> begin_;  ///< link → first entry; L + 1 entries
-  std::vector<std::uint32_t> size_;   ///< link → live entries
-  std::vector<std::uint32_t> comms_;
+  struct Storage {
+    std::vector<std::uint32_t> begin;  ///< link → first entry; L + 1 entries
+    std::vector<std::uint32_t> size;   ///< link → live entries
+    std::vector<std::uint32_t> comms;
+  };
+
+  Reused<Storage> s_;
 };
 
-/// Builds the initial per-communication spread states onto `loads`.
-CommStates make_states(const Mesh& mesh, const CommSet& comms, LinkLoads& loads) {
-  CommStates states(mesh, comms);
+/// Adds every communication's initial spread onto `loads`.
+void spread_all(const CommStates& states, const CommSet& comms, LinkLoads& loads) {
   for (std::size_t i = 0; i < comms.size(); ++i) {
     states.apply_spread(i, comms[i].weight, loads);
   }
-  return states;
 }
+
+/// The incremental mode's loads and per-removal change list.
+struct Buffers {
+  LinkLoads loads{std::int32_t{0}};
+  std::vector<LoadChange> changes;
+};
 
 std::size_t count_multi_path(const CommStates& states) {
   std::size_t active = 0;
@@ -494,8 +523,15 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                                                  const PowerModel& model,
                                                  RouteGoal goal) const {
   const WallTimer timer;
-  LinkLoads loads(mesh);
-  CommStates states = make_states(mesh, comms, loads);
+  Reused<Buffers> buffers;
+  LinkLoads& loads = buffers->loads;
+  if (std::cmp_equal(loads.values().size(), mesh.num_links())) {
+    loads.clear();
+  } else {
+    loads = LinkLoads(mesh);
+  }
+  CommStates states(mesh, comms);
+  spread_all(states, comms, loads);
   CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
   std::size_t removals = 0;
   // A stopped call still samples its removals, so the histogram sums to
@@ -513,7 +549,8 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
   LoadIndex index(mesh.num_links(), loads);
 
   std::size_t active = count_multi_path(states);
-  std::vector<LoadChange> changes;
+  std::vector<LoadChange>& changes = buffers->changes;
+  changes.clear();
 #if PAMR_CHECK_LEVEL >= 2
   PruneScratch scratch(static_cast<std::size_t>(mesh.num_cores()));
 #endif
@@ -581,7 +618,8 @@ RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& 
                                                RouteGoal goal) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
-  CommStates states = make_states(mesh, comms, loads);
+  CommStates states(mesh, comms);
+  spread_all(states, comms, loads);
   CommitLedger ledger(mesh, model, goal == RouteGoal::kVerdict);
   std::size_t removals = 0;
   const auto stop = [&] {

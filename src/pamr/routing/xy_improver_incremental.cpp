@@ -8,8 +8,8 @@
 // file removes all three without changing a single decision:
 //
 //   * hot-link order: a LoadOrder, the materialized (load desc, rank asc)
-//     order, into which only the links whose stored load actually changed
-//     under a move are re-ranked and merged back. The seed's stable_sort of
+//     order, in which only the links whose stored load actually changed
+//     under a move are re-ranked and moved, in place. The seed's stable_sort of
 //     a persistent order vector makes the tie-break history-dependent; the
 //     per-link rank shared with PR's LoadIndex reproduces it bit for bit
 //     (see load_index.hpp). The walk restarts at the top after every move
@@ -33,6 +33,11 @@
 // The per-link `cost_now` table (exactly cost(load(link)), refreshed for
 // the links a move changed) is transparent for the same reason: it holds
 // the very double a cold evaluation computes.
+//
+// Every buffer of a call — the indexes', the path slices', and the loads,
+// `cost_now` and touch log below — is a per-thread Reused spare
+// (util/reused.hpp), refilled from scratch on each call. So in steady
+// state a call allocates only the Routing it returns.
 #include <algorithm>
 #include <bit>
 #include <span>
@@ -45,12 +50,22 @@
 #include "pamr/routing/routers.hpp"
 #include "pamr/routing/xy_moves.hpp"
 #include "pamr/util/assert.hpp"
+#include "pamr/util/reused.hpp"
 #include "pamr/util/timer.hpp"
 
 namespace pamr {
 
-#if PAMR_CHECK_LEVEL >= 2
 namespace {
+
+/// A call's working buffers beside its indexes.
+struct Buffers {
+  LinkLoads loads{std::int32_t{0}};
+  std::vector<double> cost_now;  ///< link → cost(load), see the file comment
+  TouchLog log{0};
+  std::vector<Coord> old_cores;  ///< the moved path before its rewrite
+};
+
+#if PAMR_CHECK_LEVEL >= 2
 
 /// Paranoid cross-check helper: bit-equality of candidates (+inf included;
 /// any ulp drift in a reused cache is a bug, not noise).
@@ -58,9 +73,9 @@ bool same_candidate(const xyi::Candidate& a, const xyi::Candidate& b) {
   return std::bit_cast<std::uint64_t>(a.delta) == std::bit_cast<std::uint64_t>(b.delta) &&
          a.j == b.j && a.i == b.i && a.forward == b.forward;
 }
+#endif
 
 }  // namespace
-#endif
 
 RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet& comms,
                                                 const PowerModel& model) const {
@@ -70,7 +85,14 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
   // Cores and link ids of every current path in flat per-comm slices; the
   // window walks read the removed-side link id instead of resolving it.
   xyi::PathStore paths(mesh, comms);
-  LinkLoads loads(mesh);
+  Reused<Buffers> buffers;
+  const auto num_links = static_cast<std::size_t>(mesh.num_links());
+  LinkLoads& loads = buffers->loads;
+  if (loads.values().size() == num_links) {
+    loads.clear();
+  } else {
+    loads = LinkLoads(mesh);
+  }
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
     for (const LinkId link : paths.links(ci)) loads.add(link, comms[ci].weight);
   }
@@ -82,15 +104,21 @@ RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet&
 
   // cost(load) of every link at its current load — the unrotated side of
   // every delta term in the windowed evaluation (see xy_moves.hpp).
-  std::vector<double> cost_now(static_cast<std::size_t>(mesh.num_links()));
-  for (std::size_t l = 0; l < cost_now.size(); ++l) {
+  std::vector<double>& cost_now = buffers->cost_now;
+  cost_now.resize(num_links);
+  for (std::size_t l = 0; l < num_links; ++l) {
     cost_now[l] = cost(loads.load(static_cast<LinkId>(l)));
   }
 
   const std::size_t cap = xyi::move_cap(mesh, comms.size());
   std::size_t moves = 0;
-  TouchLog log(static_cast<std::size_t>(mesh.num_links()));
-  std::vector<Coord> old_cores;  // the moved path before its rewrite, reused
+  TouchLog& log = buffers->log;
+  if (log.seen.size() == num_links) {
+    log.clear();  // a call that threw may have left marks
+  } else {
+    log = TouchLog(num_links);
+  }
+  std::vector<Coord>& old_cores = buffers->old_cores;
 
   // Counter totals, bumped in bulk after the descent: two obs calls per
   // route instead of one per member-scan iteration (tens of millions on an

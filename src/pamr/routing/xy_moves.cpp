@@ -89,21 +89,24 @@ double candidate_delta(const Mesh& mesh, std::span<const Coord> cores,
 }  // namespace
 
 PathStore::PathStore(const Mesh& mesh, const CommSet& comms) {
-  link_begin_.reserve(comms.size() + 1);
-  link_begin_.push_back(0);
+  Storage& s = *s_;
+  s.link_begin.clear();
+  s.link_begin.push_back(0);
   for (const Communication& comm : comms) {
-    link_begin_.push_back(link_begin_.back() +
-                          static_cast<std::size_t>(manhattan_distance(comm.src, comm.snk)));
+    s.link_begin.push_back(s.link_begin.back() +
+                           static_cast<std::size_t>(manhattan_distance(comm.src, comm.snk)));
   }
-  cores_.reserve(link_begin_.back() + comms.size());
-  links_.reserve(link_begin_.back());
+  s.cores.clear();
+  s.cores.reserve(s.link_begin.back() + comms.size());
+  s.links.clear();
+  s.links.reserve(s.link_begin.back());
   for (const Communication& comm : comms) {
     // Horizontal first, then vertical: xy_path's links.
     Coord at = comm.src;
-    cores_.push_back(at);
+    s.cores.push_back(at);
     const auto advance = [&](Coord to) {
-      links_.push_back(mesh.link_between(at, to));
-      cores_.push_back(to);
+      s.links.push_back(mesh.link_between(at, to));
+      s.cores.push_back(to);
       at = to;
     };
     const std::int32_t sv = sign_of(comm.snk.v - comm.src.v);
@@ -111,7 +114,7 @@ PathStore::PathStore(const Mesh& mesh, const CommSet& comms) {
     const std::int32_t su = sign_of(comm.snk.u - comm.src.u);
     while (at.u != comm.snk.u) advance({at.u + su, at.v});
   }
-  PAMR_ASSERT(links_.size() == link_begin_.back());
+  PAMR_ASSERT(s.links.size() == s.link_begin.back());
 }
 
 void rotate_block(std::span<const Coord> cores, std::size_t j, std::size_t i, bool forward,

@@ -29,6 +29,7 @@
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/router.hpp"
 #include "pamr/util/assert.hpp"
+#include "pamr/util/reused.hpp"
 
 namespace pamr::xyi {
 
@@ -60,30 +61,39 @@ struct Move {
 /// Every communication's current path in flat slices (incremental mode):
 /// its visited cores and its link ids, links(ci)[k] joining cores(ci)[k]
 /// and cores(ci)[k+1]. Rotations preserve path length, so each slice keeps
-/// its place for the whole descent.
+/// its place for the whole descent. The slices live in a per-thread Reused
+/// spare (util/reused.hpp), refilled on every call.
 class PathStore {
  public:
   /// The XY path of every communication (paper §5.4's starting point).
   PathStore(const Mesh& mesh, const CommSet& comms);
 
-  [[nodiscard]] std::size_t size() const noexcept { return link_begin_.size() - 1; }
+  [[nodiscard]] std::size_t size() const noexcept { return s_->link_begin.size() - 1; }
   [[nodiscard]] std::span<Coord> cores(std::size_t ci) {
-    return {cores_.data() + link_begin_[ci] + ci, link_begin_[ci + 1] - link_begin_[ci] + 1};
+    return {s_->cores.data() + s_->link_begin[ci] + ci, slice_size(ci) + 1};
   }
   [[nodiscard]] std::span<const Coord> cores(std::size_t ci) const {
-    return {cores_.data() + link_begin_[ci] + ci, link_begin_[ci + 1] - link_begin_[ci] + 1};
+    return {s_->cores.data() + s_->link_begin[ci] + ci, slice_size(ci) + 1};
   }
   [[nodiscard]] std::span<LinkId> links(std::size_t ci) {
-    return {links_.data() + link_begin_[ci], link_begin_[ci + 1] - link_begin_[ci]};
+    return {s_->links.data() + s_->link_begin[ci], slice_size(ci)};
   }
   [[nodiscard]] std::span<const LinkId> links(std::size_t ci) const {
-    return {links_.data() + link_begin_[ci], link_begin_[ci + 1] - link_begin_[ci]};
+    return {s_->links.data() + s_->link_begin[ci], slice_size(ci)};
   }
 
  private:
-  std::vector<std::size_t> link_begin_;  ///< ci → first link; nc + 1 entries
-  std::vector<Coord> cores_;             ///< ci's cores start at link_begin_[ci] + ci
-  std::vector<LinkId> links_;
+  [[nodiscard]] std::size_t slice_size(std::size_t ci) const {
+    return s_->link_begin[ci + 1] - s_->link_begin[ci];
+  }
+
+  struct Storage {
+    std::vector<std::size_t> link_begin;  ///< ci → first link; nc + 1 entries
+    std::vector<Coord> cores;             ///< ci's cores start at link_begin[ci] + ci
+    std::vector<LinkId> links;
+  };
+
+  Reused<Storage> s_;
 };
 
 /// Rotates the step block [j, i] of `cores` into `out` (same size, no

@@ -19,6 +19,7 @@
 #include "paper_instances.hpp"
 #include "pamr/obs/registry.hpp"
 #include "pamr/routing/routers.hpp"
+#include "pamr/util/assert.hpp"
 
 namespace {
 
@@ -143,6 +144,42 @@ TEST(AllocBudget, RoutersStayWithinBudgetOnPaperInstances) {
                     static_cast<unsigned long long>(budget),
                     result.routing.has_value() ? "" : ", stopped");
         EXPECT_LE(counted, budget) << instance.label << " " << to_cstring(kind);
+      }
+    }
+  }
+  obs::set_enabled(was_enabled);
+}
+
+TEST(AllocBudget, RepeatCallsOfXyiAndPrAllocateOnlyTheirRouting) {
+  // XYI and PR keep their index buffers in per-thread spares
+  // (util/reused.hpp), so once a thread has routed an instance, routing it
+  // again allocates only what the call returns: 2·nc + 3 for the Routing
+  // (its per-comm and path arrays, a flow list and a link list per
+  // communication, and the epilogue's load vector), plus a few small
+  // fixed buffers (LoadCost's level tables, PR's heaviest-first order).
+  // Paranoid builds (PAMR_CHECK_LEVEL=2) add sweeps that allocate their own
+  // scratch on every move, so there a repeat call is held to the general
+  // budget instead.
+  constexpr std::uint64_t kFixed = 16;
+  const bool paranoid = compiled_check_level() >= 2;
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(false);
+  for (const paper::Instance& instance : paper::instances()) {
+    const std::uint64_t nc = instance.comms.size();
+    for (const RouteGoal goal : {RouteGoal::kRouting, RouteGoal::kVerdict}) {
+      for (const RouterKind kind : {RouterKind::kXYI, RouterKind::kPR}) {
+        const auto router = make_router(kind);
+        (void)router->route(instance.mesh, instance.comms, instance.model, goal);
+        const std::uint64_t counted = allocations_in([&] {
+          (void)router->route(instance.mesh, instance.comms, instance.model, goal);
+        });
+        std::printf("  %-34s nc=%-4llu %-3s %-7s %6llu allocations on a repeat call\n",
+                    instance.label.c_str(), static_cast<unsigned long long>(nc),
+                    to_cstring(kind), goal == RouteGoal::kVerdict ? "verdict" : "routing",
+                    static_cast<unsigned long long>(counted));
+        const auto links = static_cast<std::uint64_t>(instance.mesh.num_links());
+        const std::uint64_t bound = paranoid ? 4 * nc + 4 * links + 32 : 2 * nc + kFixed;
+        EXPECT_LE(counted, bound) << instance.label << " " << to_cstring(kind);
       }
     }
   }

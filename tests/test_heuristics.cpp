@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <thread>
 
+#include "pamr/comm/generator.hpp"
 #include "pamr/opt/split_router.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/routers.hpp"
@@ -258,6 +260,41 @@ TEST(Heuristics, RoutingsArePinnedOnPaperInstances) {
       EXPECT_EQ(routing_hash(result), kPins[row][col])
           << instance.label << " " << to_cstring(kinds[col]);
     }
+  }
+}
+
+TEST(Heuristics, ReusedStorageLeaksNothingBetweenCalls) {
+  // XYI and PR keep their index buffers in per-thread spares
+  // (util/reused.hpp). Instance A, then B on a larger mesh under both goals
+  // (its verdict call stops part-way, leaving its buffers mid-search), then
+  // A again, all on one thread: each A must route exactly as A does on a
+  // thread that has routed nothing else.
+  const paper::Instance a = paper::instances().front();
+  const Mesh b_mesh(10, 10);
+  Rng rng(0xABA);
+  UniformWorkload b_spec;
+  b_spec.num_comms = 240;
+  b_spec.weight_lo = 800.0;
+  b_spec.weight_hi = 3400.0;
+  const CommSet b_comms = generate_uniform(b_mesh, b_spec, rng);
+  const PowerModel b_model = PowerModel::paper_discrete();
+  for (const RouterKind kind : all_base_routers()) {
+    std::uint64_t fresh = 0;
+    std::thread([&] {
+      fresh = routing_hash(make_router(kind)->route(a.mesh, a.comms, a.model));
+    }).join();
+    std::uint64_t first = 0;
+    std::uint64_t again = 0;
+    std::thread([&] {
+      const auto router = make_router(kind);
+      first = routing_hash(router->route(a.mesh, a.comms, a.model));
+      for (const RouteGoal goal : {RouteGoal::kRouting, RouteGoal::kVerdict}) {
+        (void)router->route(b_mesh, b_comms, b_model, goal);
+      }
+      again = routing_hash(router->route(a.mesh, a.comms, a.model));
+    }).join();
+    EXPECT_EQ(first, fresh) << to_cstring(kind);
+    EXPECT_EQ(again, fresh) << to_cstring(kind);
   }
 }
 

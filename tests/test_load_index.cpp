@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <vector>
 
@@ -160,6 +161,68 @@ TEST(LoadIndex, TopAndRetireMatchRepeatedStableSort) {
     }
     EXPECT_NO_THROW(index.check_invariants(loads));
   }
+}
+
+TEST(LoadIndex, EqualLoadsNextToPaddingLeavesMatchRepeatedStableSort) {
+  // The rank-on-tie branch next to empty nodes. Every link carries the
+  // same load between steps, so every comparison of two live links is
+  // decided by rank alone. The link count is not a power of two, so
+  // padding leaves sit beside live ones from the start, and each round
+  // retires two more links. Links leave the common load and come back
+  // over two steps, so their ranks move while the loads tie again.
+  const Mesh mesh(3, 5);
+  const auto num_links = static_cast<std::size_t>(mesh.num_links());
+  ASSERT_FALSE(std::has_single_bit(num_links));
+  constexpr double kLoad = 300.0;
+  Rng rng(0x71E);
+  LinkLoads loads(mesh);
+  for (LinkId l = 0; l < mesh.num_links(); ++l) loads.add(l, kLoad);
+  LoadIndex index(mesh.num_links(), loads);
+  TouchLog log(num_links);
+  std::vector<LinkId> model_order(num_links);
+  std::iota(model_order.begin(), model_order.end(), LinkId{0});
+  std::vector<char> retired(num_links, 0);
+  std::size_t live = num_links;
+
+  const auto expect_model_top = [&](int round) {
+    stable_resort(model_order, loads);
+    const auto first_live =
+        std::find_if(model_order.begin(), model_order.end(),
+                     [&](LinkId l) { return retired[static_cast<std::size_t>(l)] == 0; });
+    const LinkId expected = first_live == model_order.end() ? kInvalidLink : *first_live;
+    ASSERT_EQ(index.top(), expected) << "round " << round;
+    ASSERT_NO_THROW(index.check_invariants(loads)) << "round " << round;
+  };
+  const auto retire = [&](LinkId link) {
+    if (link == kInvalidLink || retired[static_cast<std::size_t>(link)] != 0) return;
+    retired[static_cast<std::size_t>(link)] = 1;
+    --live;
+    index.retire(link);
+  };
+
+  for (int round = 0; live > 0; ++round) {
+    std::vector<LinkId> moved;
+    const auto count = 1 + rng.below(5);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      moved.push_back(static_cast<LinkId>(rng.below(num_links)));
+    }
+    // Off the common load, some up and some down, then back onto it.
+    for (const LinkId link : moved) {
+      set_load(loads, log, link, rng.below(2) == 0 ? 2 * kLoad : kLoad / 2);
+    }
+    index.reorder(log.changes, loads);
+    log.clear();
+    expect_model_top(round);
+    for (const LinkId link : moved) set_load(loads, log, link, kLoad);
+    index.reorder(log.changes, loads);
+    log.clear();
+    expect_model_top(round);
+
+    retire(index.top());
+    retire(static_cast<LinkId>(rng.below(num_links)));
+    expect_model_top(round);
+  }
+  EXPECT_EQ(index.top(), kInvalidLink);
 }
 
 TEST(LoadIndex, RetiredLinksAreNeverReturned) {
