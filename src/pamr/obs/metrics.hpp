@@ -75,6 +75,7 @@ enum class Metric : std::uint32_t {
   kPhaseCertificate,      ///< the infeasibility certificate of one instance
   // ------------------------ unit-scoped counters (appended, see above) --
   kRouteStoppedEarly,     ///< RouteGoal::kVerdict calls stopped at a certain overload
+  kSuiteInstancesReused,  ///< instances folded from an identical set's sample, unrouted
   kMetricCount,
 };
 
@@ -142,6 +143,7 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"route.certified_infeasible", Kind::kCounter, Scope::kUnit},
     {"phase.certificate", Kind::kTimer, Scope::kWall},
     {"route.stopped_early", Kind::kCounter, Scope::kUnit},
+    {"suite.instances_reused", Kind::kCounter, Scope::kUnit},
 };
 
 inline constexpr const MetricInfo& info(Metric m) noexcept {

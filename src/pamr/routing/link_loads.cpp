@@ -42,7 +42,10 @@ LinkLoads loads_of_routing(const Mesh& mesh, const Routing& routing) {
 
 LoadCost::LoadCost(const PowerModel& model) : model_(&model) {
   if (!model.discrete()) return;
-  for (const double frequency : model.table()->frequencies()) {
+  const auto& frequencies = model.table()->frequencies();
+  level_edges_.reserve(frequencies.size());
+  level_costs_.reserve(frequencies.size());
+  for (const double frequency : frequencies) {
     level_edges_.push_back(frequency);
     // Exactly the unmemoized result: any load quantizing to this level gets
     // link_power(frequency), computed here once through the same code path.

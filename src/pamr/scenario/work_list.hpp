@@ -7,6 +7,12 @@
 // the distributed coordinator (pamr::dist) enumerate with this function, and
 // both fold unit aggregates back in unit-index order, which is what makes a
 // 2-worker `pamr_dist` run match a 1-thread SuiteRunner bit-for-bit.
+//
+// run_unit_instances is the one serial instance kernel under both drivers.
+// Within a unit it routes each distinct communication set once: an instance
+// whose set equals one the unit already routed folds that sample again.
+// The memo never outlives its unit, so what a unit computes — aggregate
+// and unit-scoped counters alike — still depends only on its bounds.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +62,15 @@ struct SuiteUnit {
 /// Rng(derive_seed(seed, point_id, i)) at envelope position (i + 0.5) /
 /// instances — exactly the SuiteRunner's parallel body, exported so the
 /// distributed worker computes bit-identical chunk aggregates.
+///
+/// Without a simulation probe, exp::run_instance is a pure function of
+/// (mesh or topology, model, set) except for its wall-clock runtimes. So an
+/// instance whose set equals an earlier one of this unit exactly (size,
+/// order, endpoints and weight bits) is not routed again: it folds the
+/// earlier sample, runtimes included, and counts suite.instances_reused.
+/// sim=on units route every instance, since each probe draws its own seed.
+/// At PAMR_CHECK_LEVEL >= 2 every reused sample is routed again and must
+/// match bit for bit except for runtimes (the `instance-memo` invariant).
 [[nodiscard]] exp::PointAggregate run_unit_instances(
     const Mesh& mesh, const PowerModel& model, const ScenarioSpec& spec,
     std::size_t begin, std::size_t end, std::size_t instances, std::uint64_t seed,

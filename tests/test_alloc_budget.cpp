@@ -156,11 +156,12 @@ TEST(AllocBudget, RepeatCallsOfXyiAndPrAllocateOnlyTheirRouting) {
   // again allocates only what the call returns: 2·nc + 3 for the Routing
   // (its per-comm and path arrays, a flow list and a link list per
   // communication, and the epilogue's load vector), plus a few small
-  // fixed buffers (LoadCost's level tables, PR's heaviest-first order).
+  // fixed buffers (XYI's LoadCost level tables, each reserved once, and
+  // PR's heaviest-first order): at most 2·nc + 6 on these instances.
   // Paranoid builds (PAMR_CHECK_LEVEL=2) add sweeps that allocate their own
   // scratch on every move, so there a repeat call is held to the general
   // budget instead.
-  constexpr std::uint64_t kFixed = 16;
+  constexpr std::uint64_t kFixed = 6;
   const bool paranoid = compiled_check_level() >= 2;
   const bool was_enabled = obs::enabled();
   obs::set_enabled(false);

@@ -142,6 +142,8 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
 
   EXPECT_EQ(snap.counter(Metric::kSuiteInstances), instances);
   EXPECT_EQ(snap.counter(Metric::kSuiteUnits), points * units_per_point);
+  EXPECT_EQ(snap.counter(Metric::kSuiteInstancesReused), 0u)
+      << "fig7a_small draws no set twice within a unit";
   // exp::run_instance routes each instance through the six base routers,
   // except those the infeasibility certificate rejects up front.
   EXPECT_EQ(snap.counter(Metric::kRouteCertifiedInfeasible), kCertified);
@@ -162,6 +164,36 @@ TEST_F(ObsTest, UnitCountersArePinnedToExactValues) {
   // The timer side is wall clock, but the call counts are deterministic.
   EXPECT_EQ(snap.timer_calls(Metric::kPhaseUnit), points * units_per_point);
   EXPECT_EQ(snap.timer_calls(Metric::kPhaseSuite), 1u);
+}
+
+TEST_F(ObsTest, InstancesReusedCountsTheRepeatsOfAUnit) {
+  // 16 instances at chunk 8 are two units. A permutation draws the same set
+  // every time, so each unit routes its first instance and folds 7 repeats;
+  // a uniform-random fig7a_small point never draws a set twice.
+  const auto reused = [](const char* name, std::size_t point) {
+    const scenario::Scenario& scenario = scenario::ScenarioRegistry::builtin().at(name);
+    const scenario::ScenarioSpec& spec = scenario.points[point].spec;
+    reset();
+    (void)scenario::run_scenario_point(spec.make_mesh(), spec.make_model(), spec, 16,
+                                       scenario.default_seed, point, nullptr, 8);
+    const Snapshot snap = snapshot();
+    EXPECT_EQ(snap.counter(Metric::kSuiteInstances), 16u) << name;
+    return snap.counter(Metric::kSuiteInstancesReused);
+  };
+  EXPECT_EQ(reused("permutations", 0), 14u);
+  EXPECT_EQ(reused("fig7a_small", 0), 0u);
+
+  // A sim=on unit routes every instance, even a repeated set: each probe
+  // draws its own seed.
+  const scenario::ScenarioSpec probe = suitetest::parse_spec(
+      "mesh=4x4 model=discrete sim=on cycles=200 warmup=50"
+      " ; kind=pattern pattern=transpose weight=300");
+  reset();
+  (void)scenario::run_unit_instances(probe.make_mesh(), probe.make_model(), probe, 0, 4,
+                                     4, 3, 0);
+  const Snapshot snap = snapshot();
+  EXPECT_EQ(snap.counter(Metric::kSuiteInstancesReused), 0u);
+  EXPECT_EQ(snap.counter(Metric::kSimProbes), 4u);
 }
 
 TEST_F(ObsTest, UnitCellsAreBitIdenticalAcrossThreadCounts) {

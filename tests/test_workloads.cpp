@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -428,6 +429,80 @@ TEST(RegistryLookup, UnknownNameSuggestsNearMissesAndListsTheCatalogue) {
   std::string error;
   EXPECT_FALSE(resolve_suite_entries(registry, "trace_repla", -1, entries, error));
   EXPECT_NE(error.find("'trace_replay'"), std::string::npos) << error;
+}
+
+// -- Instance memo -----------------------------------------------------------
+//
+// run_unit_instances routes each distinct communication set of a unit once
+// and folds a repeat from its twin's sample. Folding exp::run_instance over
+// every instance must give the same aggregate, bit for bit, except for the
+// wall-clock runtimes (whose counts still say which instances were routed).
+
+exp::PointAggregate route_every_instance(const ScenarioSpec& spec, std::size_t begin,
+                                         std::size_t end, std::size_t instances,
+                                         std::uint64_t seed, std::uint64_t point_id) {
+  const Mesh mesh = spec.make_mesh();
+  const PowerModel model = spec.make_model();
+  std::unique_ptr<const topo::Topology> topology;
+  if (spec.topo != topo::TopoKind::kRect) {
+    topology = topo::make_topology(spec.topo, spec.mesh_p, spec.mesh_q);
+  }
+  exp::PointAggregate aggregate;
+  for (std::size_t instance = begin; instance < end; ++instance) {
+    Rng rng(derive_seed(seed, point_id, instance));
+    const double t =
+        (static_cast<double>(instance) + 0.5) / static_cast<double>(instances);
+    const CommSet comms = spec.generate(mesh, model, t, rng);
+    aggregate.add(topology != nullptr ? exp::run_instance(*topology, comms, model)
+                                      : exp::run_instance(mesh, comms, model));
+  }
+  return aggregate;
+}
+
+void expect_memo_matches_routing_every_instance(const ScenarioSpec& spec,
+                                                std::uint64_t seed,
+                                                std::uint64_t point_id) {
+  constexpr std::size_t kInstances = 16;
+  constexpr std::size_t kChunk = 8;
+  const Mesh mesh = spec.make_mesh();
+  const PowerModel model = spec.make_model();
+  for (std::size_t begin = 0; begin < kInstances; begin += kChunk) {
+    SCOPED_TRACE(spec.to_string() + " instances " + std::to_string(begin) + "..");
+    const exp::PointAggregate memo = run_unit_instances(
+        mesh, model, spec, begin, begin + kChunk, kInstances, seed, point_id);
+    const exp::PointAggregate every =
+        route_every_instance(spec, begin, begin + kChunk, kInstances, seed, point_id);
+    suitetest::expect_aggregate_identical(memo, every);
+    for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
+      EXPECT_EQ(memo.elapsed_ms[s].count(), every.elapsed_ms[s].count());
+    }
+    EXPECT_EQ(memo.certified(), every.certified());
+  }
+}
+
+void expect_registry_point_memo(const std::string& name, std::size_t point) {
+  const Scenario& scenario = ScenarioRegistry::builtin().at(name);
+  ASSERT_LT(point, scenario.points.size()) << name;
+  expect_memo_matches_routing_every_instance(scenario.points[point].spec,
+                                             scenario.default_seed, point);
+}
+
+TEST(InstanceMemo, RepeatedSetsFoldTheSampleOfRoutingEveryInstance) {
+  ASSERT_EQ(setenv("PAMR_TRACE_DIR", PAMR_REPO_DIR, /*overwrite=*/1), 0);
+  for (std::size_t pattern = 0; pattern < 6; ++pattern) {
+    expect_registry_point_memo("permutations", pattern);
+  }
+  expect_registry_point_memo("trace_burst", 0);
+  expect_registry_point_memo("multi_app_mix", 0);  // contiguous placement
+  expect_registry_point_memo("topology_compare", 4);  // torus
+}
+
+TEST(InstanceMemo, TorusPermutationFoldsThroughTheTopologyPath) {
+  // The registry's torus points draw random sets; a permutation repeats.
+  expect_memo_matches_routing_every_instance(
+      parse_spec("mesh=8x8 model=discrete topo=torus ; kind=pattern pattern=transpose"
+                 " weight=700"),
+      11, 0);
 }
 
 // -- Differential determinism: every new workload kind -----------------------

@@ -7,8 +7,10 @@
 
 report: enforces the "pamr-metrics/1" schema — every value an integer,
 every counter/histogram tagged with a known scope, bucket sums consistent,
-and route.stopped_early (route calls that stopped at a certain overload) a
-unit counter no larger than route.calls.
+route.stopped_early (route calls that stopped at a certain overload) a
+unit counter no larger than route.calls, and suite.instances_reused
+(instances folded from an identical set's sample) a unit counter no larger
+than suite.instances.
 
 trace: enforces the Chrome trace-event contract the repo's writer promises —
 every B matched by an E with the same name in its (pid, tid) lane, lanes
@@ -74,6 +76,13 @@ def validate_report(path):
         calls = counters.get("route.calls", {}).get("value", 0)
         expect(stopped["value"] <= calls,
                f"route.stopped_early {stopped['value']} exceeds route.calls {calls}")
+    reused = counters.get("suite.instances_reused")
+    if reused is not None:
+        expect(reused["scope"] == "unit", "suite.instances_reused is not unit-scoped")
+        instances = counters.get("suite.instances", {}).get("value", 0)
+        expect(reused["value"] <= instances,
+               f"suite.instances_reused {reused['value']} exceeds "
+               f"suite.instances {instances}")
 
     histograms = doc.get("histograms")
     expect(isinstance(histograms, dict), "histograms section missing")
