@@ -11,11 +11,17 @@
 //
 // Sweep 2: the dynamic exponent α ∈ {2.0, 2.5, 2.95, 3.0} — the convexity
 // that drives every load-balancing argument in §4.
+//
+// No spec can name these PowerParams, so each row runs its instances
+// through the serial kernel (scenario::run_unit_instances) under its own
+// model; the nine rows share one parallel_for.
 #include <cstdio>
 
-#include "pamr/scenario/suite_runner.hpp"
+#include "pamr/scenario/work_list.hpp"
 #include "pamr/util/args.hpp"
+#include "pamr/util/assert.hpp"
 #include "pamr/util/csv.hpp"
+#include "pamr/util/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace pamr;
@@ -36,18 +42,36 @@ int main(int argc, char** argv) {
   layer.weight_lo = 100.0;
   layer.weight_hi = 1500.0;
 
+  // Sweep 1 rows (point ids 0..4), then sweep 2 rows (point ids 100..103).
+  std::vector<PowerParams> rows;
+  for (const double scale : {0.0, 0.25, 1.0, 4.0, 16.0}) {
+    PowerParams params;  // Kim–Horowitz defaults
+    params.p_leak *= scale;
+    rows.push_back(params);
+  }
+  const std::size_t pleak_rows = rows.size();
+  for (const double alpha : {2.0, 2.5, 2.95, 3.0}) {
+    PowerParams params;
+    params.alpha = alpha;
+    rows.push_back(params);
+  }
+  PAMR_CHECK(trials >= 1, "--trials must be >= 1");
+  const auto count = static_cast<std::size_t>(trials);
+  std::vector<exp::PointAggregate> aggregates(rows.size());
+  ThreadPool::global().parallel_for(rows.size(), [&](std::size_t r) {
+    const PowerModel model(rows[r], FrequencyTable::kim_horowitz());
+    const std::uint64_t point_id = r < pleak_rows ? r : 100 + (r - pleak_rows);
+    aggregates[r] =
+        scenario::run_unit_instances(mesh, model, spec, 0, count, count, seed, point_id);
+  });
+
   {
     Table table({"Pleak (mW)", "XY", "SG", "IG", "TB", "XYI", "PR", "BEST",
                  "static fraction"});
     table.set_double_precision(3);
-    std::uint64_t point_id = 0;
-    for (const double scale : {0.0, 0.25, 1.0, 4.0, 16.0}) {
-      PowerParams params;  // Kim–Horowitz defaults
-      params.p_leak *= scale;
-      const PowerModel model(params, FrequencyTable::kim_horowitz());
-      const exp::PointAggregate agg =
-          scenario::run_scenario_point(mesh, model, spec, trials, seed, point_id++);
-      std::vector<Cell> row{params.p_leak};
+    for (std::size_t r = 0; r < pleak_rows; ++r) {
+      const exp::PointAggregate& agg = aggregates[r];
+      std::vector<Cell> row{rows[r].p_leak};
       for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
         row.emplace_back(agg.normalized_inverse[s].mean());
       }
@@ -65,14 +89,9 @@ int main(int argc, char** argv) {
     Table table({"alpha", "XY", "SG", "IG", "TB", "XYI", "PR", "BEST",
                  "BEST power (inv mean x1e3)"});
     table.set_double_precision(3);
-    std::uint64_t point_id = 100;
-    for (const double alpha : {2.0, 2.5, 2.95, 3.0}) {
-      PowerParams params;
-      params.alpha = alpha;
-      const PowerModel model(params, FrequencyTable::kim_horowitz());
-      const exp::PointAggregate agg =
-          scenario::run_scenario_point(mesh, model, spec, trials, seed, point_id++);
-      std::vector<Cell> row{alpha};
+    for (std::size_t r = pleak_rows; r < rows.size(); ++r) {
+      const exp::PointAggregate& agg = aggregates[r];
+      std::vector<Cell> row{rows[r].alpha};
       for (std::size_t s = 0; s < exp::kNumSeries; ++s) {
         row.emplace_back(agg.normalized_inverse[s].mean());
       }

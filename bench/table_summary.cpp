@@ -10,6 +10,10 @@
 //     and a failing XY, SG, IG, TB or PR call stops at its first certain
 //     overload, so those means are not the paper's complete-run times;
 //   * static power ≈ 1/7 of total (BEST, valid instances).
+//
+// The nine figure suites run as one SuiteRunner::run_all batch, each under
+// its own figure seed unless --seed overrides them all, so the summary
+// covers exactly the instances the figure suites plot.
 #include <cstdio>
 
 #include "pamr/obs/obs.hpp"
@@ -22,14 +26,22 @@ int main(int argc, char** argv) {
   ArgParser parser("table_summary", "paper §6.4 summary statistics");
   parser.add_int("trials", scenario::SuiteOptions{}.instances, "instances per point",
                  "PAMR_TRIALS");
-  parser.add_int("seed", 64, "campaign base seed");
+  parser.add_int("seed", -1, "campaign seed for every suite (-1: each figure's own)");
   int exit_code = 0;
   if (!parser.parse(argc, argv, exit_code)) return exit_code;
 
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  const auto trials = static_cast<std::int32_t>(parser.get_int("trials"));
-  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  scenario::SuiteOptions options;
+  options.instances = static_cast<std::int32_t>(parser.get_int("trials"));
+  std::vector<scenario::SuiteEntry> entries;
+  std::string error;
+  if (!scenario::resolve_suite_entries(
+          scenario::ScenarioRegistry::builtin(),
+          "fig7a_small,fig7b_mixed,fig7c_big,fig8a_few_10comms,fig8b_some_20comms,"
+          "fig8c_numerous_40comms,fig9a_numerous_small,fig9b_some_mixed,fig9c_few_big",
+          parser.get_int("seed"), entries, error)) {
+    std::fprintf(stderr, "table_summary: %s\n", error.c_str());
+    return 1;
+  }
 
   // Telemetry counts the route calls that stopped early.
   obs::set_enabled(true);
@@ -38,15 +50,10 @@ int main(int argc, char** argv) {
   // "On average, over all problem instances" (§6.4) — aggregate across the
   // workloads of all three figures.
   exp::PointAggregate all;
-  std::uint64_t point_id = 0;
-  for (const char* name :
-       {"fig7a_small", "fig7b_mixed", "fig7c_big", "fig8a_few_10comms",
-        "fig8b_some_20comms", "fig8c_numerous_40comms", "fig9a_numerous_small",
-        "fig9b_some_mixed", "fig9c_few_big"}) {
-    for (const scenario::ScenarioPoint& point :
-         scenario::ScenarioRegistry::builtin().at(name).points) {
-      all.merge(scenario::run_scenario_point(mesh, model, point.spec, trials, seed,
-                                             point_id++));
+  for (const scenario::ScenarioResult& result :
+       scenario::SuiteRunner(options).run_all(entries)) {
+    for (const scenario::ScenarioPointResult& point : result.points) {
+      all.merge(point.aggregate);
     }
   }
 

@@ -16,13 +16,13 @@
 // on the links as their virtual spread, which is exactly what makes this
 // "improved" over SG: the greedy choice anticipates future traffic.)
 //
-// Two implementations share the spread/bound machinery below:
+// Two routers share the spread/bound machinery below:
 //
-//   * route_reference — the seed loop: every candidate rescans every cut of
-//     its sub-rectangle, O(rectangle) cost() calls per candidate per hop.
-//     Kept (selectable via Mode::kReference) as the ground truth for the
-//     differential suite.
-//   * route_incremental (default) — a per-communication CutCache: after the
+//   * ReferenceImprovedGreedyRouter (reference_routers.hpp) — the seed
+//     loop: every candidate rescans every cut of its sub-rectangle,
+//     O(rectangle) cost() calls per candidate per hop. Kept as the ground
+//     truth for the differential suite.
+//   * ImprovedGreedyRouter — a per-communication CutCache: after the
 //     communication's own spread is removed, every cut link's cost at
 //     (load + δ_i) is computed exactly once, and each bound becomes a sum
 //     of windowed minima over those cached doubles. The cache stays exact
@@ -34,7 +34,7 @@
 //     order), so the windowed min chain and the ascending-depth summation
 //     replay the reference's arithmetic double for double.
 //
-// Under RouteGoal::kVerdict both modes stop at the first hop whose link's
+// Under RouteGoal::kVerdict both stop at the first hop whose link's
 // committed weight is certainly over capacity. The committed weights are
 // kept apart from `loads` (CommitLedger), since `loads` also carries the
 // spreads of communications not yet committed, which fall back off.
@@ -43,7 +43,7 @@
 #include "pamr/mesh/rectangle.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -90,7 +90,7 @@ double remaining_bound(const Mesh& mesh, Coord from, Coord snk, double weight,
   return scan_bound(mesh, from, snk, weight, loads, cost);
 }
 
-/// Per-communication cut-min cache (Mode::kIncremental; see file comment).
+/// Per-communication cut-min cache (ImprovedGreedyRouter; see file comment).
 ///
 /// Layout: slots hold cost(load + δ_i) for every cut link of the full
 /// rectangle, depth-major, cells by ascending row offset, vertical step
@@ -199,14 +199,6 @@ class CutCache {
 RouteResult ImprovedGreedyRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                              const PowerModel& model,
                                              RouteGoal goal) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model, goal)
-                                   : route_incremental(mesh, comms, model, goal);
-}
-
-RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
-                                                    const CommSet& comms,
-                                                    const PowerModel& model,
-                                                    RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model);
   LinkLoads loads(mesh);
@@ -275,10 +267,10 @@ RouteResult ImprovedGreedyRouter::route_incremental(const Mesh& mesh,
                 timer.elapsed_ms());
 }
 
-RouteResult ImprovedGreedyRouter::route_reference(const Mesh& mesh,
-                                                  const CommSet& comms,
-                                                  const PowerModel& model,
-                                                  RouteGoal goal) const {
+RouteResult ReferenceImprovedGreedyRouter::route_impl(const Mesh& mesh,
+                                                      const CommSet& comms,
+                                                      const PowerModel& model,
+                                                      RouteGoal goal) const {
   const WallTimer timer;
   const LoadCost cost(model);
   LinkLoads loads(mesh);

@@ -18,13 +18,13 @@
 // removal strictly shrinks the union of allowed links, so termination is
 // structural.
 //
-// Two implementations share the CommStates machinery below:
+// Two routers share the CommStates machinery below:
 //
-//   * route_reference — the seed loop: every removal re-sorts all mesh
-//     links by load and rescans every communication, O(L log L + nc) per
-//     removal. Kept (selectable via Mode::kReference) as the ground truth
+//   * ReferencePathRemoverRouter (reference_routers.hpp) — the seed loop:
+//     every removal re-sorts all mesh links by load and rescans every
+//     communication, O(L log L + nc) per removal. Kept as the ground truth
 //     for differential tests.
-//   * route_incremental (default) — answers "most loaded link, heaviest
+//   * PathRemoverRouter — answers "most loaded link, heaviest
 //     communication using it" from a LoadIndex: a winner tree over the
 //     links keyed by (load, rank), whose rank encodes the seed's stable
 //     re-sort and is updated, with the tree, only for the links whose
@@ -37,7 +37,7 @@
 //
 // They clean up after a removal differently. The reference takes the
 // communication's spread off, runs a full forward/backward reachability
-// sweep (CommStates::prune) and spreads it back. The incremental mode
+// sweep (CommStates::prune) and spreads it back. The incremental router
 // drops dead links by a degree-count cascade from the removed link
 // (CommStates::remove_cascading), which reaches the same fixed point, and
 // re-spreads in one pass that does each link's -old/+new share additions
@@ -51,8 +51,8 @@
 // Under RouteGoal::kVerdict a communication counts as committed to a link
 // once its cut holding that link is down to one link: cuts only shrink and
 // never empty, so the link stays on its final path. Straight-line
-// communications start that way. After each removal, both modes commit
-// the cuts it shrank to one link, in depth order (the incremental mode
+// communications start that way. After each removal, both routers commit
+// the cuts it shrank to one link, in depth order (the incremental router
 // inside respread()), and stop once a link's committed weight is certainly
 // over capacity; the same removals in the same order make them stop at the
 // same removal.
@@ -65,7 +65,7 @@
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/load_index.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "pamr/util/assert.hpp"
 #include "pamr/util/reused.hpp"
 #include "pamr/util/timer.hpp"
@@ -74,8 +74,8 @@ namespace pamr {
 
 namespace {
 
-/// Reusable reachability buffers for CommStates::prune (the reference mode
-/// and the incremental mode's paranoid cascade check): cells are marked
+/// Reusable reachability buffers for CommStates::prune (the reference router
+/// and the incremental router's paranoid cascade check): cells are marked
 /// with the current epoch instead of re-allocating (and re-zeroing) two
 /// per-core vectors on every removal, as the seed did.
 struct PruneScratch {
@@ -88,11 +88,12 @@ struct PruneScratch {
 };
 
 /// Every communication's path-DAG state, in flat stores shared by both
-/// modes. Communication i's cuts are consecutive (begin, size) ranges of one
-/// link store, one per depth t; a cut only ever shrinks in place, keeping
-/// the order of its survivors (cells by ascending row offset, vertical step
-/// first — CommRect::visit_cut order). `allowed` is one nc × L byte array.
-/// The incremental mode also keeps each cell's in- and out-degree within
+/// routers. Communication i's cuts are consecutive (begin, size) ranges of
+/// one link store, one per depth t; a cut only ever shrinks in place,
+/// keeping the order of its survivors (cells by ascending row offset,
+/// vertical step first — CommRect::visit_cut order). `allowed` is one
+/// nc × L byte array.
+/// The incremental router also keeps each cell's in- and out-degree within
 /// its communication's DAG, one flat array with communication i's cell
 /// (a, b) at cell_base[i] + a·(dv+1) + b. The stores are a per-thread
 /// Reused spare (util/reused.hpp), refilled on every call, as are the
@@ -198,7 +199,7 @@ class CommStates {
     }
   }
 
-  /// The reference mode's commit after a removal: communication i to each
+  /// The reference router's commit after a removal: communication i to each
   /// cut the removal shrank to one link, in depth order as respread() does;
   /// true when a link is then certainly over capacity.
   [[nodiscard]] bool commit_shrunk(std::size_t i, double weight, CommitLedger& ledger) const {
@@ -428,7 +429,7 @@ class CommStates {
   Reused<Storage> s_;
 };
 
-/// Per-link membership lists for the incremental mode, in one CSR array:
+/// Per-link membership lists for the incremental router, in one CSR array:
 /// the indices of the communications whose path DAG still contains the
 /// link, heaviest-first (order_by_decreasing_weight, ties by index), so
 /// the "largest communication using this link" scan is O(members) instead
@@ -489,7 +490,7 @@ void spread_all(const CommStates& states, const CommSet& comms, LinkLoads& loads
   }
 }
 
-/// The incremental mode's loads and per-removal change list.
+/// The incremental router's loads and per-removal change list.
 struct Buffers {
   LinkLoads loads{std::int32_t{0}};
   std::vector<LoadChange> changes;
@@ -514,14 +515,6 @@ std::vector<Path> extract_paths(const Mesh& mesh, const CommStates& states) {
 
 RouteResult PathRemoverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
                                           const PowerModel& model, RouteGoal goal) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model, goal)
-                                   : route_incremental(mesh, comms, model, goal);
-}
-
-RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
-                                                 const CommSet& comms,
-                                                 const PowerModel& model,
-                                                 RouteGoal goal) const {
   const WallTimer timer;
   Reused<Buffers> buffers;
   LinkLoads& loads = buffers->loads;
@@ -613,9 +606,10 @@ RouteResult PathRemoverRouter::route_incremental(const Mesh& mesh,
                 timer.elapsed_ms());
 }
 
-RouteResult PathRemoverRouter::route_reference(const Mesh& mesh, const CommSet& comms,
-                                               const PowerModel& model,
-                                               RouteGoal goal) const {
+RouteResult ReferencePathRemoverRouter::route_impl(const Mesh& mesh,
+                                                   const CommSet& comms,
+                                                   const PowerModel& model,
+                                                   RouteGoal goal) const {
   const WallTimer timer;
   LinkLoads loads(mesh);
   CommStates states(mesh, comms);

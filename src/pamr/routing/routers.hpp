@@ -3,7 +3,7 @@
 // summarized in DESIGN.md §3.
 #pragma once
 
-#include <cstdint>
+#include <vector>
 
 #include "pamr/routing/router.hpp"
 
@@ -34,39 +34,20 @@ class SimpleGreedyRouter final : public Router {
 };
 
 /// IG — improved greedy (§5.2): virtual diagonal-spread pre-routing, then
-/// per-communication commitment guided by a per-cut lower bound.
+/// per-communication commitment guided by a per-cut lower bound. The bound
+/// is read from a per-communication cut cache: every cut link's cost at
+/// (load + δ_i) is computed once after the communication's virtual spread
+/// is removed, and each bound is a sum of windowed minima over those cached
+/// values. ReferenceImprovedGreedyRouter (reference_routers.hpp) is the
+/// seed's rescan loop it must match bit for bit.
 class ImprovedGreedyRouter final : public Router {
  public:
-  /// Implementation selector, mirroring PathRemoverRouter. kIncremental
-  /// (default) evaluates the per-cut lower bound from a per-communication
-  /// cut cache: every cut link's cost at (load + δ_i) is computed once
-  /// after the communication's virtual spread is removed, and each bound is
-  /// a sum of windowed minima over those cached values — loads at depths
-  /// not yet committed never change during the descent, so a hit is exact.
-  /// kReference is the seed's loop — a full rescan of every sub-rectangle
-  /// cut per candidate per hop — kept for differential testing. Both
-  /// produce bit-identical routings (same min chains, same ascending-depth
-  /// summation order, same strict-< vertical-first tie-break).
-  enum class Mode : std::uint8_t { kIncremental, kReference };
-
-  explicit ImprovedGreedyRouter(Mode mode = Mode::kIncremental) noexcept
-      : mode_(mode) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "IG"; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model,
                                        RouteGoal goal) const override;
-
- private:
-  [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model, RouteGoal goal) const;
-  [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model, RouteGoal goal) const;
-
-  Mode mode_;
 };
 
 /// TB — two-bend (§5.3): evaluates every Manhattan path with at most two
@@ -81,8 +62,8 @@ class TwoBendRouter final : public Router {
                                        RouteGoal goal) const override;
 };
 
-/// Test/diagnostic hook for XYImproverRouter: while attached, both modes
-/// append the penalized LoadCost total after every applied move, so tests
+/// Test/diagnostic hook for the XYI routers: while attached, a router
+/// appends the penalized LoadCost total after every applied move, so tests
 /// can assert the descent is strictly decreasing. The measurement is
 /// O(links) per move — leave unset outside tests.
 struct XyiTrace {
@@ -90,25 +71,17 @@ struct XyiTrace {
 };
 
 /// XYI — XY improver (§5.4): local search from the XY routing, unloading
-/// the most-loaded links via elementary staircase detours.
+/// the most-loaded links via elementary staircase detours. The descent runs
+/// on a CrossingIndex (link→crossing communications, plus one cached best
+/// candidate per (link, member), reused while nothing it read changed) and
+/// a LoadOrder (rank-keyed, merge-maintained hot-link order).
+/// ReferenceXYImproverRouter (reference_routers.hpp) is the seed's loop it
+/// must match bit for bit, including the stable-sort tie-break order and
+/// the paper's preferred-side-first move priority (see xy_moves.hpp and
+/// crossing_index.hpp).
 class XYImproverRouter final : public Router {
  public:
-  /// Implementation selector, mirroring PathRemoverRouter. kIncremental
-  /// (default) drives the descent through a CrossingIndex (link→crossing
-  /// communications, plus one cached best candidate per (link, member),
-  /// reused while the member's comm stamp is older than the slot) and a
-  /// LoadOrder (rank-keyed, merge-maintained hot-link order);
-  /// kReference is the seed's loop — a full stable_sort of every mesh link
-  /// and an every-communication rescan per move — kept for differential
-  /// testing. Both produce bit-identical routings, including the
-  /// stable-sort tie-break order and the paper's preferred-side-first move
-  /// priority (see xy_moves.hpp and crossing_index.hpp).
-  enum class Mode : std::uint8_t { kIncremental, kReference };
-
-  explicit XYImproverRouter(Mode mode = Mode::kIncremental) noexcept : mode_(mode) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "XYI"; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
   void set_trace(XyiTrace* trace) noexcept { trace_ = trace; }
 
@@ -118,48 +91,25 @@ class XYImproverRouter final : public Router {
                                        RouteGoal goal) const override;
 
  private:
-  [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const;
-  [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model) const;
-
-  Mode mode_;
   XyiTrace* trace_ = nullptr;
 };
 
 /// PR — path remover (§5.5): starts from the all-paths virtual spread and
 /// deletes links from the most-loaded ones until each communication keeps a
-/// single path.
+/// single path. The removal loop runs on a LoadIndex (rank-keyed winner
+/// tree + per-link membership lists): most-loaded link first with the
+/// seed's stable-history tie-break (see load_index.hpp), heaviest
+/// communication first with ties by original index.
+/// ReferencePathRemoverRouter (reference_routers.hpp) is the seed's loop it
+/// must match bit for bit.
 class PathRemoverRouter final : public Router {
  public:
-  /// Implementation selector. kIncremental drives the removal loop through
-  /// the LoadIndex (rank-keyed winner tree + per-link membership lists)
-  /// and is the default; kReference is the seed's loop — a full
-  /// stable_sort of every mesh link and a rescan of every communication
-  /// per removal — kept for differential testing. Both produce
-  /// bit-identical routings: most-loaded link first with the seed's
-  /// stable-history tie-break (see load_index.hpp), heaviest communication
-  /// first with ties by original index.
-  enum class Mode : std::uint8_t { kIncremental, kReference };
-
-  explicit PathRemoverRouter(Mode mode = Mode::kIncremental) noexcept
-      : mode_(mode) {}
-
   [[nodiscard]] const char* name() const noexcept override { return "PR"; }
-  [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
  protected:
   [[nodiscard]] RouteResult route_impl(const Mesh& mesh, const CommSet& comms,
                                        const PowerModel& model,
                                        RouteGoal goal) const override;
-
- private:
-  [[nodiscard]] RouteResult route_incremental(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model, RouteGoal goal) const;
-  [[nodiscard]] RouteResult route_reference(const Mesh& mesh, const CommSet& comms,
-                                            const PowerModel& model, RouteGoal goal) const;
-
-  Mode mode_;
 };
 
 /// BEST (§6): runs all six base policies, asking each for the verdict only

@@ -22,16 +22,16 @@
 // round, matching the paper's bound.
 //
 // The candidate enumeration and move application are shared with the
-// incremental implementation via xy_moves.hpp. This file holds the mode
-// dispatch and route_reference — the seed's loop, kept selectable
-// (Mode::kReference) as the ground truth for the differential suite;
-// route_incremental lives in xy_improver_incremental.cpp.
+// incremental router via xy_moves.hpp. This file holds
+// ReferenceXYImproverRouter (reference_routers.hpp) — the seed's loop, kept
+// as the ground truth for the differential suite; XYImproverRouter lives in
+// xy_improver_incremental.cpp.
 #include <algorithm>
 #include <numeric>
 
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "pamr/routing/xy_moves.hpp"
 #include "pamr/util/timer.hpp"
 
@@ -39,14 +39,9 @@ namespace pamr {
 
 // XYI never stops early: its moves take load off links, so a committed
 // overload can still be repaired.
-RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
-                                         const PowerModel& model, RouteGoal) const {
-  return mode_ == Mode::kReference ? route_reference(mesh, comms, model)
-                                   : route_incremental(mesh, comms, model);
-}
-
-RouteResult XYImproverRouter::route_reference(const Mesh& mesh, const CommSet& comms,
-                                              const PowerModel& model) const {
+RouteResult ReferenceXYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
+                                                  const PowerModel& model,
+                                                  RouteGoal) const {
   const WallTimer timer;
   const LoadCost cost(model);
 

@@ -1,4 +1,4 @@
-// XYI — incremental implementation (the default Mode::kIncremental).
+// XYI — the incremental descent of XYImproverRouter.
 //
 // The reference loop (xy_improver.cpp) pays three scans per round: a
 // stable_sort of every mesh link to find the hot one, a scan of every
@@ -29,7 +29,7 @@
 // Load arithmetic follows the reference exactly: a move subtracts the
 // weight from every old-path link and adds it to every new-path link, so
 // shared links take the same -w/+w round trip (which can shift a stored
-// double by an ulp) and the next reorder sees the same bits in both modes.
+// double by an ulp) and the next reorder sees the same bits in both routers.
 // The per-link `cost_now` table (exactly cost(load(link)), refreshed for
 // the links a move changed) is transparent for the same reason: it holds
 // the very double a cold evaluation computes.
@@ -77,8 +77,9 @@ bool same_candidate(const xyi::Candidate& a, const xyi::Candidate& b) {
 
 }  // namespace
 
-RouteResult XYImproverRouter::route_incremental(const Mesh& mesh, const CommSet& comms,
-                                                const PowerModel& model) const {
+// Like the reference, XYI never stops early (see xy_improver.cpp).
+RouteResult XYImproverRouter::route_impl(const Mesh& mesh, const CommSet& comms,
+                                         const PowerModel& model, RouteGoal) const {
   const WallTimer timer;
   const LoadCost cost(model);
 

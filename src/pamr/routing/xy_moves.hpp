@@ -1,8 +1,8 @@
 // Shared move machinery of the XYI local search (paper §5.4), used by both
-// XYImproverRouter implementations — xy_improver.cpp's reference loop and
+// XYI routers — xy_improver.cpp's reference loop and
 // xy_improver_incremental.cpp's index-driven loop. Candidate enumeration
 // order, the block rotation that realizes a move, and the exact cost delta
-// of a rewrite live here once, so the two modes agree bit for bit: same
+// of a rewrite live here once, so the two routers agree bit for bit: same
 // preferred-side-first candidate order, same strict-< tie-breaking (first
 // candidate wins), same floating-point evaluation order.
 //
@@ -58,7 +58,7 @@ struct Move {
   double delta = std::numeric_limits<double>::infinity();
 };
 
-/// Every communication's current path in flat slices (incremental mode):
+/// Every communication's current path in flat slices (incremental router):
 /// its visited cores and its link ids, links(ci)[k] joining cores(ci)[k]
 /// and cores(ci)[k+1]. Rotations preserve path length, so each slice keeps
 /// its place for the whole descent. The slices live in a per-thread Reused
@@ -179,7 +179,7 @@ void materialize(std::span<const Coord> cores, const Candidate& cand, std::span<
 [[nodiscard]] std::size_t move_cap(const Mesh& mesh, std::size_t num_comms);
 
 /// Stamps RouteResult::local_search with (moves, converged) and logs a
-/// warning when the cap truncated the descent — shared by both modes so a
+/// warning when the cap truncated the descent — shared by both routers so a
 /// capped run never returns silently.
 void finish_search_stats(RouteResult& result, const Mesh& mesh, std::size_t num_comms,
                          std::size_t moves, std::size_t cap);

@@ -38,14 +38,14 @@ std::string IntensityEnvelope::to_string() const {
     if (!out.empty()) out += '/';
     switch (phase.kind) {
       case EnvelopePhase::Kind::kConst:
-        out += "const:" + format_compact(phase.a);
+        out += "const:" + format_exact(phase.a, 10);
         break;
       case EnvelopePhase::Kind::kRamp:
-        out += "ramp:" + format_compact(phase.a) + ":" + format_compact(phase.b);
+        out += "ramp:" + format_exact(phase.a, 10) + ":" + format_exact(phase.b, 10);
         break;
       case EnvelopePhase::Kind::kBurst:
-        out += "burst:" + format_compact(phase.a) + ":" + format_compact(phase.b) +
-               ":" + format_compact(phase.duty);
+        out += "burst:" + format_exact(phase.a, 10) + ":" + format_exact(phase.b, 10) +
+               ":" + format_exact(phase.duty, 10);
         break;
     }
   }

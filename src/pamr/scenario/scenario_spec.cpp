@@ -40,12 +40,12 @@ std::int32_t AppSpec::num_tasks() const noexcept {
 std::string AppSpec::to_string() const {
   switch (shape) {
     case Shape::kPipeline:
-      return "pipeline:" + std::to_string(a) + ":" + format_compact(bandwidth);
+      return "pipeline:" + std::to_string(a) + ":" + format_exact(bandwidth, 10);
     case Shape::kForkJoin:
-      return "forkjoin:" + std::to_string(a) + ":" + format_compact(bandwidth);
+      return "forkjoin:" + std::to_string(a) + ":" + format_exact(bandwidth, 10);
     case Shape::kStencil:
       return "stencil:" + std::to_string(a) + ":" + std::to_string(b) + ":" +
-             format_compact(bandwidth);
+             format_exact(bandwidth, 10);
   }
   return "?";  // unreachable
 }
@@ -312,6 +312,10 @@ CommSet ScenarioSpec::generate(const Mesh& mesh, const PowerModel& model, double
   return comms;
 }
 
+// Doubles print through format_exact(·, 10), here and in AppSpec and
+// IntensityEnvelope: exact, so parse(to_string()) reloads every field bit
+// for bit, and "%.10g" for short decimals, which keeps the registry's spec
+// texts, and so campaign fingerprints, unchanged.
 std::string ScenarioSpec::to_string() const {
   std::string out = "mesh=" + std::to_string(mesh_p) + "x" + std::to_string(mesh_q) +
                     " model=" + (model == ModelKind::kDiscrete ? "discrete" : "theory");
@@ -329,19 +333,19 @@ std::string ScenarioSpec::to_string() const {
     switch (layer.kind) {
       case WorkloadLayer::Kind::kUniform:
         out += " kind=uniform n=" + std::to_string(layer.num_comms) +
-               " lo=" + format_compact(layer.weight_lo) +
-               " hi=" + format_compact(layer.weight_hi);
+               " lo=" + format_exact(layer.weight_lo, 10) +
+               " hi=" + format_exact(layer.weight_hi, 10);
         break;
       case WorkloadLayer::Kind::kFixedLength:
         out += " kind=length n=" + std::to_string(layer.num_comms) +
-               " lo=" + format_compact(layer.weight_lo) +
-               " hi=" + format_compact(layer.weight_hi) +
+               " lo=" + format_exact(layer.weight_lo, 10) +
+               " hi=" + format_exact(layer.weight_hi, 10) +
                " len=" + std::to_string(layer.length);
         break;
       case WorkloadLayer::Kind::kPattern:
         out += " kind=pattern pattern=" + std::string(to_cstring(layer.pattern)) +
-               " weight=" + format_compact(layer.pattern_weight);
-        if (layer.jitter != 0.0) out += " jitter=" + format_compact(layer.jitter);
+               " weight=" + format_exact(layer.pattern_weight, 10);
+        if (layer.jitter != 0.0) out += " jitter=" + format_exact(layer.jitter, 10);
         if (layer.pattern == TrafficPattern::kHotspot) {
           out += " hotspot=" + std::to_string(layer.hotspot.u) + "," +
                  std::to_string(layer.hotspot.v);
@@ -350,8 +354,8 @@ std::string ScenarioSpec::to_string() const {
       case WorkloadLayer::Kind::kHotspots:
         out += " kind=hotspots spots=" + std::to_string(layer.num_hotspots) +
                " n=" + std::to_string(layer.num_comms) +
-               " lo=" + format_compact(layer.weight_lo) +
-               " hi=" + format_compact(layer.weight_hi);
+               " lo=" + format_exact(layer.weight_lo, 10) +
+               " hi=" + format_exact(layer.weight_hi, 10);
         break;
       case WorkloadLayer::Kind::kApps: {
         out += " kind=apps apps=";
@@ -559,6 +563,7 @@ bool parse_layer(const std::vector<KeyValue>& pairs, WorkloadLayer& out,
         error = "bad jitter '" + kv.value + "' (want [0, 1))";
         return false;
       }
+      layer.jitter += 0.0;  // -0 becomes +0: to_string omits a zero jitter
     } else if (kv.key == "hotspot") {
       const std::vector<std::string> parts = split(kv.value, ',');
       if (parts.size() != 2 ||
@@ -706,8 +711,17 @@ bool validate_against_mesh(const ScenarioSpec& spec, std::string& error) {
         }
         break;
       }
-      case WorkloadLayer::Kind::kUniform:
       case WorkloadLayer::Kind::kFixedLength:
+        // The generator would clamp a longer target and draw flows shorter
+        // than the spec's label says.
+        if (layer.length > spec.mesh_p + spec.mesh_q - 2) {
+          error = "len=" + std::to_string(layer.length) +
+                  " exceeds the mesh's longest Manhattan distance p+q-2 = " +
+                  std::to_string(spec.mesh_p + spec.mesh_q - 2);
+          return false;
+        }
+        [[fallthrough]];
+      case WorkloadLayer::Kind::kUniform:
         if (layer.num_comms > 0 && cores < 2) {
           error = "random endpoints need at least two cores";
           return false;

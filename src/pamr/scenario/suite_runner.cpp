@@ -10,6 +10,7 @@
 #include "pamr/util/assert.hpp"
 #include "pamr/util/log.hpp"
 #include "pamr/util/string_util.hpp"
+#include "pamr/util/thread_pool.hpp"
 #include "pamr/util/timer.hpp"
 
 namespace pamr {
@@ -41,33 +42,8 @@ Scenario adhoc_scenario(ScenarioSpec spec) {
   return scenario;
 }
 
-exp::PointAggregate run_scenario_point(const Mesh& mesh, const PowerModel& model,
-                                       const ScenarioSpec& spec, std::int32_t instances,
-                                       std::uint64_t seed, std::uint64_t point_id,
-                                       ThreadPool* pool, std::size_t chunk) {
-  PAMR_CHECK(instances >= 1, "need at least one instance");
-  PAMR_CHECK(chunk >= 1, "chunk must be positive");
-  const auto count = static_cast<std::size_t>(instances);
-  const std::size_t chunks = (count + chunk - 1) / chunk;
-  std::vector<exp::PointAggregate> partials(chunks);
-  ThreadPool& run_pool = pool != nullptr ? *pool : ThreadPool::global();
-  run_pool.parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * chunk;
-    partials[c] = run_unit_instances(mesh, model, spec, begin,
-                                     std::min(begin + chunk, count), count, seed,
-                                     point_id);
-  });
-  exp::PointAggregate out;
-  for (const exp::PointAggregate& partial : partials) out.merge(partial);
-  return out;
-}
-
 SuiteRunner::SuiteRunner(SuiteOptions options) : options_(options) {
   options_.validate();
-}
-
-ScenarioResult SuiteRunner::run(const Scenario& scenario) const {
-  return std::move(run_all({SuiteEntry{&scenario, options_.seed}}).front());
 }
 
 std::vector<ScenarioResult> SuiteRunner::run_all(const std::vector<SuiteEntry>& entries,

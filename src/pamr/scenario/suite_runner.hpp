@@ -18,13 +18,14 @@
 #include "pamr/scenario/registry.hpp"
 #include "pamr/scenario/work_list.hpp"
 #include "pamr/util/csv.hpp"
-#include "pamr/util/thread_pool.hpp"
 
 namespace pamr {
 namespace scenario {
 
 struct SuiteOptions {
   std::int32_t instances = 300;  ///< instances per point (PAMR_TRIALS in the CLI)
+  /// No library code reads this: run_all takes each entry's seed from its
+  /// SuiteEntry. Callers keep it as the seed they put in their entries.
   std::uint64_t seed = 0x9e3779b9ULL;
   std::size_t threads = 0;  ///< 0 = the global pool; else a dedicated pool
   /// Instances folded per work item. Fixed chunking (independent of the
@@ -37,7 +38,7 @@ struct SuiteOptions {
   /// chunk == 0, absurd thread counts) with a std::invalid_argument naming
   /// the offending field — like routing's check_comm_set, bad user input
   /// must fail loudly at the API boundary, not deep inside a parallel_for.
-  /// Every execution entry point (SuiteRunner, pamr::dist) calls this.
+  /// Both execution paths (SuiteRunner, pamr::dist) call this.
   void validate() const;
 };
 
@@ -76,30 +77,18 @@ struct ScenarioResult {
 /// instead of by parallel hand-rolled copies.
 [[nodiscard]] Scenario adhoc_scenario(ScenarioSpec spec);
 
-/// Runs every instance of one spec (the single-point kernel). `pool` may be
-/// null for the global pool.
-[[nodiscard]] exp::PointAggregate run_scenario_point(
-    const Mesh& mesh, const PowerModel& model, const ScenarioSpec& spec,
-    std::int32_t instances, std::uint64_t seed, std::uint64_t point_id,
-    ThreadPool* pool = nullptr, std::size_t chunk = 8);
-
 class SuiteRunner {
  public:
   explicit SuiteRunner(SuiteOptions options = {});
 
   [[nodiscard]] const SuiteOptions& options() const noexcept { return options_; }
 
-  /// Runs all points of one scenario, sharded over the pool as a single
-  /// flattened work list. Equivalent to run_all with one entry seeded from
-  /// options().seed.
-  [[nodiscard]] ScenarioResult run(const Scenario& scenario) const;
-
-  /// Runs a whole batch as ONE flattened work list — every (scenario,
-  /// point, instance-chunk) unit of every entry lands in the same
-  /// parallel_for, so short scenarios no longer serialize behind long ones
-  /// at round boundaries. Unit aggregates merge in canonical unit order:
-  /// each returned ScenarioResult is bit-identical to a standalone run()
-  /// of that entry with the same seed, for any thread count. Every result
+  /// The one way the library runs a campaign: the whole batch as ONE
+  /// flattened work list — every (scenario, point, instance-chunk) unit of
+  /// every entry lands in the same parallel_for, so short scenarios do not
+  /// serialize behind long ones at round boundaries. Unit aggregates merge
+  /// in canonical unit order: each returned ScenarioResult is bit-identical
+  /// to a one-entry batch of that entry, for any thread count. Every result
   /// reports the batch's wall time (execution is interleaved; per-scenario
   /// times would be fiction). `sink`, if set, observes unit completions.
   [[nodiscard]] std::vector<ScenarioResult> run_all(

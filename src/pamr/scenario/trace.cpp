@@ -1,10 +1,8 @@
 #include "pamr/scenario/trace.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -24,24 +22,6 @@ namespace {
 
 constexpr const char* kHeader[] = {"src_u", "src_v", "snk_u", "snk_v", "weight"};
 constexpr std::size_t kColumns = 5;
-
-/// Shortest "%.g" rendering that reparses to the identical double. Most
-/// weights are round decimals and stay human-readable (15 digits suffice);
-/// adversarial doubles fall back to 17 digits, which round-trip by the
-/// IEEE-754 shortest-representation guarantee. This — not Table's
-/// fixed-precision formatting — is why a dumped trace reloads bit-exactly.
-std::string format_exact(double value) {
-  char buffer[32];
-  for (const int digits : {15, 16, 17}) {
-    std::snprintf(buffer, sizeof buffer, "%.*g", digits, value);
-    double reparsed = 0.0;
-    if (parse_double(buffer, reparsed) &&
-        std::bit_cast<std::uint64_t>(reparsed) == std::bit_cast<std::uint64_t>(value)) {
-      break;
-    }
-  }
-  return buffer;
-}
 
 bool parse_coord_field(const std::string& cell, std::int32_t& out) {
   std::int64_t value = 0;
@@ -135,7 +115,7 @@ std::string trace_to_csv(const CommSet& comms) {
   for (const Communication& comm : comms) {
     out += std::to_string(comm.src.u) + ',' + std::to_string(comm.src.v) + ',' +
            std::to_string(comm.snk.u) + ',' + std::to_string(comm.snk.v) + ',' +
-           format_exact(comm.weight) + '\n';
+           format_exact(comm.weight) + '\n';  // reloads bit-exactly
   }
   return out;
 }

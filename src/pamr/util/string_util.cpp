@@ -1,5 +1,7 @@
 #include "pamr/util/string_util.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -60,6 +62,19 @@ std::string format_compact(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.10g", value);
   return buffer;
+}
+
+std::string format_exact(double value, int digits) {
+  char buffer[32];
+  for (;; digits = std::max(digits + 1, 15)) {
+    std::snprintf(buffer, sizeof buffer, "%.*g", digits, value);
+    double reparsed = 0.0;
+    if (digits >= 17 ||
+        (parse_double(buffer, reparsed) &&
+         std::bit_cast<std::uint64_t>(reparsed) == std::bit_cast<std::uint64_t>(value))) {
+      return buffer;
+    }
+  }
 }
 
 std::string json_escape(std::string_view text) {

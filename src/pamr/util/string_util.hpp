@@ -22,6 +22,14 @@ namespace pamr {
 /// scenario registry — reparse exactly; no trailing zeros.
 [[nodiscard]] std::string format_compact(double value);
 
+/// The first of "%.<digits>g", "%.15g", "%.16g" and "%.17g" that
+/// parse_double reads back to `value`'s exact bits (17 digits always do,
+/// by the IEEE-754 shortest-representation guarantee). Text that must
+/// reload bit-exactly prints through this: trace CSVs with the default,
+/// spec text with digits = 10, so that short decimals keep
+/// format_compact's form.
+[[nodiscard]] std::string format_exact(double value, int digits = 15);
+
 /// Escapes quotes, backslashes and control characters for embedding in a
 /// JSON string literal.
 [[nodiscard]] std::string json_escape(std::string_view text);

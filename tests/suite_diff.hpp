@@ -65,6 +65,13 @@ inline scenario::ScenarioSpec parse_spec(const std::string& text) {
   return spec;
 }
 
+/// One scenario as a one-entry SuiteRunner::run_all batch under `seed`.
+inline scenario::ScenarioResult run_scenario(const scenario::SuiteOptions& options,
+                                             const scenario::Scenario& scenario,
+                                             std::uint64_t seed) {
+  return std::move(scenario::SuiteRunner(options).run_all({{&scenario, seed}}).front());
+}
+
 inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(static_cast<bool>(in)) << "missing " << path;
@@ -94,11 +101,12 @@ inline scenario::ScenarioResult expect_thread_count_invariant(
   scenario::SuiteOptions options;
   options.instances = trials;
   options.chunk = chunk;
-  options.seed = scenario.default_seed;
   options.threads = 1;
-  scenario::ScenarioResult reference = scenario::SuiteRunner(options).run(scenario);
+  scenario::ScenarioResult reference =
+      run_scenario(options, scenario, scenario.default_seed);
   options.threads = 4;
-  const scenario::ScenarioResult threaded = scenario::SuiteRunner(options).run(scenario);
+  const scenario::ScenarioResult threaded =
+      run_scenario(options, scenario, scenario.default_seed);
   EXPECT_EQ(reference.points.size(), threaded.points.size());
   for (std::size_t p = 0; p < reference.points.size(); ++p) {
     expect_aggregate_identical(reference.points[p].aggregate,

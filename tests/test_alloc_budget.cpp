@@ -2,7 +2,7 @@
 //
 // This binary replaces every global operator new/delete form with a
 // malloc-backed one that counts allocations while a window is open; the
-// window covers exactly one Router::route() call. Each default-mode router
+// window covers exactly one Router::route() call. Each policy router
 // must stay within 4·nc + 4·L + 32 allocations per call, under either
 // RouteGoal: a handful of
 // buffers per communication (its routed path and flow list) and per link,

@@ -246,7 +246,7 @@ TEST(Differential, MergerReproducesSuiteRunnerBitForBit) {
   const std::vector<scenario::ScenarioResult> four_threads =
       scenario::SuiteRunner(options).run_all(entries);
 
-  // Thread-count independence (and run_all == standalone run()).
+  // Thread-count independence (and a batch == its one-entry batches).
   ASSERT_EQ(one_thread.size(), 2u);
   for (std::size_t s = 0; s < 2; ++s) {
     ASSERT_EQ(one_thread[s].points.size(), four_threads[s].points.size());
@@ -255,8 +255,7 @@ TEST(Differential, MergerReproducesSuiteRunnerBitForBit) {
                                  four_threads[s].points[p].aggregate);
     }
   }
-  options.seed = 22;
-  const scenario::ScenarioResult standalone = scenario::SuiteRunner(options).run(b);
+  const scenario::ScenarioResult standalone = suitetest::run_scenario(options, b, 22);
   for (std::size_t p = 0; p < standalone.points.size(); ++p) {
     expect_aggregate_identical(one_thread[1].points[p].aggregate,
                                standalone.points[p].aggregate);
@@ -310,8 +309,8 @@ std::string reference_dir() {
         scenario::ScenarioRegistry::builtin().at(kScenario);
     scenario::SuiteOptions options;
     options.instances = kTrials;
-    options.seed = scenario.default_seed;
-    const scenario::ScenarioResult result = scenario::SuiteRunner(options).run(scenario);
+    const scenario::ScenarioResult result =
+        suitetest::run_scenario(options, scenario, scenario.default_seed);
     EXPECT_TRUE(scenario::write_scenario_outputs(result, path, true, true));
     return path;
   }();
@@ -361,6 +360,22 @@ TEST(EndToEnd, CrashingWorkersAreRequeuedOntoReplacements) {
   ASSERT_EQ(unsetenv("PAMR_DIST_WORKER_FAIL_AFTER"), 0);
   ASSERT_EQ(exit_code, 0);
   expect_outputs_match_reference(dir);
+}
+
+TEST(EndToEnd, BothDriversWriteTheSameBytesForALongDecimalSpec) {
+  // pamr_dist hands each unit's spec to its workers as text, so a weight
+  // bound that "%.10g" would round must survive the trip bit for bit.
+  const std::string campaign =
+      " --spec 'mesh=8x8 model=discrete ; kind=uniform n=30 lo=100.123456789012 hi=1500'"
+      " --trials 16 --seed 1";
+  const std::string single_dir = fresh_dir("long_decimal_single");
+  const std::string command = "PAMR_OUT_DIR=" + single_dir + " " +
+                              std::string(PAMR_SCENARIOS_BIN) + campaign +
+                              " --csv --json > /dev/null";
+  ASSERT_EQ(std::system(command.c_str()), 0);
+  const std::string dist_dir = fresh_dir("long_decimal_dist");
+  ASSERT_EQ(run_dist(campaign + " --workers 2 --no-tables --out " + dist_dir), 0);
+  suitetest::expect_outputs_match(single_dir, dist_dir, "adhoc");
 }
 
 TEST(EndToEnd, SeedBelowMinusOneIsRejected) {

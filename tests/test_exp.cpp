@@ -5,7 +5,6 @@
 
 #include "pamr/exp/instance_runner.hpp"
 #include "pamr/scenario/suite_runner.hpp"
-#include "pamr/util/thread_pool.hpp"
 
 namespace pamr {
 namespace exp {
@@ -99,16 +98,22 @@ scenario::ScenarioSpec uniform_spec(std::int32_t num_comms, double lo, double hi
 
 constexpr std::uint64_t kSeed = scenario::SuiteOptions{}.seed;
 
+/// One spec's aggregate over `instances` instances, run as a one-point
+/// campaign on `threads` threads (0: the global pool).
+PointAggregate run_point(const scenario::ScenarioSpec& spec, std::int32_t instances,
+                         std::uint64_t seed, std::size_t threads = 0) {
+  const scenario::Scenario point = scenario::adhoc_scenario(spec);
+  scenario::SuiteOptions options;
+  options.instances = instances;
+  options.threads = threads;
+  return scenario::SuiteRunner(options).run_all({{&point, seed}}).front().points[0]
+      .aggregate;
+}
+
 TEST(Campaign, RunPointIsDeterministicAcrossThreadCounts) {
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
   const scenario::ScenarioSpec spec = uniform_spec(20, 100.0, 1500.0);
-  ThreadPool one(1);
-  ThreadPool four(4);
-  const PointAggregate first =
-      scenario::run_scenario_point(mesh, model, spec, 24, 42, 3, &one);
-  const PointAggregate second =
-      scenario::run_scenario_point(mesh, model, spec, 24, 42, 3, &four);
+  const PointAggregate first = run_point(spec, 24, 42, 1);
+  const PointAggregate second = run_point(spec, 24, 42, 4);
   EXPECT_EQ(first.instances, 24u);
   EXPECT_EQ(first.instances, second.instances);
   for (std::size_t s = 0; s < kNumSeries; ++s) {
@@ -124,10 +129,7 @@ TEST(Campaign, RunPointIsDeterministicAcrossThreadCounts) {
 }
 
 TEST(Campaign, NormalizedInverseIsAtMostOneAndBestIsExactlyOneWhenValid) {
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  const PointAggregate aggregate = scenario::run_scenario_point(
-      mesh, model, uniform_spec(30, 100.0, 2500.0), 16, kSeed, 0);
+  const PointAggregate aggregate = run_point(uniform_spec(30, 100.0, 2500.0), 16, kSeed);
   for (std::size_t s = 0; s < kNumSeries; ++s) {
     EXPECT_LE(aggregate.normalized_inverse[s].max(), 1.0 + 1e-9);
     EXPECT_GE(aggregate.normalized_inverse[s].min(), 0.0);
@@ -142,10 +144,7 @@ TEST(Campaign, FailureOrderingMatchesThePaperHierarchy) {
   // §6.1: "From the worst one to the best one, we have XY, SG, TB, IG, XYI
   // and finally PR." Check the coarse ends of that ordering (XY worst, the
   // portfolio BEST at least as good as anything).
-  const Mesh mesh(8, 8);
-  const PowerModel model = PowerModel::paper_discrete();
-  const PointAggregate aggregate = scenario::run_scenario_point(
-      mesh, model, uniform_spec(50, 100.0, 1500.0), 32, kSeed, 7);
+  const PointAggregate aggregate = run_point(uniform_spec(50, 100.0, 1500.0), 32, kSeed);
   // BEST dominates everything by construction; XYI starts from XY and only
   // applies strictly improving moves, so it can only fix XY failures, not
   // create new ones.

@@ -4,8 +4,8 @@
 //     the verdict goal each of the six policies and BEST gives the same
 //     validity and bit-identical power and breakdown as a complete run, the
 //     identical routing when valid, and stops (no routing) only where the
-//     complete routing is invalid; the reference modes of IG and PR stop
-//     exactly where their incremental modes do;
+//     complete routing is invalid; the reference routers of IG and PR stop
+//     exactly where the incremental ones do;
 //   * boundary cases of the stop rule: a load of exactly cap does not stop,
 //     an excess beyond the 1e-9 margin does, an excess within it is left to
 //     the validator, the last commit alone can trigger a stop, IG's virtual
@@ -13,6 +13,7 @@
 //     straight-line overloads.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
@@ -21,7 +22,7 @@
 
 #include "paper_instances.hpp"
 #include "pamr/obs/obs.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "pamr/scenario/registry.hpp"
 #include "pamr/util/rng.hpp"
 
@@ -172,12 +173,13 @@ TEST(FailFast, ImprovedGreedySpreadAloneDoesNotStop) {
   // still puts 1000 there: 4000 on the link, but only 3000 committed. The
   // 2000 then goes south, and the routing is valid.
   const CommSet comms{{{0, 0}, {0, 1}, 3000.0}, {{0, 0}, {1, 1}, 2000.0}};
-  for (const auto mode :
-       {ImprovedGreedyRouter::Mode::kIncremental, ImprovedGreedyRouter::Mode::kReference}) {
-    const ImprovedGreedyRouter router(mode);
-    const RouteResult full = router.route(kMesh, comms, PowerModel::paper_discrete());
+  const ImprovedGreedyRouter incremental;
+  const ReferenceImprovedGreedyRouter reference;
+  const std::array<const Router*, 2> routers{&incremental, &reference};
+  for (const Router* router : routers) {
+    const RouteResult full = router->route(kMesh, comms, PowerModel::paper_discrete());
     const RouteResult verdict =
-        router.route(kMesh, comms, PowerModel::paper_discrete(), RouteGoal::kVerdict);
+        router->route(kMesh, comms, PowerModel::paper_discrete(), RouteGoal::kVerdict);
     EXPECT_TRUE(full.valid);
     EXPECT_FALSE(expect_same_verdict(full, verdict, "IG spread"));
   }
@@ -189,12 +191,13 @@ TEST(FailFast, PathRemoverStopsBeforeItsFirstRemoval) {
   CommSet comms = shared_row_link(1800.0);
   comms.push_back({{3, 3}, {6, 6}, 500.0});
   obs::set_enabled(true);
-  for (const auto mode :
-       {PathRemoverRouter::Mode::kIncremental, PathRemoverRouter::Mode::kReference}) {
-    const PathRemoverRouter router(mode);
+  const PathRemoverRouter incremental;
+  const ReferencePathRemoverRouter reference;
+  const std::array<const Router*, 2> routers{&incremental, &reference};
+  for (const Router* router : routers) {
     obs::reset();
     const RouteResult verdict =
-        router.route(kMesh, comms, PowerModel::paper_discrete(), RouteGoal::kVerdict);
+        router->route(kMesh, comms, PowerModel::paper_discrete(), RouteGoal::kVerdict);
     const obs::Snapshot snap = obs::snapshot();
     EXPECT_FALSE(verdict.valid);
     EXPECT_FALSE(verdict.routing.has_value());
@@ -203,14 +206,14 @@ TEST(FailFast, PathRemoverStopsBeforeItsFirstRemoval) {
     EXPECT_EQ(snap.hist_count(obs::Metric::kPrRemovalsPerCall), 1u);
 
     obs::reset();
-    (void)router.route(kMesh, comms, PowerModel::paper_discrete());
+    (void)router->route(kMesh, comms, PowerModel::paper_discrete());
     EXPECT_GT(obs::snapshot().counter(obs::Metric::kPrRemovals), 0u);
   }
   obs::set_enabled(false);
   obs::reset();
 }
 
-TEST(FailFast, ReferenceModesStopWhereIncrementalModesDo) {
+TEST(FailFast, ReferenceRoutersStopWhereIncrementalRoutersDo) {
   // The paper instances, scaled up until the policies fail part-way.
   obs::set_enabled(true);
   std::size_t stopped = 0;
@@ -226,19 +229,17 @@ TEST(FailFast, ReferenceModesStopWhereIncrementalModesDo) {
         return std::make_pair(std::move(result), obs::snapshot());
       };
       const auto [pr_inc, pr_inc_snap] = run(PathRemoverRouter());
-      const auto [pr_ref, pr_ref_snap] =
-          run(PathRemoverRouter(PathRemoverRouter::Mode::kReference));
+      const auto [pr_ref, pr_ref_snap] = run(ReferencePathRemoverRouter());
       expect_same_result(pr_ref, pr_inc, "PR " + label);
       EXPECT_EQ(pr_inc_snap.counter(obs::Metric::kPrRemovals),
                 pr_ref_snap.counter(obs::Metric::kPrRemovals))
-          << "PR modes stopped at different removals, " << label;
+          << "the PR routers stopped at different removals, " << label;
       const auto [ig_inc, ig_inc_snap] = run(ImprovedGreedyRouter());
-      const auto [ig_ref, ig_ref_snap] =
-          run(ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference));
+      const auto [ig_ref, ig_ref_snap] = run(ReferenceImprovedGreedyRouter());
       expect_same_result(ig_ref, ig_inc, "IG " + label);
       EXPECT_EQ(ig_inc_snap.counter(obs::Metric::kIgCutBounds),
                 ig_ref_snap.counter(obs::Metric::kIgCutBounds))
-          << "IG modes stopped at different hops, " << label;
+          << "the IG routers stopped at different hops, " << label;
       stopped += pr_inc.routing.has_value() ? 0 : 1;
       stopped += ig_inc.routing.has_value() ? 0 : 1;
     }

@@ -236,7 +236,7 @@ std::uint64_t routing_hash(const RouteResult& result) {
 TEST(Heuristics, RoutingsArePinnedOnPaperInstances) {
   // Every base router on three §6 instances (tests/paper_instances.hpp),
   // hashed over its link ids and power bits. TB, SG and XY have no
-  // reference mode to be differenced against, so these pins are what
+  // reference router to be differenced against, so these pins are what
   // holds their routings fixed. Values recorded before the routers' inner
   // loops went heap-free. Rows follow paper::instances(); columns
   // follow all_base_routers() (XY, SG, IG, TB, XYI, PR).

@@ -13,7 +13,7 @@
 
 #include "pamr/comm/generator.hpp"
 #include "pamr/obs/obs.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "pamr/util/rng.hpp"
 
 namespace pamr {
@@ -22,8 +22,7 @@ namespace {
 void expect_identical(const Mesh& mesh, const CommSet& comms,
                       const std::string& label) {
   const PowerModel model = PowerModel::paper_discrete();
-  const RouteResult ref = ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference)
-                              .route(mesh, comms, model);
+  const RouteResult ref = ReferenceImprovedGreedyRouter().route(mesh, comms, model);
   const RouteResult inc = ImprovedGreedyRouter().route(mesh, comms, model);
 
   ASSERT_TRUE(ref.routing.has_value()) << label;
@@ -39,12 +38,6 @@ void expect_identical(const Mesh& mesh, const CommSet& comms,
     EXPECT_EQ(ref_flows[0].path.links, inc_flows[0].path.links)
         << label << " comm " << i;
   }
-}
-
-TEST(ImprovedGreedyDifferential, DefaultModeIsIncremental) {
-  EXPECT_EQ(ImprovedGreedyRouter().mode(), ImprovedGreedyRouter::Mode::kIncremental);
-  EXPECT_EQ(ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference).mode(),
-            ImprovedGreedyRouter::Mode::kReference);
 }
 
 using MeshShape = std::pair<int, int>;
@@ -126,7 +119,7 @@ TEST(ImprovedGreedyDifferential, SustainedOverloadAtScaleIsBitIdentical) {
   expect_identical(mesh, comms, "sustained overload 10x10");
 }
 
-TEST(ImprovedGreedyDifferential, CutBoundCounterMatchesBetweenModes) {
+TEST(ImprovedGreedyDifferential, CutBoundCounterMatchesTheReference) {
   // kIgCutBounds is a unit-scoped counter (pinned by the observability
   // contract): the cache must evaluate the bound exactly as many times as
   // the reference does, or distributed/sequential metric reports diverge.
@@ -140,8 +133,7 @@ TEST(ImprovedGreedyDifferential, CutBoundCounterMatchesBetweenModes) {
   const bool was_enabled = obs::enabled();
   obs::set_enabled(true);
   obs::reset();
-  (void)ImprovedGreedyRouter(ImprovedGreedyRouter::Mode::kReference)
-      .route(mesh, comms, model);
+  (void)ReferenceImprovedGreedyRouter().route(mesh, comms, model);
   const std::uint64_t ref_bounds =
       obs::snapshot().counter(obs::Metric::kIgCutBounds);
   obs::reset();

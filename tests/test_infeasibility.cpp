@@ -150,10 +150,11 @@ TEST(Infeasibility, NoCertifiedInstanceRoutesOnAnyRegistryScenario) {
 std::size_t certified_in(const char* name, std::size_t& instances) {
   scenario::SuiteOptions options;
   options.instances = 16;
-  options.seed = 1;
   options.threads = 1;
   const scenario::ScenarioResult result =
-      scenario::SuiteRunner(options).run(scenario::ScenarioRegistry::builtin().at(name));
+      scenario::SuiteRunner(options)
+          .run_all({{&scenario::ScenarioRegistry::builtin().at(name), 1}})
+          .front();
   std::size_t count = 0;
   instances = 0;
   for (const scenario::ScenarioPointResult& point : result.points) {

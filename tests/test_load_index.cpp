@@ -14,7 +14,7 @@
 #include "pamr/comm/generator.hpp"
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/load_index.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "structured_inputs.hpp"
 
 namespace pamr {
@@ -306,8 +306,7 @@ TEST(LoadIndex, CountersArePinnedOnPaperInstances) {
 
 void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string& label,
                       const PowerModel& model = PowerModel::paper_discrete()) {
-  const RouteResult ref =
-      PathRemoverRouter(PathRemoverRouter::Mode::kReference).route(mesh, comms, model);
+  const RouteResult ref = ReferencePathRemoverRouter().route(mesh, comms, model);
   const RouteResult inc = PathRemoverRouter().route(mesh, comms, model);
 
   ASSERT_TRUE(ref.routing.has_value()) << label;
@@ -323,12 +322,6 @@ void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string&
     EXPECT_EQ(ref_flows[0].path.links, inc_flows[0].path.links)
         << label << " comm " << i;
   }
-}
-
-TEST(PathRemoverDifferential, DefaultModeIsIncremental) {
-  EXPECT_EQ(PathRemoverRouter().mode(), PathRemoverRouter::Mode::kIncremental);
-  EXPECT_EQ(PathRemoverRouter(PathRemoverRouter::Mode::kReference).mode(),
-            PathRemoverRouter::Mode::kReference);
 }
 
 using MeshShape = std::pair<int, int>;

@@ -127,10 +127,9 @@ obs::Snapshot run_suite_and_snapshot(std::size_t threads) {
   scenario::SuiteOptions options;
   options.instances = kTrials;
   options.chunk = kChunk;
-  options.seed = test_scenario().default_seed;
   options.threads = threads;
   reset();
-  (void)scenario::SuiteRunner(options).run(test_scenario());
+  (void)suitetest::run_scenario(options, test_scenario(), test_scenario().default_seed);
   return snapshot();
 }
 
@@ -170,18 +169,21 @@ TEST_F(ObsTest, InstancesReusedCountsTheRepeatsOfAUnit) {
   // 16 instances at chunk 8 are two units. A permutation draws the same set
   // every time, so each unit routes its first instance and folds 7 repeats;
   // a uniform-random fig7a_small point never draws a set twice.
-  const auto reused = [](const char* name, std::size_t point) {
-    const scenario::Scenario& scenario = scenario::ScenarioRegistry::builtin().at(name);
-    const scenario::ScenarioSpec& spec = scenario.points[point].spec;
+  const auto reused = [](const char* name) {
+    const scenario::Scenario& suite = scenario::ScenarioRegistry::builtin().at(name);
+    // Point 0 alone, as a one-point campaign: same seed stream, same units.
+    const scenario::Scenario first = scenario::adhoc_scenario(suite.points.front().spec);
+    scenario::SuiteOptions options;
+    options.instances = 16;
+    options.chunk = 8;
     reset();
-    (void)scenario::run_scenario_point(spec.make_mesh(), spec.make_model(), spec, 16,
-                                       scenario.default_seed, point, nullptr, 8);
+    (void)suitetest::run_scenario(options, first, suite.default_seed);
     const Snapshot snap = snapshot();
     EXPECT_EQ(snap.counter(Metric::kSuiteInstances), 16u) << name;
     return snap.counter(Metric::kSuiteInstancesReused);
   };
-  EXPECT_EQ(reused("permutations", 0), 14u);
-  EXPECT_EQ(reused("fig7a_small", 0), 0u);
+  EXPECT_EQ(reused("permutations"), 14u);
+  EXPECT_EQ(reused("fig7a_small"), 0u);
 
   // A sim=on unit routes every instance, even a repeated set: each probe
   // draws its own seed.
@@ -215,10 +217,9 @@ TEST_F(ObsTest, SimCountersAreDeterministicAndShowSkippedRouters) {
     scenario::SuiteOptions options;
     options.instances = 2;
     options.chunk = 1;
-    options.seed = sweep.default_seed;
     options.threads = threads;
     reset();
-    (void)scenario::SuiteRunner(options).run(sweep);
+    (void)suitetest::run_scenario(options, sweep, sweep.default_seed);
     return snapshot();
   };
   const Snapshot one = run(1);

@@ -1,14 +1,19 @@
 // Tests for the scenario subsystem: envelope semantics, spec parse/print
-// round-trips, registry completeness, suite-runner determinism across
-// thread counts, and result export.
+// round-trips (including a seeded mutation battery over the registry's spec
+// texts), registry completeness, suite-runner determinism across thread
+// counts, and result export.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <utility>
 #include <vector>
 
 #include "pamr/comm/generator.hpp"
 #include "pamr/scenario/suite_runner.hpp"
+#include "pamr/util/rng.hpp"
+#include "pamr/util/string_util.hpp"
 
 namespace pamr {
 namespace scenario {
@@ -170,6 +175,9 @@ TEST(Spec, ParseRejectsMalformedInput) {
            {"mesh=4x4 ; kind=uniform n=4 n=6 lo=100 hi=200 kind=length len=3",
             "key 'n' given twice"},
            {"mesh=4x4 sim=on sim=off", "key 'sim' given twice"},
+           // The generator would clamp the target and draw length-14 flows.
+           {"mesh=8x8 ; kind=length n=10 lo=100 hi=200 len=15",
+            "len=15 exceeds the mesh's longest Manhattan distance p+q-2 = 14"},
        }) {
     error.clear();
     EXPECT_FALSE(ScenarioSpec::parse(bad, spec, error)) << bad;
@@ -179,6 +187,180 @@ TEST(Spec, ParseRejectsMalformedInput) {
   EXPECT_TRUE(ScenarioSpec::parse(
       "mesh=4x4 ; kind=pattern hotspot=1,1 pattern=hotspot weight=500", spec, error))
       << error;
+}
+
+/// Every double of a spec, as bits: `==` cannot tell -0 from +0.
+std::vector<std::uint64_t> double_bits(const ScenarioSpec& spec) {
+  std::vector<std::uint64_t> bits;
+  const auto add = [&bits](double value) { bits.push_back(std::bit_cast<std::uint64_t>(value)); };
+  for (const WorkloadLayer& layer : spec.layers) {
+    add(layer.weight_lo);
+    add(layer.weight_hi);
+    add(layer.pattern_weight);
+    add(layer.jitter);
+    for (const AppSpec& app : layer.apps) add(app.bandwidth);
+    for (const EnvelopePhase& phase : layer.envelope.phases()) {
+      add(phase.a);
+      add(phase.b);
+      add(phase.duty);
+    }
+  }
+  return bits;
+}
+
+/// The round-trip property of an accepted spec: its text parses back to the
+/// same spec bit for bit, and printing is a fixed point.
+void expect_exact_round_trip(const ScenarioSpec& spec, const std::string& label) {
+  const std::string printed = spec.to_string();
+  ScenarioSpec reparsed;
+  std::string error;
+  ASSERT_TRUE(ScenarioSpec::parse(printed, reparsed, error))
+      << label << " printed as " << printed << ": " << error;
+  EXPECT_TRUE(reparsed == spec && double_bits(reparsed) == double_bits(spec))
+      << label << " printed as " << printed;
+  EXPECT_EQ(reparsed.to_string(), printed) << label;
+}
+
+TEST(Spec, RoundTripsLongDecimalsInEveryDoubleField) {
+  // Each text holds doubles that "%.10g" would round: lo, hi, pattern
+  // weight, jitter, app bandwidths and envelope phases.
+  for (const char* text : {
+           "mesh=8x8 ; kind=uniform n=30 lo=100.123456789012 hi=1500.98765432101"
+           " envelope=ramp:0.123456789012345:1.98765432109876",
+           "mesh=8x8 ; kind=length n=4 lo=100.000000000001 hi=200.5 len=3"
+           " envelope=burst:0.5000000000001:1.7777777777777:0.33333333333333",
+           "mesh=8x8 ; kind=pattern pattern=transpose weight=700.123456789012"
+           " jitter=0.123456789012345 envelope=const:1.00000000000001",
+           "mesh=8x8 ; kind=hotspots spots=2 n=5 lo=100.1234567890123 hi=200.9876543210987",
+           "mesh=8x8 ; kind=apps apps=pipeline:3:600.123456789012+forkjoin:2:300.98765432101"
+           "+stencil:2:2:123.456789012345 place=scattered",
+       }) {
+    ScenarioSpec spec;
+    std::string error;
+    ASSERT_TRUE(ScenarioSpec::parse(text, spec, error)) << text << ": " << error;
+    expect_exact_round_trip(spec, text);
+  }
+  // Short decimals keep their "%.10g" form.
+  ScenarioSpec spec;
+  std::string error;
+  // jitter=-0 means no jitter, which to_string omits: it must come back as
+  // the same bits.
+  ASSERT_TRUE(ScenarioSpec::parse(
+      "mesh=8x8 ; kind=pattern pattern=transpose weight=700 jitter=-0", spec, error));
+  expect_exact_round_trip(spec, "jitter=-0");
+  ASSERT_TRUE(ScenarioSpec::parse("mesh=8x8 ; kind=uniform n=3 lo=100.5 hi=1500", spec,
+                                  error));
+  EXPECT_EQ(spec.to_string(), "mesh=8x8 model=discrete ; kind=uniform n=3 lo=100.5 hi=1500");
+}
+
+/// `token` (key=value) with one run of digits and dots in its value replaced
+/// by a long decimal of the same integer part, e.g. "lo=100" ->
+/// "lo=100.482019384751"; `token` itself when its value holds no number.
+std::string with_long_decimal(const std::string& token, Rng& rng) {
+  const std::size_t eq = token.find('=');
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // [begin, end)
+  for (std::size_t i = eq + 1; i < token.size();) {
+    if (std::isdigit(static_cast<unsigned char>(token[i])) == 0) {
+      ++i;
+      continue;
+    }
+    const std::size_t begin = i;
+    while (i < token.size() &&
+           (std::isdigit(static_cast<unsigned char>(token[i])) != 0 || token[i] == '.')) {
+      ++i;
+    }
+    runs.emplace_back(begin, i);
+  }
+  if (runs.empty()) return token;
+  const auto [begin, end] = runs[rng.below(runs.size())];
+  const std::string number = token.substr(begin, end - begin);
+  std::string decimal = number.substr(0, number.find('.')) + ".";
+  const auto digits = 11 + rng.below(5);
+  for (std::uint64_t d = 0; d < digits; ++d) decimal += static_cast<char>('0' + rng.below(10));
+  decimal += static_cast<char>('1' + rng.below(9));  // no trailing zero
+  return token.substr(0, begin) + decimal + token.substr(end);
+}
+
+TEST(SpecFuzz, MutatedRegistryTextsAreRejectedOrRoundTripExactly) {
+  // Structure-aware mutants of every registry point's spec text: drop,
+  // duplicate or swap a token, add a foreign or repeated key, or replace a
+  // value with an adversarial one or a long decimal. Each mutant must be
+  // rejected with a message (never an exception), or parse to a spec that
+  // round-trips through its text bit for bit.
+  std::vector<std::string> corpus;
+  for (const Scenario& scenario : ScenarioRegistry::builtin().scenarios()) {
+    for (const ScenarioPoint& point : scenario.points) {
+      corpus.push_back(point.spec.to_string());
+    }
+  }
+  const std::vector<std::string> keys = {
+      "mesh=4x4",    "model=theory", "topo=torus",  "sim=on",      "cycles=100",
+      "warmup=10",   "kind=uniform", "n=4",         "lo=100",      "hi=200",
+      "len=3",       "pattern=shuffle", "weight=5", "jitter=0.5",  "hotspot=1,1",
+      "spots=2",     "apps=pipeline:2:100", "place=scattered", "file=t.csv",
+      "sample=3",    "envelope=const:2", "bogus=1"};
+  const std::vector<std::string> values = {
+      "nan", "inf", "-inf", "1e308", "1e999", "-5", "-0", "", "0", "1",
+      "2147483648", "100.123456789012", "0.30000000000000004"};
+  constexpr int kMutants = 2000;
+  Rng rng(0x5bec);
+  int accepted = 0;
+  int long_decimals_accepted = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    const std::string& base = corpus[rng.below(corpus.size())];
+    std::vector<std::string> tokens = split(base, ' ');
+    const auto pick = [&] { return static_cast<std::size_t>(rng.below(tokens.size())); };
+    const auto valued = [&] {  // a token holding a value, if a few draws find one
+      std::size_t at = pick();
+      for (int tries = 0; tries < 8 && tokens[at].find('=') == std::string::npos; ++tries) {
+        at = pick();
+      }
+      return at;
+    };
+    const auto kind = rng.below(6);
+    switch (kind) {
+      case 0: tokens.erase(tokens.begin() + static_cast<std::ptrdiff_t>(pick())); break;
+      case 1: {
+        const std::string copy = tokens[pick()];
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(pick()), copy);
+        break;
+      }
+      case 2: std::swap(tokens[pick()], tokens[pick()]); break;
+      case 3:
+        tokens.insert(tokens.begin() + static_cast<std::ptrdiff_t>(pick()),
+                      keys[rng.below(keys.size())]);
+        break;
+      case 4: {
+        std::string& token = tokens[valued()];
+        const std::size_t eq = token.find('=');
+        if (eq != std::string::npos) {
+          token = token.substr(0, eq + 1) + values[rng.below(values.size())];
+        }
+        break;
+      }
+      default: {
+        std::string& token = tokens[valued()];
+        if (token.find('=') != std::string::npos) token = with_long_decimal(token, rng);
+        break;
+      }
+    }
+    const std::string text = join(tokens, " ");
+    ScenarioSpec spec;
+    std::string error;
+    bool ok = false;
+    ASSERT_NO_THROW(ok = ScenarioSpec::parse(text, spec, error)) << text;
+    if (!ok) {
+      EXPECT_FALSE(error.empty()) << text;
+      continue;
+    }
+    ++accepted;
+    if (kind == 5 && text != base) ++long_decimals_accepted;
+    expect_exact_round_trip(spec, text);
+  }
+  // The battery must exercise both outcomes and the long decimals.
+  EXPECT_GT(accepted, kMutants / 10);
+  EXPECT_LT(accepted, kMutants * 9 / 10);
+  EXPECT_GT(long_decimals_accepted, kMutants / 20);
 }
 
 TEST(Registry, CatalogueIsCompleteAndGeneratesEverywhere) {
@@ -285,12 +467,11 @@ TEST(SuiteRunner, AggregatesAreBitIdenticalAcrossThreadCounts) {
   ASSERT_NE(storm, nullptr);
   SuiteOptions single;
   single.instances = 48;
-  single.seed = 3;
   single.threads = 1;
   SuiteOptions many = single;
   many.threads = 4;
-  const ScenarioResult a = SuiteRunner(single).run(*storm);
-  const ScenarioResult b = SuiteRunner(many).run(*storm);
+  const ScenarioResult a = SuiteRunner(single).run_all({{storm, 3}}).front();
+  const ScenarioResult b = SuiteRunner(many).run_all({{storm, 3}}).front();
   ASSERT_EQ(a.points.size(), b.points.size());
   for (std::size_t p = 0; p < a.points.size(); ++p) {
     const exp::PointAggregate& lhs = a.points[p].aggregate;
@@ -313,7 +494,7 @@ TEST(SuiteRunner, JsonExportNamesTheScenarioAndBothTables) {
   ASSERT_NE(mix, nullptr);
   SuiteOptions options;
   options.instances = 4;
-  const ScenarioResult result = SuiteRunner(options).run(*mix);
+  const ScenarioResult result = SuiteRunner(options).run_all({{mix, options.seed}}).front();
   const std::string json = result_to_json(result);
   EXPECT_NE(json.find("\"scenario\": \"multi_app_mix\""), std::string::npos);
   EXPECT_NE(json.find("\"normalized_inverse_power\""), std::string::npos);

@@ -375,14 +375,14 @@ TEST(InjectionProbe, SimTableAndJsonAppearOnlyWithSimStats) {
       " ; kind=uniform n=6 lo=100 hi=900");
   SuiteOptions options;
   options.instances = 6;
-  const ScenarioResult with_sim = SuiteRunner(options).run(probe);
+  const ScenarioResult with_sim = suitetest::run_scenario(options, probe, options.seed);
   EXPECT_TRUE(has_sim_stats(with_sim));
   EXPECT_NE(result_to_json(with_sim).find("\"sim\""), std::string::npos);
   EXPECT_EQ(sim_table(with_sim).rows(), 1u);
 
   Scenario plain =
       suitetest::adhoc_scenario("mesh=4x4 model=discrete ; kind=uniform n=6 lo=100 hi=900");
-  const ScenarioResult without = SuiteRunner(options).run(plain);
+  const ScenarioResult without = suitetest::run_scenario(options, plain, options.seed);
   EXPECT_FALSE(has_sim_stats(without));
   EXPECT_EQ(result_to_json(without).find("\"sim\""), std::string::npos);
 }

@@ -9,6 +9,7 @@
 // never bite on these instances.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -16,7 +17,7 @@
 #include "pamr/obs/obs.hpp"
 #include "pamr/routing/link_loads.hpp"
 #include "pamr/routing/path.hpp"
-#include "pamr/routing/routers.hpp"
+#include "pamr/routing/reference_routers.hpp"
 #include "pamr/util/rng.hpp"
 #include "structured_inputs.hpp"
 
@@ -29,8 +30,16 @@ struct BothResults {
 };
 
 BothResults route_both(const Mesh& mesh, const CommSet& comms, const PowerModel& model) {
-  return {XYImproverRouter(XYImproverRouter::Mode::kReference).route(mesh, comms, model),
+  return {ReferenceXYImproverRouter().route(mesh, comms, model),
           XYImproverRouter().route(mesh, comms, model)};
+}
+
+/// Both XYI routers, the reference first.
+const std::array<const Router*, 2>& both_routers() {
+  static const ReferenceXYImproverRouter reference;
+  static const XYImproverRouter incremental;
+  static const std::array<const Router*, 2> routers{&reference, &incremental};
+  return routers;
 }
 
 void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string& label,
@@ -53,12 +62,6 @@ void expect_identical(const Mesh& mesh, const CommSet& comms, const std::string&
     ASSERT_EQ(inc_flows.size(), 1u) << label;
     EXPECT_EQ(ref_flows[0].path.links, inc_flows[0].path.links) << label << " comm " << i;
   }
-}
-
-TEST(XyImproverDifferential, DefaultModeIsIncremental) {
-  EXPECT_EQ(XYImproverRouter().mode(), XYImproverRouter::Mode::kIncremental);
-  EXPECT_EQ(XYImproverRouter(XYImproverRouter::Mode::kReference).mode(),
-            XYImproverRouter::Mode::kReference);
 }
 
 using MeshShape = std::pair<int, int>;
@@ -212,9 +215,8 @@ TEST(XyImproverEdgeCases, AlreadyOptimalInputAppliesZeroMoves) {
   // strictly improving.
   const CommSet l_shaped{{{0, 0}, {3, 3}, 800.0}};
   for (const CommSet& comms : {straight, l_shaped}) {
-    for (const auto mode : {XYImproverRouter::Mode::kReference,
-                            XYImproverRouter::Mode::kIncremental}) {
-      const RouteResult result = XYImproverRouter(mode).route(mesh, comms, model);
+    for (const Router* router : both_routers()) {
+      const RouteResult result = router->route(mesh, comms, model);
       ASSERT_TRUE(result.valid);
       EXPECT_EQ(result.local_search.moves, 0u);
       EXPECT_TRUE(result.local_search.converged);
@@ -226,9 +228,8 @@ TEST(XyImproverEdgeCases, SingleCommunicationStaysOnXyPath) {
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
   const CommSet comms{{{1, 2}, {5, 6}, 900.0}};
-  for (const auto mode : {XYImproverRouter::Mode::kReference,
-                          XYImproverRouter::Mode::kIncremental}) {
-    const RouteResult result = XYImproverRouter(mode).route(mesh, comms, model);
+  for (const Router* router : both_routers()) {
+    const RouteResult result = router->route(mesh, comms, model);
     ASSERT_TRUE(result.valid);
     EXPECT_EQ(result.local_search.moves, 0u);
     const Path& path = result.routing->per_comm[0].flows[0].path;
@@ -247,9 +248,8 @@ TEST(XyImproverEdgeCases, DegenerateMeshesHaveNoMoves) {
     UniformWorkload spec;
     spec.num_comms = 10;
     const CommSet comms = generate_uniform(mesh, spec, rng);
-    for (const auto mode : {XYImproverRouter::Mode::kReference,
-                            XYImproverRouter::Mode::kIncremental}) {
-      const RouteResult result = XYImproverRouter(mode).route(mesh, comms, model);
+    for (const Router* router : both_routers()) {
+      const RouteResult result = router->route(mesh, comms, model);
       ASSERT_TRUE(result.routing.has_value());
       EXPECT_EQ(result.local_search.moves, 0u);
       EXPECT_TRUE(result.local_search.converged);
@@ -259,7 +259,7 @@ TEST(XyImproverEdgeCases, DegenerateMeshesHaveNoMoves) {
 
 TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   // Property: the descent is strictly monotone in the penalized LoadCost
-  // total, in both modes, move by move (observed through the trace hook).
+  // total, for both routers, move by move (observed through the trace hook).
   const Mesh mesh(8, 8);
   const PowerModel model = PowerModel::paper_discrete();
   Rng rng(0xACE);
@@ -276,10 +276,8 @@ TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
   const LoadCost cost(model);
   const double initial = cost.total(xy_loads.values());
 
-  for (const auto mode : {XYImproverRouter::Mode::kReference,
-                          XYImproverRouter::Mode::kIncremental}) {
+  const auto check = [&](auto&& router) {
     XyiTrace trace;
-    XYImproverRouter router(mode);
     router.set_trace(&trace);
     const RouteResult result = router.route(mesh, comms, model);
     ASSERT_GT(result.local_search.moves, 0u);  // the workload must force moves
@@ -289,7 +287,9 @@ TEST(XyImproverEdgeCases, EveryMoveStrictlyDecreasesPenalizedPower) {
       EXPECT_LT(trace.penalized_totals[i], previous) << "move " << i;
       previous = trace.penalized_totals[i];
     }
-  }
+  };
+  check(ReferenceXYImproverRouter());
+  check(XYImproverRouter());
 }
 
 }  // namespace
