@@ -24,7 +24,10 @@ int main(int argc, char** argv) {
   parser.add_int("trials", 200, "instances per workload", "PAMR_TRIALS");
   parser.add_int("seed", 1337, "base seed");
   int exit_code = 0;
-  if (!parser.parse(argc, argv, exit_code)) return exit_code;
+  if (!parser.parse(argc, argv, exit_code) ||
+      !parser.require_in("trials", 1, 10'000'000, exit_code)) {
+    return exit_code;
+  }
   const auto trials = static_cast<std::int32_t>(parser.get_int("trials"));
   const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
 

@@ -19,7 +19,6 @@
 
 #include "pamr/scenario/work_list.hpp"
 #include "pamr/util/args.hpp"
-#include "pamr/util/assert.hpp"
 #include "pamr/util/csv.hpp"
 #include "pamr/util/thread_pool.hpp"
 
@@ -29,7 +28,10 @@ int main(int argc, char** argv) {
   parser.add_int("trials", 200, "instances per configuration", "PAMR_TRIALS");
   parser.add_int("seed", 4096, "base seed");
   int exit_code = 0;
-  if (!parser.parse(argc, argv, exit_code)) return exit_code;
+  if (!parser.parse(argc, argv, exit_code) ||
+      !parser.require_in("trials", 1, 10'000'000, exit_code)) {
+    return exit_code;
+  }
 
   const Mesh mesh(8, 8);
   const auto trials = static_cast<std::int32_t>(parser.get_int("trials"));
@@ -55,7 +57,6 @@ int main(int argc, char** argv) {
     params.alpha = alpha;
     rows.push_back(params);
   }
-  PAMR_CHECK(trials >= 1, "--trials must be >= 1");
   const auto count = static_cast<std::size_t>(trials);
   std::vector<exp::PointAggregate> aggregates(rows.size());
   ThreadPool::global().parallel_for(rows.size(), [&](std::size_t r) {

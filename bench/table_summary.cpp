@@ -28,7 +28,10 @@ int main(int argc, char** argv) {
                  "PAMR_TRIALS");
   parser.add_int("seed", -1, "campaign seed for every suite (-1: each figure's own)");
   int exit_code = 0;
-  if (!parser.parse(argc, argv, exit_code)) return exit_code;
+  if (!parser.parse(argc, argv, exit_code) ||
+      !parser.require_in("trials", 1, 10'000'000, exit_code)) {
+    return exit_code;
+  }
 
   scenario::SuiteOptions options;
   options.instances = static_cast<std::int32_t>(parser.get_int("trials"));

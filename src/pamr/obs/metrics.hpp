@@ -68,14 +68,16 @@ enum class Metric : std::uint32_t {
   kPhaseSuite,            ///< one SuiteRunner::run_all
   kPhaseDistCampaign,     ///< one dist::run_campaign
   // ------------------------ unit-scoped counters (appended, see above) --
-  kSimRouterCycles,       ///< router-cycles the simulator evaluated (idle ones skipped)
-  kSimFlitHops,           ///< flits the simulator moved across a mesh link
+  kSimRouterCycles,       ///< router-cycles the simulator evaluated: routers holding a
+                          ///< flit or a queued packet (a retired flit is held nowhere)
+  kSimFlitHops,           ///< flits the simulator moved across a mesh link (retired hops too)
   kRouteCertifiedInfeasible,  ///< instances exp::run_instance proved infeasible, unrouted
   // ------------------------- wall-clock timers (appended, see above) --
   kPhaseCertificate,      ///< the infeasibility certificate of one instance
   // ------------------------ unit-scoped counters (appended, see above) --
   kRouteStoppedEarly,     ///< RouteGoal::kVerdict calls stopped at a certain overload
   kSuiteInstancesReused,  ///< instances folded from an identical set's sample, unrouted
+  kSimFlitHopsRetired,    ///< of sim.flit_hops, those accounted in closed form (private tails)
   kMetricCount,
 };
 
@@ -144,6 +146,7 @@ inline constexpr MetricInfo kMetricTable[kNumMetrics] = {
     {"phase.certificate", Kind::kTimer, Scope::kWall},
     {"route.stopped_early", Kind::kCounter, Scope::kUnit},
     {"suite.instances_reused", Kind::kCounter, Scope::kUnit},
+    {"sim.flit_hops_retired", Kind::kCounter, Scope::kUnit},
 };
 
 inline constexpr const MetricInfo& info(Metric m) noexcept {

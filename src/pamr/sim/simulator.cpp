@@ -1,5 +1,6 @@
 #include "pamr/sim/simulator.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <deque>
@@ -101,12 +102,25 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
   // Per node: the outputs some co-located source injects into.
   std::vector<unsigned> injectable(num_cores, 0);
 
+  // A link is private when exactly one subflow uses it.
+  std::vector<std::int32_t> users(static_cast<std::size_t>(mesh.num_links()), 0);
+  std::size_t num_flows = 0;
+  for (const CommRouting& comm_routing : routing.per_comm) {
+    num_flows += comm_routing.flows.size();
+    for (const RoutedFlow& flow : comm_routing.flows) {
+      for (const LinkId link : flow.path.links) ++users[static_cast<std::size_t>(link)];
+    }
+  }
+
   Rng rng(config.seed);
   std::vector<Subflow> subflows;
+  // Per port-table entry: the output port, the subflow, the link it leaves
+  // by (kInvalidLink at the sink) and, when that link and every later one
+  // of the path are private, how many links that private tail has (else 0).
   std::vector<std::int8_t> port_table;
-  std::vector<std::int32_t> subflow_of;  // per port-table entry
-  std::size_t num_flows = 0;
-  for (const CommRouting& comm_routing : routing.per_comm) num_flows += comm_routing.flows.size();
+  std::vector<std::int32_t> subflow_of;
+  std::vector<LinkId> link_of;
+  std::vector<std::int32_t> private_left;
   subflows.reserve(num_flows);  // a Subflow's deque is copied, not moved, on growth
   for (std::size_t ci = 0; ci < comms.size(); ++ci) {
     for (const RoutedFlow& flow : routing.per_comm[ci].flows) {
@@ -114,9 +128,17 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
       subflow.route = static_cast<std::int32_t>(port_table.size());
       for (const LinkId link : flow.path.links) {
         port_table.push_back(static_cast<std::int8_t>(mesh.link(link).dir));
+        link_of.push_back(link);
       }
       port_table.push_back(kPortLocal);
+      link_of.push_back(kInvalidLink);
       subflow_of.resize(port_table.size(), static_cast<std::int32_t>(subflows.size()));
+      private_left.resize(port_table.size(), 0);
+      for (std::size_t at = port_table.size() - 1;
+           at-- > static_cast<std::size_t>(subflow.route) &&
+           users[static_cast<std::size_t>(link_of[at])] == 1;) {
+        private_left[at] = private_left[at + 1] + 1;
+      }
       subflow.rate = flow.weight / config.flit_mbps;
       PAMR_CHECK(subflow.rate > 0.0, "subflow with zero rate");
       subflow.accumulator = rng.uniform();  // random phase
@@ -159,6 +181,10 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
   // stays small enough to inline.
   std::vector<std::size_t> popped_full(rings.size());
   std::size_t num_popped_full = 0;
+  // At depth 1, the entry buffers of this cycle's retired flits (see
+  // `send`); they are listed in popped_full for the next cycle.
+  std::vector<std::size_t> entered(depth == 1 ? rings.size() : 0);
+  std::size_t num_entered = 0;
   // Per (node, mesh output): the input port that won last, so the first
   // scan starts at port 0.
   std::vector<unsigned> last_winner(num_cores * kNumMeshPorts, kNumMeshPorts - 1);
@@ -212,11 +238,73 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
   // Telemetry tallies, bumped once at the end so the loop pays nothing.
   std::uint64_t router_cycles = 0;
   std::uint64_t flit_hops = 0;
+  std::uint64_t retired_hops = 0;
+
+  // Sends a flit granted across `next` in `cycle`. If the rest of its path
+  // is a private tail of `left` links it is retired: it would cross the
+  // j-th of them in cycle + j and eject in cycle + left, so its link-busy
+  // cycles and its delivery are counted now, clamped to the measured window
+  // [warmup, cycles). Otherwise it is staged as an arrival.
+  const auto send = [&](Flit flit, const Downstream& next, bool measuring,
+                        std::int64_t cycle) {
+    const auto at = static_cast<std::size_t>(flit.route);
+    const std::int64_t left = private_left[at];
+    if (left == 0) {
+      ++flit.route;
+      arrivals[num_arrivals++] = Arrival{next.buffer, flit};
+      if (measuring) ++stats.link_busy_cycles[static_cast<std::size_t>(next.link)];
+      return;
+    }
+    const std::int64_t hops = std::min(left, config.cycles - cycle);
+    for (std::int64_t j = std::max<std::int64_t>(config.warmup - cycle, 0); j < hops; ++j) {
+      ++stats.link_busy_cycles[static_cast<std::size_t>(link_of[at + static_cast<std::size_t>(j)])];
+    }
+    retired_hops += static_cast<std::uint64_t>(hops);
+    if (const std::int64_t ejected = cycle + left;
+        ejected >= config.warmup && ejected < config.cycles) {
+      deliver(stats.per_subflow[static_cast<std::size_t>(subflow_of[at])], flit, ejected);
+    }
+    // A one-slot entry buffer would still hold the flit when the next
+    // cycle's credits are read, so it refuses one credit. Its only upstream
+    // link is the one just granted, so setting `full` now is safe.
+    if (depth == 1) {
+      rings[next.buffer].full = true;
+      entered[num_entered++] = next.buffer;
+    }
+  };
+
+  // Pops the head flit of `buffer`, which has reached its sink.
+  const auto eject = [&](std::size_t buffer, bool measuring, std::int64_t cycle) {
+    const Flit delivered = pop(buffer);
+    if (measuring) {
+      deliver(stats.per_subflow[static_cast<std::size_t>(
+                  subflow_of[static_cast<std::size_t>(delivered.route)])],
+              delivered, cycle);
+    }
+  };
 
   // One router's cycle. Mesh traffic has priority over injection on every
   // output port; the local output then drains.
   const auto step = [&](std::size_t n, bool measuring, std::int64_t cycle) {
     const std::size_t base = n * kNumMeshPorts;
+    // Most steps find one buffered flit and nothing queued: it ejects, or
+    // it is the only requester of its output, as in the general path below.
+    if (const unsigned inputs = nonempty[n];
+        queued[n] == 0 && std::has_single_bit(inputs)) {
+      const auto port = static_cast<unsigned>(std::countr_zero(inputs));
+      const std::size_t buffer = base + port;
+      if (rings[buffer].count == 1) {
+        const int out = rings[buffer].head_port;
+        if (out == kPortLocal) {
+          eject(buffer, measuring, cycle);
+        } else if (const std::size_t output = base + static_cast<std::size_t>(out);
+                   !rings[downstream[output].buffer].full) {
+          last_winner[output] = port;
+          send(pop(buffer), downstream[output], measuring, cycle);
+        }
+        return;
+      }
+    }
     // Request masks: bit p of want[out] is set while input p's head flit
     // leaves through out (want[kPortLocal]: it ends here). A pop clears
     // its bit and files the uncovered head, which can still take a later
@@ -283,11 +371,7 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
             break;
           }
         }
-        if (moved) {
-          ++moving.route;
-          arrivals[num_arrivals++] = Arrival{next.buffer, moving};
-          if (measuring) ++stats.link_busy_cycles[static_cast<std::size_t>(next.link)];
-        }
+        if (moved) send(moving, next, measuring, cycle);
       }
       outputs = pending_after(out);
     }
@@ -298,19 +382,25 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
     for (unsigned m = want[kPortLocal]; m != 0; m &= m - 1) {
       const std::size_t buffer = base + static_cast<unsigned>(std::countr_zero(m));
       while (rings[buffer].count > 0 && rings[buffer].head_port == kPortLocal) {
-        const Flit delivered = pop(buffer);
-        if (measuring) {
-          deliver(stats.per_subflow[static_cast<std::size_t>(
-                      subflow_of[static_cast<std::size_t>(delivered.route)])],
-                  delivered, cycle);
-        }
+        eject(buffer, measuring, cycle);
       }
     }
   };
 
 #if PAMR_CHECK_LEVEL >= 2
+  // The buffers fed by a link a flit retires on: a private tail's links
+  // only ever carry retired flits, so these stay empty.
+  std::vector<bool> retiring(rings.size(), false);
+  for (std::size_t at = 0; at < port_table.size(); ++at) {
+    if (private_left[at] == 0) continue;
+    const LinkInfo& link = mesh.link(link_of[at]);
+    retiring[static_cast<std::size_t>(mesh.core_index(link.to)) * kNumMeshPorts +
+             static_cast<std::size_t>(link.dir)] = true;
+  }
   // Every cached view of the buffers and queues, re-derived from them.
   const auto check_state = [&] {
+    std::vector<bool> held(rings.size(), false);
+    for (std::size_t i = 0; i < num_popped_full; ++i) held[popped_full[i]] = true;
     for (std::size_t n = 0; n < num_cores; ++n) {
       bool holds = false;
       for (std::size_t port = 0; port < kNumMeshPorts; ++port) {
@@ -320,7 +410,12 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
         PAMR_INVARIANT("sim-state", ((nonempty[n] >> port) & 1U) == (ring.count > 0 ? 1U : 0U),
                        "non-empty mask of node " + std::to_string(n) + " disagrees at port " +
                            std::to_string(port));
-        PAMR_INVARIANT("sim-state", ring.full == (ring.count == depth),
+        PAMR_INVARIANT("sim-state", !retiring[buffer] || ring.count == 0,
+                       "buffer " + std::to_string(buffer) + " fed by a retiring link holds a flit");
+        // Only a retired flit's one-slot entry buffer is held full while empty.
+        PAMR_INVARIANT("sim-state",
+                       ring.full == (ring.count == depth ||
+                                     (held[buffer] && retiring[buffer] && depth == 1)),
                        "stale full flag on buffer " + std::to_string(buffer));
         PAMR_INVARIANT("sim-state",
                        ring.count == 0 ||
@@ -382,7 +477,11 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
       Ring& ring = rings[popped_full[i]];
       ring.full = ring.count == depth;
     }
-    num_popped_full = 0;
+    // A retired flit's entry buffer is read as full for one cycle, then
+    // released like a buffer popped while full.
+    std::copy_n(entered.begin(), num_entered, popped_full.begin());
+    num_popped_full = num_entered;
+    num_entered = 0;
 #if PAMR_CHECK_LEVEL >= 2
     check_state();
 #endif
@@ -406,7 +505,8 @@ SimStats simulate(const Mesh& mesh, const CommSet& comms, const Routing& routing
     stats.per_subflow[i].offered_flits = subflow.generated - offered_at_warmup[i];
   }
   obs::bump(obs::Metric::kSimRouterCycles, router_cycles);
-  obs::bump(obs::Metric::kSimFlitHops, flit_hops);
+  obs::bump(obs::Metric::kSimFlitHops, flit_hops + retired_hops);
+  obs::bump(obs::Metric::kSimFlitHopsRetired, retired_hops);
   return stats;
 }
 

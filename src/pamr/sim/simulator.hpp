@@ -36,9 +36,19 @@
 // - Credits are read from per-buffer `full` flags that keep the
 //   start-of-cycle state; a buffer popped while full is re-checked after
 //   the arrivals commit.
+// - A flit is retired when it is granted onto a link from which every link
+//   left on its path is private (used by its subflow alone). That tail has
+//   one requester per output, each of its buffers is fed by one private
+//   link and ejection is not modeled, so at depth >= 2 a flit granted in
+//   cycle c crosses the tail's j-th link in cycle c + j and ejects in
+//   c + (tail length). Every SimStats field is an order-free tally, so its
+//   link-busy cycles and delivery are counted at the grant, clamped to
+//   [warmup, cycles), and it is never buffered. At depth 1 the tail's first
+//   buffer refuses the next cycle's credit, as the flit would still fill it.
 // At PAMR_CHECK_LEVEL >= 2 the "sim-state" invariant re-derives the
 // active set, the non-empty masks, the head ports and the full flags from
-// the buffers and queues after every cycle.
+// the buffers and queues after every cycle, and checks that every buffer
+// fed by a retiring link is empty.
 //
 // A valid routing keeps every source queue bounded and delivers ≈ 100 % of
 // offered traffic; an overloaded link shows up as utilization pinned at

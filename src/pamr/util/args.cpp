@@ -123,6 +123,17 @@ const ArgParser::Option* ArgParser::find_checked(const std::string& name, Kind k
   return nullptr;  // unreachable
 }
 
+bool ArgParser::require_in(const std::string& name, std::int64_t min, std::int64_t max,
+                           int& exit_code) const {
+  const std::int64_t value = get_int(name);
+  if (value >= min && value <= max) return true;
+  std::fprintf(stderr, "%s: --%s must be %s %lld, got %lld\n", program_.c_str(), name.c_str(),
+               value < min ? ">=" : "<=", static_cast<long long>(value < min ? min : max),
+               static_cast<long long>(value));
+  exit_code = 2;
+  return false;
+}
+
 bool ArgParser::parse(int argc, const char* const* argv, int& exit_code) {
   for (int i = 1; i < argc; ++i) {
     std::string token = argv[i];

@@ -38,6 +38,12 @@ class ArgParser {
   /// a reported error); `exit_code` is set accordingly.
   [[nodiscard]] bool parse(int argc, const char* const* argv, int& exit_code);
 
+  /// After parse(): false, with "<program>: --<name> must be >= <min>, got
+  /// N" (or "<= <max>") printed and `exit_code` set to 2, when the int
+  /// option lies outside [min, max].
+  [[nodiscard]] bool require_in(const std::string& name, std::int64_t min, std::int64_t max,
+                                int& exit_code) const;
+
   [[nodiscard]] std::int64_t get_int(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] const std::string& get_string(const std::string& name) const;

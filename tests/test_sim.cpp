@@ -236,9 +236,10 @@ TEST(Simulate, RejectsStructurallyInvalidInput) {
 
 // ---------------------------------------------------------------- pins --
 // Every SimStats field of a fixed battery, recorded from earlier cycle
-// loops: the table-routed simulator for most rows, and the loop that
-// scanned every node for wide/9x8. A mismatch prints the case's actual row
-// in the table's own syntax.
+// loops: the table-routed simulator for most rows, the loop that scanned
+// every node for wide/9x8, and the active-set loop, which stepped every
+// flit hop by hop, for the tail rows. A mismatch prints the case's actual
+// row in the table's own syntax.
 
 struct PinCase {
   std::string name;
@@ -444,6 +445,42 @@ std::vector<PinCase> pin_cases() {
     c.config.cycles = 3000;
     c.config.warmup = 500;
     c.config.buffer_depth = 2;
+    cases.push_back(std::move(c));
+  }
+  for (const std::int32_t depth : {1, 2, 4}) {
+    // A and B share the link (0,1)->(0,2) and oversubscribe it (3.8 > 3.5
+    // Gb/s). B ends at (0,2); A goes on over four links no other flow
+    // uses, so past the contended link its flits meet no one. C's whole
+    // path is private from its source. At depth 1 a flit entering a
+    // private tail still holds its first buffer for the next cycle's
+    // credit check, which only a source injecting back to back runs into.
+    const Mesh mesh(4, 4);
+    PinCase c;
+    c.name = "tail/4/d" + std::to_string(depth);
+    c.p = c.q = 4;
+    c.comms = {{{0, 0}, {3, 3}, 2000.0}, {{1, 1}, {0, 2}, 1800.0}, {{3, 0}, {3, 2}, 1500.0}};
+    c.routing = make_single_path_routing(
+        c.comms, {xy_path(mesh, {0, 0}, {3, 3}), yx_path(mesh, {1, 1}, {0, 2}),
+                  xy_path(mesh, {3, 0}, {3, 2})});
+    c.config.cycles = 3000;
+    c.config.warmup = 500;
+    c.config.buffer_depth = depth;
+    cases.push_back(std::move(c));
+  }
+  for (const bool at_end : {false, true}) {
+    // A shares its first three links with B, then crosses eleven links no
+    // other flow uses. Its flits are mid-way along that private tail when
+    // the warmup ends (cycle 20, soon after the first packets) or when the
+    // run ends (cycle 1007).
+    const Mesh mesh(8, 8);
+    PinCase c;
+    c.name = at_end ? "tail-end/8" : "tail-warmup/8";
+    c.p = c.q = 8;
+    c.comms = {{{0, 0}, {7, 7}, 2000.0}, {{0, 0}, {0, 3}, 1200.0}};
+    c.routing = make_single_path_routing(
+        c.comms, {xy_path(mesh, {0, 0}, {7, 7}), xy_path(mesh, {0, 0}, {0, 3})});
+    c.config.cycles = at_end ? 1007 : 3000;
+    c.config.warmup = at_end ? 500 : 20;
     cases.push_back(std::move(c));
   }
   return cases;
@@ -731,6 +768,24 @@ const std::vector<Pin> kPins = {
       {1072, 1000, 1000, 250, 0x40fdf2c000000000ULL, 86},
       {784, 784, 786, 197, 0x40b3f70000000000ULL, 0},
       {1500, 1500, 1500, 375, 0x40cec30000000000ULL, 2}}},
+    {"tail/4/d1", 7142, 0xeb0e18c1081d8657ULL,
+     {{1428, 625, 625, 157, 0x4122d53000000000ULL, 962},
+      {1284, 625, 625, 157, 0x41212d2400000000ULL, 791},
+      {1072, 1071, 1071, 268, 0x40b4ea0000000000ULL, 1}}},
+    {"tail/4/d2", 12144, 0xad1c7d41d51859aaULL,
+     {{1428, 1250, 1250, 312, 0x41113e1000000000ULL, 213},
+      {1284, 1250, 1250, 313, 0x40f0652000000000ULL, 42},
+      {1072, 1072, 1072, 268, 0x40ad500000000000ULL, 0}}},
+    {"tail/4/d4", 12144, 0xad1c7d41d51859aaULL,
+     {{1428, 1250, 1250, 312, 0x41113e1000000000ULL, 211},
+      {1284, 1250, 1250, 313, 0x40f0652000000000ULL, 40},
+      {1072, 1072, 1072, 268, 0x40ad500000000000ULL, 0}}},
+    {"tail-warmup/8", 26900, 0x16ca73283cf82abdULL,
+     {{1700, 1701, 1703, 426, 0x40dc6f8000000000ULL, 2},
+      {1024, 1024, 1022, 255, 0x40b1f50000000000ULL, 0}}},
+    {"tail-end/8", 4579, 0x50deb3a36897a636ULL,
+     {{292, 288, 288, 72, 0x40b33c0000000000ULL, 4},
+      {172, 175, 176, 44, 0x4088c00000000000ULL, 0}}},
 };
 // clang-format on
 
@@ -763,14 +818,17 @@ TEST(Simulate, StatsMatchParentPins) {
 }
 
 // ------------------------------------------------------- counter pins --
-// sim.router_cycles and sim.flit_hops of three probes, recorded from the
-// simulator that scanned every node each cycle. A loop that evaluates a
-// router without work, or skips one with work, moves router_cycles even
-// where every SimStats field still matches.
+// sim.router_cycles, sim.flit_hops and sim.flit_hops_retired of three
+// probes. flit_hops was recorded from the simulator that scanned every node
+// each cycle; a retired flit's hops still count. router_cycles and
+// flit_hops_retired were recorded when flits began to retire on private
+// tails, since a retired flit is buffered at no router after its grant. A
+// loop that evaluates a router without work, or skips one with work, moves
+// router_cycles even where every SimStats field still matches.
 
 struct CounterPin {
   const char* name;
-  std::uint64_t probes, router_cycles, flit_hops;
+  std::uint64_t probes, router_cycles, flit_hops, flit_hops_retired;
 };
 
 CounterPin count_probe(const char* name, const std::function<void()>& probe) {
@@ -782,7 +840,8 @@ CounterPin count_probe(const char* name, const std::function<void()>& probe) {
   obs::reset();
   return {name, snap.counter(obs::Metric::kSimProbes),
           snap.counter(obs::Metric::kSimRouterCycles),
-          snap.counter(obs::Metric::kSimFlitHops)};
+          snap.counter(obs::Metric::kSimFlitHops),
+          snap.counter(obs::Metric::kSimFlitHopsRetired)};
 }
 
 TEST(Simulate, CountersMatchParentPins) {
@@ -812,9 +871,9 @@ TEST(Simulate, CountersMatchParentPins) {
     }));
   }
   const std::vector<CounterPin> expected = {
-      {"sparse/16", 0, 60552, 60527},
-      {"trickle/8/d1", 0, 1323, 1176},
-      {"injection_sweep/1.25", 1, 100590, 96501},
+      {"sparse/16", 0, 40215, 60527, 22180},
+      {"trickle/8/d1", 0, 147, 1176, 1176},
+      {"injection_sweep/1.25", 1, 86127, 96501, 19154},
   };
   ASSERT_EQ(actual.size(), expected.size());
   for (std::size_t i = 0; i < actual.size(); ++i) {
@@ -822,9 +881,9 @@ TEST(Simulate, CountersMatchParentPins) {
     const CounterPin& e = expected[i];
     EXPECT_EQ(std::string(a.name), std::string(e.name));
     EXPECT_TRUE(a.probes == e.probes && a.router_cycles == e.router_cycles &&
-                a.flit_hops == e.flit_hops)
+                a.flit_hops == e.flit_hops && a.flit_hops_retired == e.flit_hops_retired)
         << "actual {\"" << a.name << "\", " << a.probes << ", " << a.router_cycles << ", "
-        << a.flit_hops << "},";
+        << a.flit_hops << ", " << a.flit_hops_retired << "},";
   }
 }
 

@@ -237,6 +237,25 @@ TEST(Args, RejectsUnknownAndBadValues) {
   EXPECT_EQ(exit_code, 2);
 }
 
+TEST(Args, RequireInRejectsValuesOutsideTheRangeWithExitTwo) {
+  ArgParser parser("prog", "test");
+  parser.add_int("trials", 4, "trials");
+  int exit_code = -1;
+  for (const char* value : {"1", "100"}) {
+    const char* inside[] = {"prog", "--trials", value};
+    ASSERT_TRUE(parser.parse(3, inside, exit_code));
+    EXPECT_TRUE(parser.require_in("trials", 1, 100, exit_code)) << value;
+  }
+  // 4294967296 would wrap to 0 in an int32.
+  for (const char* value : {"0", "-3", "101", "4294967296"}) {
+    const char* outside[] = {"prog", "--trials", value};
+    ASSERT_TRUE(parser.parse(3, outside, exit_code));
+    exit_code = -1;
+    EXPECT_FALSE(parser.require_in("trials", 1, 100, exit_code)) << value;
+    EXPECT_EQ(exit_code, 2) << value;
+  }
+}
+
 TEST(Args, EnvFallbackCoversAllOptionKinds) {
   ::setenv("PAMR_TEST_COUNT", "11", 1);
   ::setenv("PAMR_TEST_RATIO", "0.75", 1);

@@ -8,9 +8,11 @@
 report: enforces the "pamr-metrics/1" schema — every value an integer,
 every counter/histogram tagged with a known scope, bucket sums consistent,
 route.stopped_early (route calls that stopped at a certain overload) a
-unit counter no larger than route.calls, and suite.instances_reused
+unit counter no larger than route.calls, suite.instances_reused
 (instances folded from an identical set's sample) a unit counter no larger
-than suite.instances.
+than suite.instances, and sim.flit_hops_retired (simulator hops accounted
+in closed form on private tails) a unit counter no larger than
+sim.flit_hops.
 
 trace: enforces the Chrome trace-event contract the repo's writer promises —
 every B matched by an E with the same name in its (pid, tid) lane, lanes
@@ -83,6 +85,12 @@ def validate_report(path):
         expect(reused["value"] <= instances,
                f"suite.instances_reused {reused['value']} exceeds "
                f"suite.instances {instances}")
+    retired = counters.get("sim.flit_hops_retired")
+    if retired is not None:
+        expect(retired["scope"] == "unit", "sim.flit_hops_retired is not unit-scoped")
+        hops = counters.get("sim.flit_hops", {}).get("value", 0)
+        expect(retired["value"] <= hops,
+               f"sim.flit_hops_retired {retired['value']} exceeds sim.flit_hops {hops}")
 
     histograms = doc.get("histograms")
     expect(isinstance(histograms, dict), "histograms section missing")
